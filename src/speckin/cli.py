@@ -10,8 +10,8 @@ Every run writes a bundle directory: a canonical config.json, data files in
 CSV or JSON with a fixed column order and 17-significant-digit floats, and a
 manifest recording the scenario hash, the seed, library versions, and the
 SHA-256 of every file.  Bundle bytes are a pure function of (config bytes,
-seed, subcommand); the --threads flag caps worker threads without changing
-any output.  Exit codes: 0 success, 1 execution error, 2 a diagnostic pass
+seed, subcommand); the --threads flag is accepted and changes neither speed
+nor output.  Exit codes: 0 success, 1 execution error, 2 a diagnostic pass
 flag came back false, 64 usage error.
 """
 
@@ -235,7 +235,7 @@ def _finalize_bundle(out_dir: Path, cfg: ScenarioConfig, subcommand: str,
 # --- scenario runners ----------------------------------------------------------
 
 
-def _march_linear(cfg: ScenarioConfig, threads: int):
+def _march_linear(cfg: ScenarioConfig):
     """Independent confined paths; the catalog drift kicks each velocity."""
     domain = build_domain(cfg)
     model = build_model(cfg)
@@ -259,21 +259,21 @@ def _march_linear(cfg: ScenarioConfig, threads: int):
             U = U + dt * drift(U)
         X, U = ensemble_confined_step(
             domain, X, U, k, params, model.sigma, cfg.run.seed,
-            h=dt, time_offset=t0, hit_sink=hits, threads=threads,
+            h=dt, time_offset=t0, hit_sink=hits,
         )
         if (k + 1) in wanted:
             snapshots[wanted[k + 1]] = (X.copy(), U.copy())
     return snapshots, hits, domain.dimension
 
 
-def _run_simulate_linear(cfg: ScenarioConfig, out_dir: Path, threads: int):
-    snapshots, hits, dimension = _march_linear(cfg, threads)
+def _run_simulate_linear(cfg: ScenarioConfig, out_dir: Path):
+    snapshots, hits, dimension = _march_linear(cfg)
     _write_paths_csv(out_dir / "paths.csv", snapshots, dimension)
     _write_hits_csv(out_dir / "hits.csv", hits, dimension)
     return True, None
 
 
-def _run_simulate_mckean(cfg: ScenarioConfig, out_dir: Path, threads: int):
+def _run_simulate_mckean(cfg: ScenarioConfig, out_dir: Path):
     domain = build_domain(cfg)
     result = run_mckean(
         domain,
@@ -285,7 +285,6 @@ def _run_simulate_mckean(cfg: ScenarioConfig, out_dir: Path, threads: int):
         cfg.run.N,
         cfg.run.seed,
         snapshot_times=tuple(_output_times(cfg)),
-        threads=threads,
     )
     snapshots = {
         t: (ens.positions, ens.velocities) for t, ens in result.snapshots.items()
@@ -316,7 +315,7 @@ def _solve_picard(cfg: ScenarioConfig):
     return solution, report, grid, lower, upper
 
 
-def _run_solve_vfp(cfg: ScenarioConfig, out_dir: Path, threads: int):
+def _run_solve_vfp(cfg: ScenarioConfig, out_dir: Path):
     solution, report, grid, lower, upper = _solve_picard(cfg)
     times = _output_times(cfg)
     _write_field_csv(out_dir / "field.csv", solution, times)
@@ -348,7 +347,7 @@ def _block_edge(n: int, target: int = 8) -> int:
     return b
 
 
-def _run_validate(cfg: ScenarioConfig, out_dir: Path, threads: int):
+def _run_validate(cfg: ScenarioConfig, out_dir: Path):
     """Grid and particle runs cross-checked into one pass/fail report."""
     solution, picard_report, grid, lower, upper = _solve_picard(cfg)
     model = build_model(cfg)
@@ -400,7 +399,6 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path, threads: int):
         build_step_params(cfg),
         cfg.run.N,
         cfg.run.seed,
-        threads=threads,
     )
     block = (_block_edge(grid.n_x), _block_edge(grid.n_u))
     distance = mc_grid_distance(particles.final, solution.field(-1), grid, block=block)
@@ -458,15 +456,16 @@ def run_scenario(cfg: ScenarioConfig, subcommand: str,
                  out_dir=None, threads: int = 1) -> OutputBundle:
     """Run one subcommand and write its output bundle.
 
-    Bundle bytes depend only on (canonical config, seed, subcommand); threads
-    caps worker threads without entering any result.
+    Bundle bytes depend only on (canonical config, seed, subcommand).
+    threads is accepted for compatibility and has no effect: every
+    subcommand runs on one thread.
     """
     if subcommand not in _RUNNERS:
         raise ValueError(f"unknown subcommand: {subcommand!r}")
     out = Path(out_dir) if out_dir is not None else Path(cfg.run.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(serialize_config(cfg), encoding="utf-8")
-    passed, report = _RUNNERS[subcommand](cfg, out, max(1, int(threads)))
+    passed, report = _RUNNERS[subcommand](cfg, out)
     return _finalize_bundle(out, cfg, subcommand, passed, report)
 
 
@@ -502,7 +501,7 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--out", metavar="DIR", default=None,
                          help="override run.out bundle directory")
         cmd.add_argument("--threads", metavar="N", type=int, default=1,
-                         help="cap worker threads (never changes results)")
+                         help="accepted for compatibility; has no effect")
     return parser
 
 

@@ -2,21 +2,25 @@
 
 Position integrates velocity, velocity diffuses, and the pair (x, u) between
 wall contacts is jointly Gaussian, so free flight over any step length is
-sampled exactly rather than by substepping.  Wall hits are located by
-recursively inserting exact conditional midpoints (the law of the integrated
-pair pinned at both endpoints) until segments are short enough that the
-frozen-noise straight path locates the contact time by bisection; the contact
-point is then projected onto the wall and the velocity reflected specularly.
+sampled exactly rather than by substepping.  Wall hits are found by inserting
+exact conditional midpoints (the law of the integrated pair pinned at both
+endpoints) depth-first, until a segment is either far enough from the wall to
+be pruned or short enough that the frozen-noise straight path locates the
+contact time by bisection; the contact point is then projected onto the wall
+and the velocity reflected specularly.
 
-Every random draw is addressed by (seed, stream id, counter), so a path is a
-pure function of its stream and the ensemble driver reproduces the sequential
-per-path results bit for bit regardless of batching.
+One kernel does this for single paths and ensembles alike: the near-wall
+paths of a macro step advance in lockstep, each with its own explicit stack
+of bridge segments, and every pass prunes, locates or refines the top segment
+of all of them with vectorized arithmetic.  Every random draw is addressed by
+(seed, stream id, counter) and each path draws in the order of the
+sequential depth-first traversal, so a path is a pure function of its stream
+and the results are bit for bit the same however paths are batched.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,11 +33,11 @@ from .geometry import (
     reflect,
     signed_distance,
 )
-from .rng import PrefetchedStream, RngStream, normals_at
+from .rng import RngStream, normals_at
 
 EPS_TAN = 1e-12  # |u.n| <= EPS_TAN*|u| counts as a tangential graze
 STEP_COUNTER_STRIDE = 1 << 16  # per-(path, macro-step) noise budget
-PREFETCH_NORMALS = 48  # per component, covers free flight + typical bridges
+WINDOW = 96  # normals per component fetched ahead for each near-wall path
 
 
 @dataclass(frozen=True)
@@ -105,12 +109,44 @@ def _speed(u):
     return float(np.abs(u)) if u.ndim == 0 else float(np.linalg.norm(u))
 
 
+def _speeds(U):
+    """Per-row speeds of a batch, each bit-identical to _speed of its row.
+
+    For vectors, matmul takes the same dot product np.linalg.norm takes on
+    one vector; the norm's axis= form sums in another order.
+    """
+    if U.ndim == 1:
+        return np.abs(U)
+    return np.sqrt(np.matmul(U[:, None, :], U[:, :, None])[:, 0, 0])
+
+
+def _reach(params: StepParams, speed, dt, sigma: float):
+    """Near-wall trigger: a segment whose endpoints both lie deeper inside
+    than this distance cannot touch the wall and is pruned."""
+    if params.delta_near is not None:
+        return params.delta_near
+    return speed * dt + 3.0 * sigma * dt * np.sqrt(dt)
+
+
 def _free_update(x, u, h, sigma, xi1, xi2):
     """Shared exact-flow arithmetic; identical expression for scalars and batches."""
-    root_h = math.sqrt(h)
+    root_h = np.sqrt(h)
     u_new = u + (sigma * root_h) * xi1
     x_new = x + h * u + (sigma * h * root_h) * (0.5 * xi1 + (0.5 / math.sqrt(3.0)) * xi2)
     return x_new, u_new
+
+
+def _bridge_scales(sigma: float, h: float):
+    """Standard deviations of the bridge midpoint, in Python floats: numpy's
+    array h**3 can differ from the float's in the last bit."""
+    return sigma * math.sqrt(h**3 / 192.0), sigma * math.sqrt(h / 16.0)
+
+
+def _bridge_update(xa, ua, xb, ub, h, scale_x, scale_u, xi1, xi2):
+    """Shared bridge arithmetic; identical expression for scalars and batches."""
+    mean_x = 0.5 * (xa + xb) - (h / 8.0) * (ub - ua)
+    mean_u = 1.5 * (xb - xa) / h - 0.25 * (ua + ub)
+    return mean_x + scale_x * xi1, mean_u + scale_u * xi2
 
 
 def free_step(state: PhaseState, h: float, sigma: float, rng: RngStream) -> PhaseState:
@@ -146,76 +182,206 @@ def bridge_midpoint(
     d = 1 if ua.ndim == 0 else ua.shape[-1]
     z = rng.normals(2 * d)
     xi1, xi2 = (z[0], z[1]) if ua.ndim == 0 else (z[0::2], z[1::2])
-    xa, xb = np.asarray(a.x, float), np.asarray(b.x, float)
-    ub = np.asarray(b.u, dtype=float)
-    mean_x = 0.5 * (xa + xb) - (h / 8.0) * (ub - ua)
-    mean_u = 1.5 * (xb - xa) / h - 0.25 * (ua + ub)
-    x_mid = mean_x + (sigma * math.sqrt(h**3 / 192.0)) * xi1
-    u_mid = mean_u + (sigma * math.sqrt(h / 16.0)) * xi2
+    x_mid, u_mid = _bridge_update(
+        np.asarray(a.x, float), ua, np.asarray(b.x, float), np.asarray(b.u, dtype=float),
+        h, *_bridge_scales(sigma, h), xi1, xi2,
+    )
     if ua.ndim == 0:
         return PhaseState(float(x_mid), float(u_mid))
     return PhaseState(x_mid, u_mid)
 
 
-def _near_trigger(params: StepParams, speed: float, dt: float, sigma: float) -> float:
-    if params.delta_near is not None:
-        return params.delta_near
-    return speed * dt + 3.0 * sigma * dt * math.sqrt(dt)
+def _bisect(domain: Domain, xa, xb, eps_hit: float):
+    """Per row, the start s of the bracket holding the first wall crossing on
+    the straight chord xa -> xb, halved until it is at most eps_hit long.
 
-
-def _interp(a, b, s):
-    return a + s * (b - a)
-
-
-def _locate_on_segment(domain, a: PhaseState, b: PhaseState, params: StepParams):
-    """Bisect the straight segment a -> b for the first wall crossing.
-
-    Requires sd(a.x) <= 0 < sd(b.x).  Returns (fraction, location, u_pre).
-    Convergence is judged by bracket width, not |sd| alone: a segment that
+    Convergence is judged by bracket width, not |sd| alone: a chord that
     starts on the wall and dives back inside before exiting elsewhere must
-    not report the start point as the contact.
+    not report its start as the contact.
     """
-    chord = np.asarray(b.x, dtype=float) - np.asarray(a.x, dtype=float)
-    chord_len = float(np.abs(chord)) if chord.ndim == 0 else float(np.linalg.norm(chord))
-    s_lo, s_hi = 0.0, 1.0
+    chord = xb - xa
+    length = _speeds(chord)
+    lo = np.zeros(length.shape)
+    hi = np.ones(length.shape)
     for _ in range(80):
-        if (s_hi - s_lo) * chord_len <= params.eps_hit:
+        go = ~((hi - lo) * length <= eps_hit)
+        if not go.any():
             break
-        s_mid = 0.5 * (s_lo + s_hi)
-        if float(signed_distance(domain, _interp(a.x, b.x, s_mid))) > 0.0:
-            s_hi = s_mid
-        else:
-            s_lo = s_mid
-    location = project(domain, _interp(a.x, b.x, s_lo))
-    return s_lo, location, _interp(a.u, b.u, s_lo)
+        mid = 0.5 * (lo + hi)
+        s = mid if xa.ndim == 1 else mid[:, None]
+        out = domain.signed_distance(xa + s * chord) > 0.0
+        hi = np.where(go & out, mid, hi)
+        lo = np.where(go & ~out, mid, lo)
+    return lo
 
 
-def _first_hit(domain, a, b, dt, params, sigma, rng):
-    """First wall contact on (0, dt] given endpoint states, or None.
+def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, limit=None):
+    """Advance n paths through one confined step of length h, in lockstep.
 
-    Returns (time_in_segment, location, u_pre, tangential).  Consumes bridge
-    draws from rng while refining; a pruned or hit-free call leaves the free
-    endpoint b as the step result.
+    Path i draws from stream stream_ids[i] from counter `start` on, in the
+    order of the sequential algorithm: a free flight over the time left,
+    then exact bridge midpoints inserted depth-first, left half before right
+    half, until a segment is pruned by the near-wall trigger or is short
+    enough (dt <= h_min) to locate its wall crossing on the straight chord.
+    The crossing is projected onto the wall and the velocity reflected
+    (a tangential graze keeps it); the path then flies over the time left.
+
+    Each path keeps a stack of the right endpoints of its pending segments,
+    with the dyadic level of each.  Every pass takes the top segment of
+    every active path and prunes, locates or refines it under vectorized
+    masks; only the rare wall contacts are handled one at a time.  Draws
+    come from one window of normals per path, refilled for the paths that
+    run past it, so each keeps its (seed, stream_id, counter) address.
+
+    Returns (X, U, counters, hits): end states, each path's counter after
+    its last draw, and per path the list of its HitEvents in time order.
+    Raises WatchdogExceeded when a path has more than params.max_hits wall
+    contacts, or draws past counter `limit`.
     """
-    sd_a = float(signed_distance(domain, a.x))
-    sd_b = float(signed_distance(domain, b.x))
-    delta = _near_trigger(params, max(_speed(a.u), _speed(b.u)), dt, sigma)
-    if sd_a <= -delta and sd_b <= -delta:
-        return None
-    if dt <= params.h_min:
-        if sd_b <= 0.0:
-            return None
-        frac, location, u_pre = _locate_on_segment(domain, a, b, params)
-        return frac * dt, location, u_pre
-    mid = bridge_midpoint(a, b, dt, sigma, rng)
-    found = _first_hit(domain, a, mid, 0.5 * dt, params, sigma, rng)
-    if found is not None:
-        return found
-    found = _first_hit(domain, mid, b, 0.5 * dt, params, sigma, rng)
-    if found is None:
-        return None
-    t_rel, location, u_pre = found
-    return 0.5 * dt + t_rel, location, u_pre
+    n = X.shape[0]
+    ax = np.array(X, dtype=float)  # left end of each path's current segment
+    au = np.array(U, dtype=float)
+    ctr = np.full(n, start, dtype=np.int64)
+    hits = [[] for _ in range(n)]
+    if h <= 0.0:
+        return ax, au, ctr, hits
+    d = 1 if ax.ndim == 1 else ax.shape[1]
+    width = WINDOW * d
+    window = normals_at(seed, stream_ids, start, width)
+    w_start = ctr.copy()
+    pair = np.arange(2 * d)
+
+    def draw(rows):
+        """2d normals for each row at its counter: (xi1, xi2) per component."""
+        off = ctr[rows] - w_start[rows]
+        past = off + 2 * d > width
+        if past.any():
+            refill = rows[past]
+            window[refill] = normals_at(seed, stream_ids[refill], ctr[refill], width)
+            w_start[refill] = ctr[refill]
+            off[past] = 0
+        ctr[rows] += 2 * d
+        if limit is not None and ctr[rows].max() > limit:
+            raise WatchdogExceeded("per-step noise budget exhausted")
+        z = window[rows[:, None], off[:, None] + pair]
+        return (z[:, 0], z[:, 1]) if d == 1 else (z[:, 0::2], z[:, 1::2])
+
+    h = float(h)
+    depth, dt = 0, h
+    while dt > params.h_min:
+        dt *= 0.5
+        depth += 1
+    level_scales = np.array([_bridge_scales(sigma, math.ldexp(h, -lv)) for lv in range(depth)])
+    # stack entries: right endpoint, its signed distance and speed, and the
+    # level of the segment it closes; levels increase towards the top, where
+    # the two halves of the last split share one
+    bx = np.empty((n, depth + 2) + ax.shape[1:])
+    bu = np.empty_like(bx)
+    b_sd = np.empty((n, depth + 2))
+    b_speed = np.empty((n, depth + 2))
+    b_lev = np.zeros((n, depth + 2), dtype=np.int64)
+    size = np.zeros(n, dtype=np.int64)
+    right = np.zeros((n, depth + 1), dtype=bool)  # the level-l segment is a right half
+    a_sd = np.empty(n)
+    a_speed = np.empty(n)
+    h_left = np.full(n, h)
+    t_done = np.zeros(n)
+    contacts = np.zeros(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+
+    def fly(rows):
+        """Free flight over the time left; its end is the whole stack."""
+        xi1, xi2 = draw(rows)
+        hl = h_left[rows] if d == 1 else h_left[rows, None]
+        xe, ue = _free_update(ax[rows], au[rows], hl, sigma, xi1, xi2)
+        bx[rows, 0], bu[rows, 0], b_lev[rows, 0], size[rows] = xe, ue, 0, 1
+        b_sd[rows, 0] = domain.signed_distance(xe)
+        b_speed[rows, 0] = _speeds(ue)
+        a_sd[rows] = domain.signed_distance(ax[rows])
+        a_speed[rows] = _speeds(au[rows])
+
+    fly(np.arange(n))
+    while True:
+        rows = np.flatnonzero(active)
+        if not rows.size:
+            return ax, au, ctr, hits
+        top = size[rows] - 1
+        lev = b_lev[rows, top]
+        dt = np.ldexp(h_left[rows], -lev)
+        sd_b = b_sd[rows, top]
+        reach = _reach(params, np.maximum(a_speed[rows], b_speed[rows, top]), dt, sigma)
+        prune = np.maximum(a_sd[rows], sd_b) <= -reach
+        leaf = ~prune & (dt <= params.h_min)
+        cross = leaf & (sd_b > 0.0)
+
+        split = ~(prune | leaf)
+        if split.any():
+            r, t, lv, dt_s = rows[split], top[split], lev[split], dt[split]
+            xi1, xi2 = draw(r)
+            scales = level_scales[lv]
+            for j in np.flatnonzero(h_left[r] != h).tolist():  # paths past a wall contact
+                scales[j] = _bridge_scales(sigma, float(dt_s[j]))
+            sx, su = scales[:, 0], scales[:, 1]
+            if d > 1:
+                dt_s, sx, su = dt_s[:, None], sx[:, None], su[:, None]
+            xm, um = _bridge_update(ax[r], au[r], bx[r, t], bu[r, t], dt_s, sx, su, xi1, xi2)
+            b_lev[r, t] = lv + 1
+            bx[r, t + 1], bu[r, t + 1], b_lev[r, t + 1] = xm, um, lv + 1
+            b_sd[r, t + 1] = domain.signed_distance(xm)
+            b_speed[r, t + 1] = _speeds(um)
+            size[r] = t + 2
+            right[r, lv + 1] = False
+
+        done = prune | (leaf & ~cross)
+        if done.any():
+            r, t = rows[done], top[done]
+            ax[r], au[r] = bx[r, t], bu[r, t]
+            a_sd[r], a_speed[r] = b_sd[r, t], b_speed[r, t]
+            size[r] = t
+            active[r[t == 0]] = False
+            r, t = r[t > 0], t[t > 0] - 1
+            right[r, b_lev[r, t]] = True
+
+        if cross.any():
+            r, t, lv = rows[cross], top[cross], lev[cross]
+            xa, xb = ax[r], bx[r, t]
+            frac = _bisect(domain, xa, xb, params.eps_hit)
+            s = frac if d == 1 else frac[:, None]
+            x_at = xa + s * (xb - xa)
+            u_at = au[r] + s * (bu[r, t] - au[r])
+            again = []
+            for j, i in enumerate(r.tolist()):
+                # fold the time up from the leaf, as the recursion returns it
+                hl, level = float(h_left[i]), int(lv[j])
+                t_rel = float(frac[j]) * math.ldexp(hl, -level)
+                for up in range(level, 0, -1):
+                    if right[i, up]:
+                        t_rel = math.ldexp(hl, -up) + t_rel
+                location = domain.project(x_at[j])
+                u_pre = float(u_at[j]) if d == 1 else u_at[j]
+                normal = domain.outward_normal(location)
+                dot = float(np.dot(np.atleast_1d(u_pre), np.atleast_1d(normal)))
+                if dot <= EPS_TAN * max(_speed(u_pre), 1e-300):
+                    # tangential graze, or an interpolated velocity pointing
+                    # back inside at the located crossing: no jump
+                    u_new = u_pre
+                else:
+                    u_new = reflect(u_pre, normal)
+                    hits[i].append(HitEvent(float(t_done[i] + t_rel), location, u_pre, u_new))
+                contacts[i] += 1
+                if contacts[i] > params.max_hits:
+                    raise WatchdogExceeded(
+                        f"more than max_hits={params.max_hits} wall contacts in one step"
+                    )
+                t_done[i] += t_rel
+                h_left[i] -= t_rel
+                ax[i], au[i] = location, u_new
+                if h_left[i] > 0.0:
+                    again.append(i)
+                else:
+                    active[i] = False
+            if again:
+                fly(np.array(again))
 
 
 def confined_step(
@@ -228,49 +394,23 @@ def confined_step(
 ) -> ConfinedStepResult:
     """Advance one macro step inside the domain, reflecting at every wall hit.
 
-    Hit times in the returned events are relative to the start of this step.
-    Far from the wall this is exactly free_step on the same draws.
+    Draws from rng's stream from its counter on and leaves the counter after
+    the last draw.  Hit times in the returned events are relative to the
+    start of this step.  Far from the wall this is exactly free_step on the
+    same draws.
     """
     if float(signed_distance(domain, state.x)) > params.eps_hit:
         raise InvalidStart(f"state outside the domain: sd={signed_distance(domain, state.x)}")
-    h_left = params.h if h is None else float(h)
-    t_done = 0.0
-    cur = state
-    hits = []
-    for _ in range(params.max_hits + 1):
-        if h_left <= 0.0:
-            return ConfinedStepResult(cur, tuple(hits))
-        end = free_step(cur, h_left, sigma, rng)
-        found = _first_hit(domain, cur, end, h_left, params, sigma, rng)
-        if found is None:
-            return ConfinedStepResult(end, tuple(hits))
-        t_rel, location, u_pre = found
-        n = outward_normal(domain, location)
-        dot = float(np.dot(np.atleast_1d(u_pre), np.atleast_1d(n)))
-        if dot <= EPS_TAN * max(_speed(u_pre), 1e-300):
-            # tangential graze, or an interpolated velocity pointing back
-            # inside at the located crossing: continue without a jump
-            cur = PhaseState(location, u_pre)
-        else:
-            u_post = reflect(u_pre, n)
-            hits.append(
-                HitEvent(
-                    time=t_done + t_rel,
-                    location=location,
-                    pre_velocity=u_pre,
-                    post_velocity=u_post,
-                )
-            )
-            if len(hits) > params.max_hits:
-                raise WatchdogExceeded(
-                    f"more than max_hits={params.max_hits} reflections in one step"
-                )
-            cur = PhaseState(location, u_post)
-        t_done += t_rel
-        h_left -= t_rel
-    raise WatchdogExceeded(
-        f"more than max_hits={params.max_hits} wall interactions in one step"
+    X = np.asarray(state.x, dtype=float)[None]
+    U = np.asarray(state.u, dtype=float)[None]
+    X, U, counters, hits = _near_wall_kernel(
+        domain, X, U, params.h if h is None else float(h), params, sigma,
+        rng.seed, np.array([rng.stream_id], dtype=np.uint64), rng.counter,
     )
+    rng.jump_to(counters[0])
+    if X.ndim == 1:
+        return ConfinedStepResult(PhaseState(float(X[0]), float(U[0])), tuple(hits[0]))
+    return ConfinedStepResult(PhaseState(X[0], U[0]), tuple(hits[0]))
 
 
 def _check_start(domain: Domain, initial: PhaseState, eps_hit: float):
@@ -350,67 +490,36 @@ def ensemble_confined_step(
     time_offset: float = 0.0,
     hit_sink: list | None = None,
     stream_ids: np.ndarray | None = None,
-    threads: int = 1,
 ):
     """One macro step for N independent paths, path i on stream stream_ids[i].
 
-    Free flight is evaluated in one batch; only paths whose endpoints fall
-    within the near-wall trigger re-run the sequential confined step on their
-    own stream, reproducing the per-path results bit for bit.  stream_ids
-    defaults to the array index; explicit ids let callers shard the ensemble
-    (or permute it) without changing any path.  threads > 1 shards the step
-    into contiguous chunks on a thread pool; chunk results and hit events are
-    merged back in index order, so the output is bitwise independent of the
-    worker count.
+    Free flight is evaluated in one batch; the paths whose endpoints fall
+    within the near-wall trigger then run the near-wall kernel together, on
+    their own streams from counter step_index * 2^16, which reproduces the
+    per-path results of confined_step bit for bit.  stream_ids defaults to
+    the array index; explicit ids let callers shard the ensemble (or permute
+    it) without changing any path.
     """
     dt = params.h if h is None else float(h)
-    n = X.shape[0]
     d = 1 if X.ndim == 1 else X.shape[1]
     base = step_index * STEP_COUNTER_STRIDE
     if stream_ids is None:
-        stream_ids = np.arange(n, dtype=np.uint64)
+        stream_ids = np.arange(X.shape[0], dtype=np.uint64)
     else:
         stream_ids = np.asarray(stream_ids, dtype=np.uint64)
-    if threads > 1 and n > 1:
-        return _sharded_confined_step(
-            domain, X, U, step_index, params, sigma, seed,
-            dt, time_offset, hit_sink, stream_ids, threads,
-        )
     Z = normals_at(seed, stream_ids, base, 2 * d)
     Xf, Uf = ensemble_free_flight(X, U, dt, sigma, Z)
-
-    sd0 = np.asarray(signed_distance(domain, X), dtype=float)
-    sd1 = np.asarray(signed_distance(domain, Xf), dtype=float)
-    if X.ndim == 1:
-        speed = np.maximum(np.abs(U), np.abs(Uf))
-    else:
-        speed = np.maximum(np.linalg.norm(U, axis=1), np.linalg.norm(Uf, axis=1))
-    if params.delta_near is not None:
-        delta = params.delta_near
-    else:
-        delta = speed * dt + 3.0 * sigma * dt * math.sqrt(dt)
-    near = ~((sd0 <= -delta) & (sd1 <= -delta))
-
-    near_ids = np.nonzero(near)[0]
-    if near_ids.size:
-        # one vectorized fetch covers the free redraw plus the usual bridge
-        # cascade; rare deep recursions fall back to direct addressing
-        blocks = normals_at(seed, stream_ids[near_ids], base, PREFETCH_NORMALS * d)
-    for row, i in enumerate(near_ids):
-        rng = PrefetchedStream(
-            seed=seed,
-            stream_id=int(stream_ids[i]),
-            counter=base,
-            window=blocks[row],
-            window_start=base,
-            refill=PREFETCH_NORMALS * d,
-        )
-        state = PhaseState(X[i] if X.ndim == 1 else X[i].copy(), U[i] if U.ndim == 1 else U[i].copy())
-        res = confined_step(domain, state, params, sigma, rng, h=dt)
-        if rng.counter - base > STEP_COUNTER_STRIDE:
-            raise WatchdogExceeded("per-step noise budget exhausted")
-        Xf[i], Uf[i] = res.state.x, res.state.u
-        if hit_sink is not None:
+    reach = _reach(params, np.maximum(_speeds(U), _speeds(Uf)), dt, sigma)
+    far = (domain.signed_distance(X) <= -reach) & (domain.signed_distance(Xf) <= -reach)
+    near = np.flatnonzero(~far)
+    if not near.size:
+        return Xf, Uf
+    Xf[near], Uf[near], _, hits = _near_wall_kernel(
+        domain, X[near], U[near], dt, params, sigma, seed, stream_ids[near], base,
+        limit=base + STEP_COUNTER_STRIDE,
+    )
+    if hit_sink is not None:
+        for i, events in zip(near.tolist(), hits):
             hit_sink.extend(
                 HitRecord(
                     path_id=int(stream_ids[i]),
@@ -419,42 +528,8 @@ def ensemble_confined_step(
                     pre_velocity=ev.pre_velocity,
                     post_velocity=ev.post_velocity,
                 )
-                for ev in res.hits
+                for ev in events
             )
-    return Xf, Uf
-
-
-def _sharded_confined_step(
-    domain, X, U, step_index, params, sigma, seed,
-    dt, time_offset, hit_sink, stream_ids, threads,
-):
-    """Run one macro step as contiguous chunks on a thread pool.
-
-    Each chunk replays the single-thread path on its slice of streams; hit
-    events within a chunk come out in ascending particle order, so stitching
-    chunks in index order reproduces the sequential log exactly.
-    """
-    n = X.shape[0]
-    k = min(int(threads), n)
-    bounds = [(n * c) // k for c in range(k + 1)]
-
-    def _one(c):
-        lo, hi = bounds[c], bounds[c + 1]
-        sink = [] if hit_sink is not None else None
-        Xc, Uc = ensemble_confined_step(
-            domain, X[lo:hi], U[lo:hi], step_index, params, sigma, seed,
-            h=dt, time_offset=time_offset, hit_sink=sink,
-            stream_ids=stream_ids[lo:hi], threads=1,
-        )
-        return Xc, Uc, sink
-
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        parts = list(pool.map(_one, range(k)))
-    Xf = np.concatenate([p[0] for p in parts])
-    Uf = np.concatenate([p[1] for p in parts])
-    if hit_sink is not None:
-        for p in parts:
-            hit_sink.extend(p[2])
     return Xf, Uf
 
 
@@ -469,7 +544,6 @@ def run_ensemble(
     hit_sink: list | None = None,
     snapshot_times: tuple = (),
     stream_ids: np.ndarray | None = None,
-    threads: int = 1,
 ):
     """March N independent confined paths to time T; optional phase snapshots.
 
@@ -499,7 +573,6 @@ def run_ensemble(
             time_offset=t0,
             hit_sink=hit_sink,
             stream_ids=stream_ids,
-            threads=threads,
         )
         if (k + 1) in wanted:
             snapshots[wanted[k + 1]] = (X.copy(), U.copy())

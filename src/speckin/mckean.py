@@ -248,16 +248,13 @@ def mckean_step(
     h: float | None = None,
     hit_sink: list | None = None,
     stream_ids: np.ndarray | None = None,
-    threads: int = 1,
 ) -> Ensemble:
     """One synchronous macro step of the interacting system.
 
     Every particle sees the same frozen snapshot: the drift field is
     evaluated once at step start, each velocity is kicked by h times the
     local field value, and the kicked states run the exact confined step on
-    their own noise streams.  The drift estimate always sees the whole
-    ensemble; threads only shards the confined transport, so worker count
-    never changes the results.
+    their own noise streams.
     """
     dt = params.h if h is None else float(h)
     kick = _drift_at_particles(domain, ensemble, model, cfg)
@@ -273,7 +270,6 @@ def mckean_step(
         time_offset=ensemble.time,
         hit_sink=hit_sink,
         stream_ids=stream_ids,
-        threads=threads,
     )
     return Ensemble(X1, U1, ensemble.time + dt)
 
@@ -306,7 +302,6 @@ def run_mckean(
     seed: int,
     snapshot_times: tuple = (),
     stream_ids: np.ndarray | None = None,
-    threads: int = 1,
 ) -> McKeanRun:
     """March the N-particle system to time T.
 
@@ -351,7 +346,6 @@ def run_mckean(
             h=dt,
             hit_sink=hits,
             stream_ids=stream_ids,
-            threads=threads,
         )
         if (k + 1) in wanted:
             t_snap = wanted[k + 1]

@@ -13,14 +13,13 @@ CDF of 53-bit uniforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 __all__ = [
     "RngStream",
-    "PrefetchedStream",
     "philox4x64_block",
     "raw_blocks",
     "uniforms_at",
@@ -152,59 +151,3 @@ class RngStream:
 
     def clone(self):
         return RngStream(self.seed, self.stream_id, self.counter)
-
-
-@dataclass
-class PrefetchedStream:
-    """RngStream that serves normals from a pre-drawn window.
-
-    Draw i is a pure function of (seed, stream_id, i), so handing out slices
-    of a window fetched in one vectorized normals_at call is bit-identical
-    to drawing one by one; requests outside the window fall back to
-    normals_at. This removes the per-call dispatch overhead that dominates
-    when many short streams are consumed in a Python loop.
-    """
-
-    seed: int
-    stream_id: int
-    counter: int
-    window: np.ndarray = field(repr=False)
-    window_start: int
-    refill: int = 0
-
-    def normals(self, count):
-        lo = self.counter - self.window_start
-        hi = lo + count
-        if lo < 0 or hi > self.window.shape[0]:
-            if self.refill > 0:
-                self.window = normals_at(
-                    self.seed, [self.stream_id], self.counter, max(count, self.refill)
-                )[0]
-                self.window_start = self.counter
-                lo, hi = 0, count
-            else:
-                out = normals_at(self.seed, [self.stream_id], self.counter, count)[0]
-                self.counter += count
-                return out
-        out = self.window[lo:hi]
-        self.counter += count
-        return out
-
-    def uniforms(self, count):
-        # window holds normals only; uniforms always hit the slow path
-        out = uniforms_at(self.seed, [self.stream_id], self.counter, count)[0]
-        self.counter += count
-        return out
-
-    def jump_to(self, counter):
-        self.counter = int(counter)
-
-    def clone(self):
-        return PrefetchedStream(
-            self.seed,
-            self.stream_id,
-            self.counter,
-            self.window,
-            self.window_start,
-            self.refill,
-        )

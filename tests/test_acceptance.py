@@ -1,4 +1,4 @@
-"""Acceptance suite: the twelve headline guarantees, one printed verdict each.
+"""Acceptance suite: the headline guarantees, one printed verdict each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-check verdict
 lines; each test also enforces its own wall-clock budget. The cross-validation
@@ -44,7 +44,13 @@ from speckin.maxwellian import (
 )
 from speckin.mckean import run_mckean
 from speckin.rng import RngStream, normals_at
-from speckin.vfp import PhaseGrid, picard_nonlinear, solve_linear_inflow, solve_specular_linear
+from speckin.vfp import (
+    PhaseGrid,
+    picard_nonlinear,
+    solve_linear_inflow,
+    solve_specular_linear,
+    trace_functionals,
+)
 from speckin.weights import WeightParams, inverse_weight_mass, weight_eval
 
 
@@ -55,7 +61,7 @@ def _verdict(num, name, ok, detail, elapsed, budget):
     assert timed_ok, f"{name}: {detail} (elapsed {elapsed:.2f}s, budget {budget}s)"
 
 
-# Shared nonlinear scenario: grid solve feeds checks 08/10/11, particles 10/11.
+# Shared nonlinear scenario: grid solve feeds checks 08/10/11/13, particles 10/11/13.
 _CROSS = {
     "scenario": "cross-validation",
     "model": {"sigma": 1.0, "drift": "tanh(1.0)"},
@@ -429,3 +435,21 @@ def test_12_bundle_reproducibility(tmp_path):
              f"byte-identical at threads 1/2/8 and on re-run, "
              f"re-run cost {max(t_runs):.2f}s vs base {t_base:.2f}s",
              sum(t_runs), budget)
+
+
+def test_13_wall_hits_match_grid_flux():
+    # the particle layer's hit log against the grid layer's wall traces:
+    # specular traces are even in u, so the outgoing flux at each wall is
+    # half its speed mass, and N times its time integral predicts the hits
+    st = _particle_state()  # built by check 10; only post-processing is timed
+    t0 = perf_counter()
+    sol = st["picard"].solution
+    rate = np.array([0.5 * trace_functionals(sol.trace(k), sol.grid)["speed_mass"].sum()
+                     for k in range(len(sol.times))])
+    times = np.asarray(sol.times)
+    expected = st["cfg"].run.N * float(np.sum(0.5 * (rate[1:] + rate[:-1]) * np.diff(times)))
+    hits = len(st["mckean"].hits)
+    z = (hits - expected) / math.sqrt(expected)
+    _verdict(13, "wall hits vs grid flux", abs(z) <= 4.0,
+             f"{hits} hits against {expected:.1f} predicted, z = {z:.2f}",
+             perf_counter() - t0, 10.0)

@@ -324,7 +324,7 @@ class TestBundles:
 
         raw = small_scenario(tmp_path, model={"drift": "zero"}, run={"N": 120})
         cfg = config_from_dict(raw)
-        snapshots, hits, _ = _march_linear(cfg, threads=1)
+        snapshots, hits, _ = _march_linear(cfg)
         X0, U0 = sample_initial(cfg, cfg.run.N, cfg.run.seed)
         ref_hits = []
         X, U, _ = run_ensemble(

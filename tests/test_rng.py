@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from speckin.rng import (
-    PrefetchedStream,
     RngStream,
     normals_at,
     philox4x64_block,
@@ -81,23 +80,6 @@ def test_normals_match_standard_normal():
     _, p = stats.kstest(z, "norm")
     assert p > 1e-4
     assert abs(z.mean()) < 4 / np.sqrt(z.size)
-
-
-@pytest.mark.parametrize("refill", [0, 16])
-def test_prefetched_stream_matches_plain_stream(refill):
-    base = 1 << 20
-    window = normals_at(11, [3], base, 24)[0]
-    pre = PrefetchedStream(11, 3, base, window, base, refill=refill)
-    plain = RngStream(11, 3, base)
-    # draw pattern crosses the window edge and lands past it
-    for count in (4, 4, 2, 10, 6, 4, 8):
-        assert np.array_equal(pre.normals(count), plain.normals(count))
-        assert pre.counter == plain.counter
-    pre.jump_to(base + 100)
-    plain.jump_to(base + 100)
-    assert np.array_equal(pre.normals(5), plain.normals(5))
-    dup = pre.clone()
-    assert np.array_equal(dup.normals(3), pre.normals(3))
 
 
 def test_cross_stream_independence():
