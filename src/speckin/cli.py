@@ -53,10 +53,11 @@ from .diagnostics import (
     shell_flux_estimate,
 )
 from .errors import NotConverged, SpeckinError
+from .geometry import Interval
 from .langevin import ensemble_confined_step
 from .maxwellian import maxwellian_eval
 from .mckean import run_mckean
-from .vfp import picard_nonlinear
+from .vfp import picard_nonlinear, trace_functionals
 
 SUBCOMMANDS = ("simulate-linear", "simulate-mckean", "solve-vfp", "validate")
 
@@ -70,6 +71,7 @@ NO_PERMEABILITY_TOL = 1e-10
 ENERGY_RESIDUAL_SCALE = 0.3  # of dx + du + dt; the balance is first order
 FLUX_ANTISYMMETRY_TOL = 1e-12
 SHELL_FLUX_SIGMAS = 4.0
+WALL_FLUX_SIGMAS = 4.0  # logged hits against the grid's outgoing wall flux
 
 
 def _package_version() -> str:
@@ -347,6 +349,17 @@ def _block_edge(n: int, target: int = 8) -> int:
     return b
 
 
+def _predicted_wall_hits(trace_fields, grid, n_paths: int) -> float:
+    """N times the grid's outgoing wall flux, integrated over the horizon.
+
+    Specular traces are even in u, so the outgoing flux through each wall is
+    half its speed-weighted trace mass.
+    """
+    rate = [0.5 * float(trace_functionals(tf, grid)["speed_mass"].sum())
+            for tf in trace_fields]
+    return n_paths * float(np.trapezoid(rate, [tf.time for tf in trace_fields]))
+
+
 def _run_validate(cfg: ScenarioConfig, out_dir: Path):
     """Grid and particle runs cross-checked into one pass/fail report."""
     solution, picard_report, grid, lower, upper = _solve_picard(cfg)
@@ -390,8 +403,9 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
         detail=f"split residual {semi.split_residual:.3e}",
     )
 
+    domain = build_domain(cfg)
     particles = run_mckean(
-        build_domain(cfg),
+        domain,
         lambda n, seed: sample_initial(cfg, n, seed),
         model,
         build_estimator(cfg),
@@ -418,7 +432,6 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
         detail=f"N={cfg.run.N}, block={block}, sampling floor {noise:.3e}",
     )
 
-    domain = build_domain(cfg)
     detail = "no wall hits"
     hit_passed = True
     if particles.hits:
@@ -432,6 +445,13 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
             z = abs(shell.mean) / shell.stderr
             detail += f", near-wall flux z={z:.2f} ({shell.count} states)"
             hit_passed = hit_passed and z <= SHELL_FLUX_SIGMAS
+    if isinstance(domain, Interval):
+        # cross-layer check: the particle hit log against the grid solution
+        expected = _predicted_wall_hits(trace_fields, grid, cfg.run.N)
+        if expected > 0:
+            z = (len(particles.hits) - expected) / math.sqrt(expected)
+            detail += f"; grid flux predicts {expected:.1f} hits, z={z:.2f}"
+            hit_passed = hit_passed and abs(z) <= WALL_FLUX_SIGMAS
     report.add(
         "hit_count_stats",
         float(len(particles.hits)),

@@ -28,7 +28,7 @@ __all__ = [
     "domain_from_config",
 ]
 
-EPS_TAN_DEFAULT = 1e-12
+EPS_TAN_DEFAULT = 1e-12  # |u.n| <= EPS_TAN_DEFAULT*|u| counts as a tangential graze
 
 
 class BoundaryClass(enum.Enum):

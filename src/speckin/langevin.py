@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import InvalidStart, WatchdogExceeded
 from .geometry import (
+    EPS_TAN_DEFAULT as EPS_TAN,
     Domain,
     outward_normal,
     project,
@@ -35,7 +36,6 @@ from .geometry import (
 )
 from .rng import RngStream, normals_at
 
-EPS_TAN = 1e-12  # |u.n| <= EPS_TAN*|u| counts as a tangential graze
 STEP_COUNTER_STRIDE = 1 << 16  # per-(path, macro-step) noise budget
 WINDOW = 96  # normals per component fetched ahead for each near-wall path
 

@@ -334,11 +334,6 @@ def _face_grad_sq(mid: np.ndarray, grid: PhaseGrid, w_face: np.ndarray) -> float
     return float(((d / grid.du) ** 2 * w_face).sum()) * grid.dx * grid.du
 
 
-def _grad_u(values: np.ndarray, du: float) -> np.ndarray:
-    g = np.gradient(values, du, axis=1)
-    return g
-
-
 def _resolve_drift(B, grid: PhaseGrid):
     """Normalize drift input to a callable (t, x-array) -> array."""
     if B is None:
@@ -585,7 +580,7 @@ def solve_linear_inflow(
     t = 0.0
 
     def grad_quad(values):
-        g = _grad_u(values, grid.du)
+        g = np.gradient(values, grid.du, axis=1)
         return sigma**2 * float((g**2).sum()) * quad
 
     def wall_quad(pair):

@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from speckin.cli import main, run_scenario
+import speckin.cli
+from speckin.cli import _solve_picard, main, run_scenario
 from speckin.config import (
     build_domain,
     build_envelopes,
@@ -23,6 +25,7 @@ from speckin.errors import ConstraintViolation, ParseError
 from speckin.geometry import Annulus, Ball, Interval
 from speckin.langevin import run_ensemble
 from speckin.maxwellian import maxwellian_eval
+from speckin.vfp import trace_functionals
 
 
 def small_scenario(tmp_path, **overrides):
@@ -367,15 +370,23 @@ class TestBundles:
         assert traces[0] == "t,wall,u,gamma"
         assert len(traces) == 1 + 3 * 2 * 32  # three times, two walls
 
-    def test_validate_bundle_passes(self, tmp_path, capsys):
-        raw = small_scenario(
+    @staticmethod
+    def _validate_scenario(tmp_path):
+        return config_from_dict(small_scenario(
             tmp_path,
             model={"drift": "zero"},
             initial={"u_mean": 0.0, "x_amplitude": 0.2},
             numerics={"grid": {"n_x": 32, "n_u": 64}},
             run={"T": 0.2, "N": 2000},
-        )
-        cfg = config_from_dict(raw)
+        ))
+
+    @staticmethod
+    def _hit_entry(bundle):
+        payload = json.loads((bundle.path / "diagnostics.json").read_text())
+        return next(e for e in payload["entries"] if e["name"] == "hit_count_stats")
+
+    def test_validate_bundle_passes(self, tmp_path, capsys):
+        cfg = self._validate_scenario(tmp_path)
         bundle = run_scenario(cfg, "validate", out_dir=tmp_path / "b")
         table = capsys.readouterr().out
         assert "overall" in table
@@ -392,6 +403,39 @@ class TestBundles:
             "hit_count_stats",
         } <= names
         assert all(entry["passed"] for entry in payload["entries"])
+
+        # the wall-flux gate: logged hits against the grid's outgoing flux,
+        # N * sum over walls of half the speed mass, integrated in time
+        entry = self._hit_entry(bundle)
+        found = re.search(r"grid flux predicts ([0-9.]+) hits, z=(-?[0-9.]+)", entry["detail"])
+        assert found is not None, entry["detail"]
+        predicted, z = float(found.group(1)), float(found.group(2))
+        sol = _solve_picard(cfg)[0]
+        rate = np.array([0.5 * trace_functionals(sol.trace(k), sol.grid)["speed_mass"].sum()
+                         for k in range(len(sol.times))])
+        want = cfg.run.N * float(np.sum(0.5 * (rate[1:] + rate[:-1]) * np.diff(sol.times)))
+        assert predicted == pytest.approx(want, abs=0.05)
+        assert z == pytest.approx((entry["value"] - want) / math.sqrt(want), abs=0.005)
+        assert abs(z) <= speckin.cli.WALL_FLUX_SIGMAS
+
+    def test_validate_flux_gate_catches_lost_hits(self, tmp_path, monkeypatch, capsys):
+        # dropping every other hit keeps each logged event valid, so only the
+        # grid's flux prediction can notice the deficit
+        real = speckin.cli.run_mckean
+
+        def lossy(*args, **kwargs):
+            run = real(*args, **kwargs)
+            run.hits = run.hits[::2]
+            return run
+
+        monkeypatch.setattr(speckin.cli, "run_mckean", lossy)
+        bundle = run_scenario(self._validate_scenario(tmp_path), "validate",
+                              out_dir=tmp_path / "b")
+        entry = self._hit_entry(bundle)
+        assert not entry["passed"] and not bundle.passed
+        assert "antisymmetry 0.000e+00" in entry["detail"]
+        z = float(re.search(r"z=(-?[0-9.]+)$", entry["detail"]).group(1))
+        assert z < -speckin.cli.WALL_FLUX_SIGMAS
 
     def test_unknown_subcommand_rejected(self, tmp_path):
         cfg = config_from_dict(small_scenario(tmp_path))

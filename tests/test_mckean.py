@@ -20,6 +20,9 @@ from speckin.mckean import (
     Ensemble,
     KineticModel,
     McKeanRun,
+    _binned_field,
+    _drift_at_particles,
+    _field_snapshot,
     conditional_drift,
     drift_from_name,
     mckean_step,
@@ -210,6 +213,128 @@ def test_permuting_particles_leaves_field_invariant():
     a = conditional_drift(Ensemble(X, U), model, cfg, np.linspace(0, 1, 5))
     b = conditional_drift(Ensemble(X[perm], U[perm]), model, cfg, np.linspace(0, 1, 5))
     assert np.allclose(a, b, rtol=1e-12)
+
+
+# ------------------------------------------------ binned probe field
+
+
+def correlated_ensemble(n, seed):
+    """Positions from the modulated law 1 + cos(2 pi x)/2 on [0, 1], as the
+    scenario sampler draws them; the mean velocity grows along the interval."""
+    r = np.random.default_rng(seed)
+    x = r.uniform(0.0, 1.0, 4 * n)
+    x = x[r.uniform(0.0, 1.5, 4 * n) < 1.0 + 0.5 * np.cos(2.0 * np.pi * x)][:n]
+    return Ensemble(x, r.normal(0.8, 1.0, n) + 3.0 * (x - 0.4))
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+def test_binned_field_matches_exact_at_silverman_bandwidth(kernel):
+    ens = correlated_ensemble(10_000, 40)
+    model = KineticModel(sigma=1.0, b="tanh(1)")
+    cfg = DriftEstimatorConfig(kernel=kernel)
+    grid, binned = _binned_field(ens, model, cfg, 1.0)
+    assert np.array_equal(grid, np.linspace(0.0, 1.0, cfg.probes))
+    exact = conditional_drift(ens, model, cfg, grid)
+    assert np.abs(binned - exact).max() <= 1e-4 * model.b_norm
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("bw", [0.01, 0.05])
+def test_binning_error_below_interpolation_error(kernel, bw):
+    # the probe path already accepts the error of interpolating the exact
+    # probe values to the particles; binning must add well under that
+    ens = correlated_ensemble(10_000, 41)
+    model = KineticModel(sigma=1.0, b="tanh(1)")
+    cfg = DriftEstimatorConfig(bandwidth=bw, kernel=kernel)
+    grid, binned = _binned_field(ens, model, cfg, 1.0)
+    exact = conditional_drift(ens, model, cfg, grid)
+    at = ens.positions[:2000]
+    interp = np.abs(np.interp(at, grid, exact) - conditional_drift(ens, model, cfg, at)).max()
+    assert np.abs(binned - exact).max() <= interp / 3.0
+
+
+def test_binned_path_tracks_exact_values_at_particles():
+    r = np.random.default_rng(12)
+    ens = Ensemble(r.uniform(0, 1, 4000), r.normal(0.8, 1.0, 4000))
+    model = KineticModel(sigma=1.0, b="tanh(1)")
+    cfg = DriftEstimatorConfig()
+    got = _drift_at_particles(Interval(1.0), ens, model, cfg)
+    exact = conditional_drift(ens, model, cfg, ens.positions)
+    assert np.abs(got - exact).max() < 2e-3
+
+
+def test_zero_probes_evaluate_exactly_at_particles():
+    r = np.random.default_rng(13)
+    ens = Ensemble(r.uniform(0, 1, 300), r.normal(size=300))
+    model = KineticModel(sigma=1.0, b="tanh(1)")
+    cfg = DriftEstimatorConfig(probes=0)
+    assert _field_snapshot(Interval(1.0), ens, model, cfg) is None
+    got = _drift_at_particles(Interval(1.0), ens, model, cfg)
+    assert np.array_equal(got, conditional_drift(ens, model, cfg, ens.positions))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    bw=st.floats(1e-3, 2.0),
+    kernel=st.sampled_from(["gaussian", "epanechnikov"]),
+    probes=st.integers(2, 65),
+    length=st.floats(0.1, 5.0),
+)
+def test_binned_field_bounded_by_b_norm(seed, bw, kernel, probes, length):
+    r = np.random.default_rng(seed)
+    n = r.integers(1, 200)
+    ens = Ensemble(r.uniform(0.0, length, n), 3.0 * r.normal(size=n))
+    model = KineticModel(sigma=1.0, b="clipped_linear(4, 0.8)")
+    cfg = DriftEstimatorConfig(bandwidth=bw, kernel=kernel, probes=probes)
+    grid, values = _binned_field(ens, model, cfg, length)
+    assert grid.shape == values.shape == (probes,)
+    assert np.all(np.abs(values) <= model.b_norm * (1 + 1e-12))
+
+
+def test_binned_constant_drift_is_constant_wherever_mass_suffices():
+    r = np.random.default_rng(1)
+    ens = Ensemble(r.uniform(0, 1, 300), r.normal(size=300))
+    model = KineticModel(sigma=1.0, b="constant(1.25)")
+    for kernel in ("gaussian", "epanechnikov"):
+        _, values = _binned_field(ens, model, DriftEstimatorConfig(kernel=kernel), 1.0)
+        assert np.allclose(values, 1.25, rtol=1e-12, atol=0.0)
+
+
+def test_binned_low_mass_returns_zero():
+    ens = Ensemble(np.full(100, 0.2), np.full(100, 3.0))
+    model = KineticModel(sigma=1.0, b="sign")
+    for kernel in ("gaussian", "epanechnikov"):
+        cfg = DriftEstimatorConfig(bandwidth=0.01, kernel=kernel, probes=11)
+        grid, values = _binned_field(ens, model, cfg, 1.0)
+        assert np.all(values[grid >= 0.5] == 0.0)
+        assert values[2] == pytest.approx(1.0)  # the probe at 0.2
+
+
+def test_binned_end_positions_land_in_end_bins():
+    # states on either wall and up to eps_hit outside it bin onto the end
+    # centres; there binning is exact, so the field matches the exact
+    # estimate of the clipped ensemble
+    L, eps = 2.0, StepParams(h=0.01).eps_hit
+    X = np.array([-eps, 0.0, 0.0, L, L, L + eps])
+    U = np.array([-1.0, -0.5, 0.3, 0.2, 0.9, 1.4])
+    model = KineticModel(sigma=1.0, b="tanh(1)")
+    cfg = DriftEstimatorConfig(bandwidth=0.3, kernel="epanechnikov", probes=9)
+    grid, values = _binned_field(Ensemble(X, U), model, cfg, L)
+    exact = conditional_drift(Ensemble(np.clip(X, 0.0, L), U), model, cfg, grid)
+    assert np.allclose(values, exact, rtol=1e-10, atol=1e-15)
+    assert values[0] == pytest.approx(np.tanh(U[:3]).mean(), rel=1e-12)
+    assert values[-1] == pytest.approx(np.tanh(U[3:]).mean(), rel=1e-12)
+
+
+def test_binned_field_invariant_under_permutation():
+    ens = correlated_ensemble(2000, 6)
+    perm = np.random.default_rng(6).permutation(2000)
+    model = KineticModel(sigma=1.0, b="tanh(1)")
+    cfg = DriftEstimatorConfig(bandwidth=0.05)
+    _, a = _binned_field(ens, model, cfg, 1.0)
+    _, b = _binned_field(Ensemble(ens.positions[perm], ens.velocities[perm]), model, cfg, 1.0)
+    assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
 
 # ----------------------------------------------------------- stepping
