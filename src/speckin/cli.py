@@ -166,30 +166,30 @@ def _write_hits_csv(path: Path, hits, dimension: int):
 
 def _write_field_csv(path: Path, solution, times):
     grid = solution.grid
+    xs = grid.x.tolist()
+    us = grid.u.tolist()
 
     def rows():
         for t in times:
             k = int(np.argmin(np.abs(solution.times - t)))
-            values = solution.fields[k]
             t_k = float(solution.times[k])
-            for i in range(grid.n_x):
-                for j in range(grid.n_u):
-                    yield (t_k, grid.x[i], grid.u[j], values[i, j])
+            for x, row in zip(xs, solution.fields[k].tolist()):
+                for u, rho in zip(us, row):
+                    yield (t_k, x, u, rho)
 
     _write_csv(path, ["t", "x", "u", "rho"], rows())
 
 
 def _write_traces_csv(path: Path, solution, times):
-    grid = solution.grid
+    us = solution.grid.u.tolist()
 
     def rows():
         for t in times:
             k = int(np.argmin(np.abs(solution.times - t)))
-            gamma = solution.traces[k]
             t_k = float(solution.times[k])
-            for wall in (0, 1):
-                for j in range(grid.n_u):
-                    yield (t_k, str(wall), grid.u[j], gamma[wall, j])
+            for wall, row in enumerate(solution.traces[k].tolist()):
+                for u, gamma in zip(us, row):
+                    yield (t_k, str(wall), u, gamma)
 
     _write_csv(path, ["t", "wall", "u", "gamma"], rows())
 

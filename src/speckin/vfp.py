@@ -203,17 +203,22 @@ def _diffuse(values: np.ndarray, lam: float, ab: np.ndarray) -> np.ndarray:
     return solve_banded((1, 1), ab, rhs.T).T
 
 
+def _face_differences(values: np.ndarray) -> np.ndarray:
+    """Differences across the n_u + 1 velocity faces, zero ghosts beyond +-V_max."""
+    d = np.empty((values.shape[0], values.shape[1] + 1))
+    d[:, 0] = values[:, 0]
+    np.subtract(values[:, 1:], values[:, :-1], out=d[:, 1:-1])
+    d[:, -1] = -values[:, -1]
+    return d
+
+
 def _advect_u(values: np.ndarray, drift: np.ndarray, grid: PhaseGrid,
               dt: float) -> np.ndarray:
     """First-order upwind step of B(x) d/du with zero-inflow u-ghosts."""
     c = drift[:, None] * (dt / grid.du)
-    up = np.zeros_like(values)
-    up[:, 1:] = values[:, 1:] - values[:, :-1]
-    up[:, 0] = values[:, 0]
-    down = np.zeros_like(values)
-    down[:, :-1] = values[:, 1:] - values[:, :-1]
-    down[:, -1] = -values[:, -1]
-    return values - np.where(c > 0, c * up, c * down)
+    d = _face_differences(values)
+    # upwind: the face below each node where c > 0, the face above otherwise
+    return values - c * np.where(c > 0, d[:, :-1], d[:, 1:])
 
 
 def _unfold(values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
@@ -234,15 +239,24 @@ def _fold(circles: np.ndarray, grid: PhaseGrid) -> np.ndarray:
 
 
 def _rotate_interp(circles: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Periodic semi-Lagrangian advection by `shifts` cells per row."""
-    m = circles.shape[1]
-    n = np.floor(shifts).astype(int)
-    theta = shifts - n
-    cols = np.arange(m)[None, :]
-    i0 = (cols - n[:, None]) % m
-    i1 = (i0 - 1) % m
-    rows = np.arange(circles.shape[0])[:, None]
-    return (1.0 - theta[:, None]) * circles[rows, i0] + theta[:, None] * circles[rows, i1]
+    """Periodic semi-Lagrangian advection by `shifts` cells per row.
+
+    Every shift must lie in [0, 1): the transport CFL limit of `PhaseGrid`
+    keeps a half step within half a cell, so each value blends with its left
+    neighbour on the circle only.
+    """
+    if not (shifts.min() >= 0.0 and shifts.max() < 1.0):
+        raise CFLViolated(
+            f"transport: shifts span [{shifts.min():.3e}, {shifts.max():.3e}] "
+            "cells, outside [0, 1)"
+        )
+    theta = shifts[:, None]
+    prev = np.empty_like(circles)
+    prev[:, 1:] = circles[:, :-1]
+    prev[:, 0] = circles[:, -1]
+    prev *= theta
+    prev += (1.0 - theta) * circles
+    return prev
 
 
 def _transport_specular(values: np.ndarray, grid: PhaseGrid, dt: float) -> np.ndarray:
@@ -327,10 +341,7 @@ def _face_grad_sq(mid: np.ndarray, grid: PhaseGrid, w_face: np.ndarray) -> float
     E_after - E_before = -sigma^2 * dt * (this sum) hold exactly when the
     weight is 1, mirroring the continuum energy computation.
     """
-    d = np.empty((mid.shape[0], mid.shape[1] + 1))
-    d[:, 0] = mid[:, 0]
-    d[:, 1:-1] = mid[:, 1:] - mid[:, :-1]
-    d[:, -1] = -mid[:, -1]
+    d = _face_differences(mid)
     return float(((d / grid.du) ** 2 * w_face).sum()) * grid.dx * grid.du
 
 
@@ -379,6 +390,8 @@ def solve_specular_linear(
     w_face = _face_weights(grid, weight)
     wgrad, wlap = _weight_derivatives(grid, weight)
     quad = grid.dx * grid.du
+    x = grid.x
+    scale = float(f.max())
 
     fields[0] = f
     traces[0] = _specular_trace(f, grid, trace_order)
@@ -386,7 +399,7 @@ def solve_specular_linear(
     t = 0.0
     for k in range(n_steps):
         dt = min(grid.dt, grid.horizon - t)
-        drift = np.asarray(drift_fn(t, grid.x), dtype=float)
+        drift = np.asarray(drift_fn(t, x), dtype=float)
         grid.check_drift(float(np.abs(drift).max()) if drift.size else 0.0)
         lam, ab = _diffusion_matrix(grid, sigma, dt)
         f = _transport_specular(f, grid, 0.5 * dt)
@@ -395,7 +408,7 @@ def solve_specular_linear(
         f = _diffuse(f, lam, ab)
         grad_sq[k] = dt * _face_grad_sq(0.5 * (pre + f), grid, w_face)
         f = _transport_specular(f, grid, 0.5 * dt)
-        f = _clamp(f, float(fields[0].max()), clamped)
+        f = _clamp(f, scale, clamped)
         t += dt
         fields[k + 1] = f
         traces[k + 1] = _specular_trace(f, grid, trace_order)
@@ -669,15 +682,28 @@ def weighted_norms(fields: np.ndarray, grid: PhaseGrid,
     arr = np.asarray(fields, dtype=float)
     if arr.ndim == 2:
         arr = arr[None]
+    return _norms_of_slices(arr, len(arr), grid, weight, dt)
+
+
+def _norms_of_slices(slices, n_t: int, grid: PhaseGrid, weight: WeightParams,
+                     dt: float | None = None) -> WeightedNorms:
+    """`weighted_norms` of n_t (n_x, n_u) time slices, taken one at a time.
+
+    Only slice-sized temporaries are built; the per-slice sums are kept and
+    reduced over time as whole arrays.
+    """
     w = weight_eval(weight, grid.u).value
     quad = grid.dx * grid.du
-    sq = (arr**2 * w).sum(axis=(1, 2)) * quad
-    g = np.gradient(arr, grid.du, axis=2)
-    gsq = (g**2 * w).sum(axis=(1, 2)) * quad
+    sq = np.empty(n_t)
+    gsq = np.empty(n_t)
+    for k, f in enumerate(slices):
+        sq[k] = (f**2 * w).sum() * quad
+        g = np.gradient(f, grid.du, axis=1)
+        gsq[k] = (g**2 * w).sum() * quad
     step = grid.dt if dt is None else dt
     return WeightedNorms(
         sup_l2w_sq=float(sq.max()),
-        grad_l2w_sq=float(gsq[1:].sum()) * step if len(gsq) > 1 else float(gsq[0]) * step,
+        grad_l2w_sq=float(gsq[1:].sum()) * step if n_t > 1 else float(gsq[0]) * step,
     )
 
 
@@ -742,22 +768,29 @@ class PicardResult:
 
 def _v1_distance(a: np.ndarray, b: np.ndarray, grid: PhaseGrid,
                  weight: WeightParams) -> float:
-    diff = a - b
-    norms = weighted_norms(diff, grid, weight)
-    return norms.v1
+    """`weighted_norms(a - b, ...).v1`, one time slice of the difference at a time."""
+    diffs = (a[k] - b[k] for k in range(len(a)))
+    return _norms_of_slices(diffs, len(a), grid, weight).v1
 
 
-def _envelope_violations(fields: np.ndarray, times: np.ndarray,
-                         grid: PhaseGrid, lower, upper):
+def _envelope_table(params: MaxwellianParams | None,
+                    grid: PhaseGrid) -> np.ndarray | None:
+    """Envelope values at every (grid time, velocity node), one row per time."""
+    if params is None:
+        return None
+    return np.stack([maxwellian_eval(params, float(t), grid.u) for t in grid.times])
+
+
+def _envelope_violations(fields: np.ndarray, lower: np.ndarray | None,
+                         upper: np.ndarray | None):
+    """Largest excursions of a history below/above tabulated envelopes."""
     lo_viol = 0.0
     up_viol = 0.0
-    for k, t in enumerate(times):
+    for k in range(len(fields)):
         if lower is not None:
-            p_lo = maxwellian_eval(lower, float(t), grid.u)
-            lo_viol = max(lo_viol, float((p_lo[None, :] - fields[k]).max()))
+            lo_viol = max(lo_viol, float((lower[k] - fields[k]).max()))
         if upper is not None:
-            p_up = maxwellian_eval(upper, float(t), grid.u)
-            up_viol = max(up_viol, float((fields[k] - p_up[None, :]).max()))
+            up_viol = max(up_viol, float((fields[k] - upper[k]).max()))
     return max(lo_viol, 0.0), max(up_viol, 0.0)
 
 
@@ -778,12 +811,18 @@ def picard_nonlinear(
     iterate solves the specular problem with the drift estimated from the
     previous iterate's history, step by step. Stops when the discrete
     weighted V1 distance between consecutive histories drops below tol.
+    A sweep holds the new history and the previous one; the distance and
+    the envelope violations are taken one time slice at a time, against
+    envelope tables evaluated once per call.
     """
     if weight is None:
         weight = WeightParams(alpha=3.0, dimension=1)
     rho_init = _as_values(rho0)
     n_steps = grid.n_steps
-    prev = np.broadcast_to(rho_init, (n_steps + 1, grid.n_x, grid.n_u)).copy()
+    # iterate 0 is constant in time: a read-only view, not a stored history
+    prev = np.broadcast_to(rho_init, (n_steps + 1, grid.n_x, grid.n_u))
+    lower_table = _envelope_table(lower, grid)
+    upper_table = _envelope_table(upper, grid)
     report = PicardReport(iterates=0)
     result = None
     drifts = None
@@ -800,7 +839,7 @@ def picard_nonlinear(
         dist = _v1_distance(result.fields, prev, grid, weight)
         report.iterates = n
         report.distances.append(dist)
-        lo_v, up_v = _envelope_violations(result.fields, result.times, grid, lower, upper)
+        lo_v, up_v = _envelope_violations(result.fields, lower_table, upper_table)
         report.lower_violation.append(lo_v)
         report.upper_violation.append(up_v)
         prev = result.fields

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import InvalidExponent, QuadratureNonConvergent
 
@@ -106,6 +106,10 @@ def stabilized_radial_quad(
     QuadratureNonConvergent when the shells keep contributing (divergent or
     too-slowly-decaying integrands).
     """
+    # scipy.integrate pulls in scipy.optimize and scipy.sparse; only this
+    # function needs it, so the CLI start-up does not pay for it
+    from scipy import integrate
+
     total, err_acc = integrate.quad(integrand, 0.0, r_start, limit=200)
     lo, hi = r_start, 2.0 * r_start
     calm_rounds = 0

@@ -1,10 +1,20 @@
 """Grid solver checks: exact conservation laws, analytic solutions, energy
 ledgers, drift quadrature, and the nonlinear fixed-point iteration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+from speckin.config import (
+    build_envelopes,
+    build_grid,
+    build_model,
+    build_weight,
+    config_from_dict,
+    initial_density,
+)
 from speckin.errors import CFLViolated, NegativeDensity, NotConverged
 from speckin.maxwellian import (
     GaussianCore,
@@ -16,6 +26,13 @@ from speckin.maxwellian import (
 from speckin.mckean import KineticModel
 from speckin.vfp import (
     PhaseGrid,
+    _envelope_table,
+    _envelope_violations,
+    _fold,
+    _rotate_interp,
+    _transport_specular,
+    _unfold,
+    _v1_distance,
     auto_vmax,
     drift_from_density,
     picard_nonlinear,
@@ -31,6 +48,18 @@ from speckin.weights import WeightParams
 def uniform_gaussian(grid, variance, shift=0.0):
     prof = heat_kernel(variance, grid.u - shift) / grid.length
     return np.broadcast_to(prof, (grid.n_x, grid.n_u)).copy()
+
+
+def gather_rotate(circles, shifts):
+    """Reference transport: the general periodic gather for any real shifts."""
+    m = circles.shape[1]
+    n = np.floor(shifts).astype(int)
+    theta = shifts - n
+    cols = np.arange(m)[None, :]
+    i0 = (cols - n[:, None]) % m
+    i1 = (i0 - 1) % m
+    rows = np.arange(circles.shape[0])[:, None]
+    return (1.0 - theta[:, None]) * circles[rows, i0] + theta[:, None] * circles[rows, i1]
 
 
 # ------------------------------------------------------------- grid
@@ -182,6 +211,35 @@ class TestSpecularLinear:
         assert np.array_equal(a.fields, b.fields)
 
 
+class TestSpecularTransport:
+    @pytest.mark.parametrize("n_x", [8, 9, 96])
+    def test_rotation_matches_gather_bitwise(self, n_x):
+        rng = np.random.default_rng(n_x)
+        half = 24
+        circles = rng.random((half, 2 * n_x)) * rng.lognormal(size=(half, 1))
+        shifts = np.concatenate([[0.0, 0.5], rng.uniform(0.0, 0.5, half - 2)])
+        assert np.array_equal(_rotate_interp(circles, shifts),
+                              gather_rotate(circles, shifts))
+
+    @pytest.mark.parametrize("n_x", [8, 9])
+    def test_grid_half_steps_match_gather_bitwise(self, n_x):
+        # the largest half-step shift the transport CFL limit allows
+        g = PhaseGrid(length=1.0, n_x=n_x, v_max=3.0, n_u=16, dt=1.0 / (3.0 * n_x),
+                      horizon=0.1)
+        f = np.random.default_rng(1).random((n_x, 16))
+        half = g.n_u // 2
+        shifts = g.u[half:] * (0.5 * g.dt / g.dx)
+        assert shifts.max() <= 0.5
+        want = _fold(gather_rotate(_unfold(f, g), shifts), g)
+        assert np.array_equal(_transport_specular(f, g, 0.5 * g.dt), want)
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, -1e-3, np.nan])
+    def test_shift_outside_one_cell_raises(self, bad):
+        circles = np.ones((3, 16))
+        with pytest.raises(CFLViolated):
+            _rotate_interp(circles, np.array([0.2, bad, 0.4]))
+
+
 # ---------------------------------------------------- inflow solver
 
 
@@ -324,6 +382,18 @@ class TestWeightedNorms:
         one = weighted_norms(np.ones((8, 16)), g, w)
         assert norms.sup_l2w_sq == one.sup_l2w_sq
 
+    @pytest.mark.parametrize("n_t", [1, 2, 17])
+    def test_v1_distance_equals_norm_of_difference_exactly(self, n_t):
+        g = PhaseGrid(length=1.0, n_x=9, v_max=2.0, n_u=16, dt=1e-3, horizon=0.01)
+        w = WeightParams(alpha=3.0, dimension=1)
+        rng = np.random.default_rng(n_t)
+        a = rng.random((n_t, 9, 16))
+        b = a + 1e-6 * rng.standard_normal((n_t, 9, 16))
+        assert _v1_distance(a, b, g, w) == weighted_norms(a - b, g, w).v1
+        # the constant history Picard starts from is a broadcast view
+        c = np.broadcast_to(b[0], b.shape)
+        assert _v1_distance(a, c, g, w) == weighted_norms(a - c, g, w).v1
+
 
 class TestTraceExtract:
     def test_uniform_field_trace_is_its_value(self):
@@ -403,6 +473,44 @@ class TestPicard:
         p_lo = maxwellian_eval(lower, 0.0, grid.u)
         p_up = maxwellian_eval(upper, 0.0, grid.u)
         assert np.all(p_lo <= rho0[0]) and np.all(rho0[0] <= p_up)
+
+    def test_envelope_tables_give_per_time_violations(self):
+        grid, rho0, model, lower, upper = picard_scenario(n_x=8, n_u=16, T=0.1)
+        hist = solve_specular_linear(grid, rho0, 0.5, model.sigma).fields
+        assert len(hist) > 4
+        hist[3, 2, 5] += 0.1
+        hist[4, 1, 7] = 0.0
+        lo_v = up_v = 0.0
+        for t, f in zip(grid.times, hist):
+            lo_v = max(lo_v, float((maxwellian_eval(lower, float(t), grid.u) - f).max()))
+            up_v = max(up_v, float((f - maxwellian_eval(upper, float(t), grid.u)).max()))
+        tables = (_envelope_table(lower, grid), _envelope_table(upper, grid))
+        assert _envelope_violations(hist, *tables) == (lo_v, up_v)
+        assert lo_v > 0 and up_v > 0
+
+    def test_sweep_holds_no_history_sized_temporaries(self):
+        cfg = config_from_dict({
+            "model": {"sigma": 1.0, "drift": "tanh(1.0)"},
+            "initial": {"s": 1.0, "u_mean": 0.8},
+            "numerics": {"grid": {"n_x": 64, "n_u": 128}},
+            "run": {"T": 0.5},
+        })
+        lower, upper = build_envelopes(cfg)
+        grid = build_grid(cfg, upper)
+        rho0 = initial_density(cfg, grid)
+        model, weight = build_model(cfg), build_weight(cfg)
+        history_bytes = (grid.n_steps + 1) * grid.n_x * grid.n_u * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = picard_nonlinear(grid, rho0, model, weight=weight,
+                                   lower=lower, upper=upper)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert res.report.converged and res.report.iterates >= 3
+        # the new history and the previous one, plus slice-sized temporaries
+        assert peak <= 2.5 * history_bytes, peak / history_bytes
 
     def test_not_converged_carries_report(self):
         grid, rho0, model, _, _ = picard_scenario(n_x=8, n_u=16, T=0.02)
