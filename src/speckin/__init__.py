@@ -85,7 +85,6 @@ from .mckean import (
     KineticModel,
     McKeanRun,
     conditional_drift,
-    mckean_step,
     run_mckean,
 )
 from .vfp import (
@@ -167,7 +166,6 @@ __all__ = [
     "maxwellian_eval",
     "maxwellian_mass_bounds",
     "mc_grid_distance",
-    "mckean_step",
     "no_permeability_residual",
     "parse_config",
     "picard_nonlinear",

@@ -32,7 +32,6 @@ from .config import (
     ScenarioConfig,
     build_domain,
     build_envelopes,
-    build_estimator,
     build_grid,
     build_model,
     build_step_params,
@@ -54,7 +53,7 @@ from .diagnostics import (
 )
 from .errors import NotConverged, SpeckinError
 from .geometry import Interval
-from .langevin import ensemble_confined_step
+from .langevin import run_ensemble
 from .maxwellian import maxwellian_eval
 from .mckean import run_mckean
 from .vfp import picard_nonlinear, trace_functionals
@@ -164,34 +163,20 @@ def _write_hits_csv(path: Path, hits, dimension: int):
     _write_csv(path, header, rows())
 
 
-def _write_field_csv(path: Path, solution, times):
-    grid = solution.grid
-    xs = grid.x.tolist()
-    us = grid.u.tolist()
-
-    def rows():
-        for t in times:
-            k = int(np.argmin(np.abs(solution.times - t)))
-            t_k = float(solution.times[k])
-            for x, row in zip(xs, solution.fields[k].tolist()):
-                for u, rho in zip(us, row):
-                    yield (t_k, x, u, rho)
-
-    _write_csv(path, ["t", "x", "u", "rho"], rows())
-
-
-def _write_traces_csv(path: Path, solution, times):
+def _write_slices_csv(path: Path, header, solution, history, labels, times):
+    """One row (t, label, u, value) per node of the history slice nearest
+    each output time; labels name the rows of a slice."""
     us = solution.grid.u.tolist()
 
     def rows():
         for t in times:
             k = int(np.argmin(np.abs(solution.times - t)))
             t_k = float(solution.times[k])
-            for wall, row in enumerate(solution.traces[k].tolist()):
-                for u, gamma in zip(us, row):
-                    yield (t_k, str(wall), u, gamma)
+            for label, row in zip(labels, history[k].tolist()):
+                for u, value in zip(us, row):
+                    yield (t_k, label, u, value)
 
-    _write_csv(path, ["t", "wall", "u", "gamma"], rows())
+    _write_csv(path, header, rows())
 
 
 def _write_drift_csv(path: Path, drift_fields: dict):
@@ -241,30 +226,15 @@ def _march_linear(cfg: ScenarioConfig):
     """Independent confined paths; the catalog drift kicks each velocity."""
     domain = build_domain(cfg)
     model = build_model(cfg)
-    params = build_step_params(cfg)
     X, U = sample_initial(cfg, cfg.run.N, cfg.run.seed)
-    X = np.array(X, dtype=float)
-    U = np.array(U, dtype=float)
-    T, h = cfg.run.T, params.h
     drift = model.drift
-    kick = model.b_norm > 0
     hits: list = []
-    wanted = {round(t / h): t for t in _output_times(cfg)}
-    snapshots = {}
-    if 0 in wanted:
-        snapshots[wanted[0]] = (X.copy(), U.copy())
-    n_steps = max(1, math.ceil(T / h - 1e-12))
-    for k in range(n_steps):
-        t0 = k * h
-        dt = min(h, T - t0)
-        if kick:
-            U = U + dt * drift(U)
-        X, U = ensemble_confined_step(
-            domain, X, U, k, params, model.sigma, cfg.run.seed,
-            h=dt, time_offset=t0, hit_sink=hits,
-        )
-        if (k + 1) in wanted:
-            snapshots[wanted[k + 1]] = (X.copy(), U.copy())
+    _, _, snapshots = run_ensemble(
+        domain, X, U, cfg.run.T, build_step_params(cfg), model.sigma, cfg.run.seed,
+        hit_sink=hits,
+        snapshot_times=tuple(_output_times(cfg)),
+        kick=(lambda X, U: drift(U)) if model.b_norm > 0 else None,
+    )
     return snapshots, hits, domain.dimension
 
 
@@ -275,24 +245,29 @@ def _run_simulate_linear(cfg: ScenarioConfig, out_dir: Path):
     return True, None
 
 
-def _run_simulate_mckean(cfg: ScenarioConfig, out_dir: Path):
-    domain = build_domain(cfg)
-    result = run_mckean(
-        domain,
+def _march_mckean(cfg: ScenarioConfig, snapshot_times: tuple = ()):
+    """The interacting ensemble; the mean-field drift kicks each velocity."""
+    return run_mckean(
+        build_domain(cfg),
         lambda n, seed: sample_initial(cfg, n, seed),
         build_model(cfg),
-        build_estimator(cfg),
+        cfg.numerics.estimator,
         cfg.run.T,
         build_step_params(cfg),
         cfg.run.N,
         cfg.run.seed,
-        snapshot_times=tuple(_output_times(cfg)),
+        snapshot_times=snapshot_times,
     )
+
+
+def _run_simulate_mckean(cfg: ScenarioConfig, out_dir: Path):
+    result = _march_mckean(cfg, tuple(_output_times(cfg)))
     snapshots = {
         t: (ens.positions, ens.velocities) for t, ens in result.snapshots.items()
     }
-    _write_paths_csv(out_dir / "paths.csv", snapshots, domain.dimension)
-    _write_hits_csv(out_dir / "hits.csv", result.hits, domain.dimension)
+    dimension = cfg.domain.dimension
+    _write_paths_csv(out_dir / "paths.csv", snapshots, dimension)
+    _write_hits_csv(out_dir / "hits.csv", result.hits, dimension)
     if result.drift_fields:
         _write_drift_csv(out_dir / "drift.csv", result.drift_fields)
     return True, None
@@ -320,8 +295,10 @@ def _solve_picard(cfg: ScenarioConfig):
 def _run_solve_vfp(cfg: ScenarioConfig, out_dir: Path):
     solution, report, grid, lower, upper = _solve_picard(cfg)
     times = _output_times(cfg)
-    _write_field_csv(out_dir / "field.csv", solution, times)
-    _write_traces_csv(out_dir / "traces.csv", solution, times)
+    _write_slices_csv(out_dir / "field.csv", ["t", "x", "u", "rho"],
+                      solution, solution.fields, solution.grid.x.tolist(), times)
+    _write_slices_csv(out_dir / "traces.csv", ["t", "wall", "u", "gamma"],
+                      solution, solution.traces, ("0", "1"), times)
     payload = report.to_dict()
     payload["grid"] = {
         "n_x": grid.n_x,
@@ -404,16 +381,7 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
     )
 
     domain = build_domain(cfg)
-    particles = run_mckean(
-        domain,
-        lambda n, seed: sample_initial(cfg, n, seed),
-        model,
-        build_estimator(cfg),
-        cfg.run.T,
-        build_step_params(cfg),
-        cfg.run.N,
-        cfg.run.seed,
-    )
+    particles = _march_mckean(cfg)
     block = (_block_edge(grid.n_x), _block_edge(grid.n_u))
     distance = mc_grid_distance(particles.final, solution.field(-1), grid, block=block)
     rho_T = solution.fields[-1] * grid.dx * grid.du

@@ -4,9 +4,11 @@ A scenario is a single JSON object with sections domain / model / initial /
 numerics / run / picard.  Parsing fills every omitted key with its default,
 rejects keys it does not know, and checks each numeric constraint by name, so
 a bad file fails with the offending dotted key and the rule it broke rather
-than deep inside a solver.  The parsed ScenarioConfig is canonical: feeding
-serialize_config back through parse gives an equal object, and the serialized
-bytes hash the scenario for output manifests.
+than deep inside a solver.  The section dataclasses are the one table of
+keys, types and defaults: parsing walks their fields, and _check holds every
+rule.  The parsed ScenarioConfig is canonical: feeding serialize_config back
+through parse gives an equal object, and the serialized bytes hash the
+scenario for output manifests.
 
 Builder helpers turn a config into the runtime objects (domain, model, step
 parameters, phase grid, envelopes, initial states) so the command-line layer
@@ -15,9 +17,11 @@ stays free of numerics.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,14 +87,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class EstimatorSpec:
-    bandwidth: float | None = None
-    kernel: str = "gaussian"
-    min_mass: float = 1e-6
-    probes: int = 257
-
-
-@dataclass(frozen=True)
 class EnvelopeSpec:
     mu_lower: float = 2.0
     mu_upper: float = 0.75
@@ -108,7 +104,7 @@ class WeightSpec:
 class NumericsSpec:
     step: StepSpec = field(default_factory=StepSpec)
     grid: GridSpec = field(default_factory=GridSpec)
-    estimator: EstimatorSpec = field(default_factory=EstimatorSpec)
+    estimator: DriftEstimatorConfig = field(default_factory=DriftEstimatorConfig)
     envelope: EnvelopeSpec = field(default_factory=EnvelopeSpec)
     weight: WeightSpec = field(default_factory=WeightSpec)
 
@@ -139,51 +135,81 @@ class ScenarioConfig:
     picard: PicardSpec = field(default_factory=PicardSpec)
 
 
-# --- structural helpers -----------------------------------------------------
+# --- parsing -----------------------------------------------------------------
 
 
-def _object(raw, path):
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: expected a JSON object, got {type(raw).__name__}")
-    return raw
-
-
-def _reject_unknown(raw, path, allowed):
-    for key in raw:
-        if key not in allowed:
-            raise ParseError(f"{path}: unknown key '{key}'")
-
-
-def _float(raw, path, key, default, allow_none=False):
-    if key not in raw:
-        return default
-    value = raw[key]
-    if value is None and allow_none:
-        return None
+def _float(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{path}.{key}: expected a number")
+        raise ParseError(f"{path}: expected a number")
     value = float(value)
     if not math.isfinite(value):
-        raise ParseError(f"{path}.{key}: expected a finite number")
+        raise ParseError(f"{path}: expected a finite number")
     return value
 
 
-def _int(raw, path, key, default):
-    if key not in raw:
-        return default
-    value = raw[key]
+def _int(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{path}.{key}: expected an integer")
+        raise ParseError(f"{path}: expected an integer")
     return value
 
 
-def _str(raw, path, key, default):
-    if key not in raw:
-        return default
-    value = raw[key]
+def _str(value, path):
     if not isinstance(value, str):
-        raise ParseError(f"{path}.{key}: expected a string")
+        raise ParseError(f"{path}: expected a string")
     return value
+
+
+def _numbers(value, path):
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise ParseError(f"{path}: expected a list of numbers")
+    return tuple(float(v) for v in value)
+
+
+# value readers by field annotation
+_READERS = {
+    "float": _float,
+    "float | None": lambda value, path: None if value is None else _float(value, path),
+    "int": _int,
+    "str": _str,
+    "tuple": _numbers,
+}
+
+
+def _section(cls, raw, path):
+    """Read one section by the fields of its dataclass, defaults filled in.
+
+    Returns a namespace rather than cls, so that _check sees every value
+    before a dataclass can reject one in its own terms.  Top-level sections
+    are named without the 'config.' prefix.
+    """
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    for key in raw:
+        if key not in names:
+            raise ParseError(f"{path}: unknown key '{key}'")
+    values = {}
+    for f in fields:
+        if f.default_factory is not dataclasses.MISSING:  # a nested section
+            sub = f.name if cls is ScenarioConfig else f"{path}.{f.name}"
+            values[f.name] = _section(f.default_factory, raw.get(f.name, {}), sub)
+        elif f.name in raw:
+            values[f.name] = _READERS[f.type](raw[f.name], f"{path}.{f.name}")
+        else:
+            values[f.name] = f.default
+    return SimpleNamespace(**values)
+
+
+def _build(cls, values):
+    """The dataclass tree of a checked _section namespace."""
+    return cls(**{
+        f.name: _build(f.default_factory, getattr(values, f.name))
+        if f.default_factory is not dataclasses.MISSING else getattr(values, f.name)
+        for f in dataclasses.fields(cls)
+    })
 
 
 def _require(condition, key, constraint):
@@ -191,223 +217,107 @@ def _require(condition, key, constraint):
         raise ConstraintViolation(key, constraint)
 
 
-# --- section parsers ---------------------------------------------------------
-
-
-def _parse_domain(raw):
-    raw = _object(raw, "domain")
-    _reject_unknown(raw, "domain", {"kind", "length", "center", "radius", "inner_radius"})
-    kind = _str(raw, "domain", "kind", "interval")
-    if kind not in ("interval", "ball", "annulus"):
-        raise ConstraintViolation("domain.kind", "must be one of interval, ball, annulus")
-    center = raw.get("center", (0.0, 0.0))
-    if not isinstance(center, (list, tuple)) or not all(
-        isinstance(c, (int, float)) and not isinstance(c, bool) for c in center
-    ):
-        raise ParseError("domain.center: expected a list of numbers")
-    center = tuple(float(c) for c in center)
-    if kind != "interval":
-        _require(len(center) >= 2, "domain.center", "radial domains need dimension >= 2")
-    spec = DomainSpec(
-        kind=kind,
-        length=_float(raw, "domain", "length", 1.0),
-        center=center,
-        radius=_float(raw, "domain", "radius", 1.0),
-        inner_radius=_float(raw, "domain", "inner_radius", 0.5),
+def _check(cfg):
+    """Every numeric and cross-key rule, by dotted key, in section order."""
+    domain = cfg.domain
+    _require(
+        domain.kind in ("interval", "ball", "annulus"),
+        "domain.kind",
+        "must be one of interval, ball, annulus",
     )
-    _require(spec.length > 0, "domain.length", "must be positive")
-    _require(spec.radius > 0, "domain.radius", "must be positive")
-    if kind == "annulus":
+    if domain.kind != "interval":
+        _require(len(domain.center) >= 2, "domain.center", "radial domains need dimension >= 2")
+    _require(domain.length > 0, "domain.length", "must be positive")
+    _require(domain.radius > 0, "domain.radius", "must be positive")
+    if domain.kind == "annulus":
         _require(
-            0 < spec.inner_radius < spec.radius,
+            0 < domain.inner_radius < domain.radius,
             "domain.inner_radius",
             "must lie strictly between 0 and radius",
         )
-    return spec
 
-
-def _parse_model(raw):
-    raw = _object(raw, "model")
-    _reject_unknown(raw, "model", {"sigma", "drift"})
-    spec = ModelSpec(
-        sigma=_float(raw, "model", "sigma", 1.0),
-        drift=_str(raw, "model", "drift", "zero"),
-    )
-    _require(spec.sigma > 0, "model.sigma", "must be positive")
+    _require(cfg.model.sigma > 0, "model.sigma", "must be positive")
     try:
-        drift_from_name(spec.drift)
+        drift_from_name(cfg.model.drift)
     except ValueError as exc:
         raise ConstraintViolation("model.drift", str(exc)) from exc
-    return spec
 
-
-def _parse_initial(raw):
-    raw = _object(raw, "initial")
-    _reject_unknown(raw, "initial", {"s", "u_mean", "x_amplitude", "x_mode"})
-    spec = InitialSpec(
-        s=_float(raw, "initial", "s", 1.0),
-        u_mean=_float(raw, "initial", "u_mean", 0.0),
-        x_amplitude=_float(raw, "initial", "x_amplitude", 0.0),
-        x_mode=_int(raw, "initial", "x_mode", 1),
-    )
-    _require(spec.s > 0, "initial.s", "velocity variance must be positive")
+    init = cfg.initial
+    _require(init.s > 0, "initial.s", "velocity variance must be positive")
     _require(
-        abs(spec.x_amplitude) < 1,
+        abs(init.x_amplitude) < 1,
         "initial.x_amplitude",
         "|x_amplitude| < 1 keeps the initial density positive",
     )
-    _require(spec.x_mode >= 1, "initial.x_mode", "must be >= 1")
-    return spec
+    _require(init.x_mode >= 1, "initial.x_mode", "must be >= 1")
 
+    step = cfg.numerics.step
+    _require(step.h > 0, "numerics.step.h", "must be positive")
+    _require(step.eps_hit > 0, "numerics.step.eps_hit", "must be positive")
+    _require(step.max_hits >= 1, "numerics.step.max_hits", "must be >= 1")
+    if step.delta_near is not None:
+        _require(step.delta_near > 0, "numerics.step.delta_near", "must be positive when set")
 
-def _parse_step(raw):
-    raw = _object(raw, "numerics.step")
-    _reject_unknown(raw, "numerics.step", {"h", "eps_hit", "max_hits", "delta_near"})
-    spec = StepSpec(
-        h=_float(raw, "numerics.step", "h", 0.005),
-        eps_hit=_float(raw, "numerics.step", "eps_hit", 1e-10),
-        max_hits=_int(raw, "numerics.step", "max_hits", 10_000),
-        delta_near=_float(raw, "numerics.step", "delta_near", None, allow_none=True),
-    )
-    _require(spec.h > 0, "numerics.step.h", "must be positive")
-    _require(spec.eps_hit > 0, "numerics.step.eps_hit", "must be positive")
-    _require(spec.max_hits >= 1, "numerics.step.max_hits", "must be >= 1")
-    if spec.delta_near is not None:
-        _require(spec.delta_near > 0, "numerics.step.delta_near", "must be positive when set")
-    return spec
-
-
-def _parse_grid(raw):
-    raw = _object(raw, "numerics.grid")
-    _reject_unknown(raw, "numerics.grid", {"n_x", "n_u", "v_max", "dt_factor"})
-    spec = GridSpec(
-        n_x=_int(raw, "numerics.grid", "n_x", 64),
-        n_u=_int(raw, "numerics.grid", "n_u", 128),
-        v_max=_float(raw, "numerics.grid", "v_max", None, allow_none=True),
-        dt_factor=_float(raw, "numerics.grid", "dt_factor", 0.9),
-    )
-    _require(spec.n_x >= 8, "numerics.grid.n_x", "must be >= 8")
+    grid = cfg.numerics.grid
+    _require(grid.n_x >= 8, "numerics.grid.n_x", "must be >= 8")
     _require(
-        spec.n_u >= 8 and spec.n_u % 2 == 0,
+        grid.n_u >= 8 and grid.n_u % 2 == 0,
         "numerics.grid.n_u",
         "must be even and >= 8",
     )
-    if spec.v_max is not None:
-        _require(spec.v_max > 0, "numerics.grid.v_max", "must be positive when set")
-    _require(0 < spec.dt_factor <= 1, "numerics.grid.dt_factor", "must lie in (0, 1]")
-    return spec
+    if grid.v_max is not None:
+        _require(grid.v_max > 0, "numerics.grid.v_max", "must be positive when set")
+    _require(0 < grid.dt_factor <= 1, "numerics.grid.dt_factor", "must lie in (0, 1]")
 
-
-def _parse_estimator(raw):
-    raw = _object(raw, "numerics.estimator")
-    _reject_unknown(
-        raw, "numerics.estimator", {"bandwidth", "kernel", "min_mass", "probes"}
-    )
-    spec = EstimatorSpec(
-        bandwidth=_float(raw, "numerics.estimator", "bandwidth", None, allow_none=True),
-        kernel=_str(raw, "numerics.estimator", "kernel", "gaussian"),
-        min_mass=_float(raw, "numerics.estimator", "min_mass", 1e-6),
-        probes=_int(raw, "numerics.estimator", "probes", 257),
-    )
-    if spec.bandwidth is not None:
-        _require(spec.bandwidth > 0, "numerics.estimator.bandwidth", "must be positive when set")
+    est = cfg.numerics.estimator
+    if est.bandwidth is not None:
+        _require(est.bandwidth > 0, "numerics.estimator.bandwidth", "must be positive when set")
     _require(
-        spec.kernel in ("gaussian", "epanechnikov"),
+        est.kernel in ("gaussian", "epanechnikov"),
         "numerics.estimator.kernel",
         "must be 'gaussian' or 'epanechnikov'",
     )
-    _require(spec.min_mass >= 0, "numerics.estimator.min_mass", "must be nonnegative")
-    _require(spec.probes >= 0, "numerics.estimator.probes", "must be nonnegative")
-    return spec
+    _require(est.min_mass >= 0, "numerics.estimator.min_mass", "must be nonnegative")
+    _require(est.probes >= 0, "numerics.estimator.probes", "must be nonnegative")
 
-
-def _parse_envelope(raw):
-    raw = _object(raw, "numerics.envelope")
-    _reject_unknown(
-        raw, "numerics.envelope", {"mu_lower", "mu_upper", "spread", "pad", "rate_margin"}
-    )
-    spec = EnvelopeSpec(
-        mu_lower=_float(raw, "numerics.envelope", "mu_lower", 2.0),
-        mu_upper=_float(raw, "numerics.envelope", "mu_upper", 0.75),
-        spread=_float(raw, "numerics.envelope", "spread", 2.0),
-        pad=_float(raw, "numerics.envelope", "pad", 0.1),
-        rate_margin=_float(raw, "numerics.envelope", "rate_margin", 0.1),
-    )
+    env = cfg.numerics.envelope
     _require(
-        0.5 < spec.mu_upper < 1,
+        0.5 < env.mu_upper < 1,
         "numerics.envelope.mu_upper",
         "upper envelope exponent must lie in (1/2, 1)",
     )
     _require(
-        spec.mu_lower > 1,
+        env.mu_lower > 1,
         "numerics.envelope.mu_lower",
         "lower envelope exponent must exceed 1",
     )
-    _require(spec.spread > 1, "numerics.envelope.spread", "must exceed 1")
-    _require(spec.pad > 0, "numerics.envelope.pad", "must be positive")
-    _require(spec.rate_margin >= 0, "numerics.envelope.rate_margin", "must be nonnegative")
-    return spec
+    _require(env.spread > 1, "numerics.envelope.spread", "must exceed 1")
+    _require(env.pad > 0, "numerics.envelope.pad", "must be positive")
+    _require(env.rate_margin >= 0, "numerics.envelope.rate_margin", "must be nonnegative")
 
-
-def _parse_weight(raw, dimension):
-    raw = _object(raw, "numerics.weight")
-    _reject_unknown(raw, "numerics.weight", {"alpha"})
-    spec = WeightSpec(alpha=_float(raw, "numerics.weight", "alpha", 3.0))
-    floor = max(dimension, 2)
+    floor = max(DomainSpec.dimension.fget(domain), 2)
     _require(
-        spec.alpha > floor,
+        cfg.numerics.weight.alpha > floor,
         "numerics.weight.alpha",
         f"weight exponent must satisfy alpha > max(d, 2) = {floor}",
     )
-    return spec
 
+    run = cfg.run
+    _require(run.T > 0, "run.T", "must be positive")
+    _require(run.N >= 1, "run.N", "must be >= 1")
+    _require(0 <= run.seed < _SEED_LIMIT, "run.seed", "must lie in [0, 2**64)")
+    for t in run.snapshot_times:
+        _require(0 <= t <= run.T, "run.snapshot_times", "every time must lie in [0, T]")
 
-def _parse_numerics(raw, dimension):
-    raw = _object(raw, "numerics")
-    _reject_unknown(raw, "numerics", {"step", "grid", "estimator", "envelope", "weight"})
-    return NumericsSpec(
-        step=_parse_step(raw.get("step", {})),
-        grid=_parse_grid(raw.get("grid", {})),
-        estimator=_parse_estimator(raw.get("estimator", {})),
-        envelope=_parse_envelope(raw.get("envelope", {})),
-        weight=_parse_weight(raw.get("weight", {}), dimension),
-    )
+    _require(cfg.picard.tol > 0, "picard.tol", "must be positive")
+    _require(cfg.picard.max_iter >= 1, "picard.max_iter", "must be >= 1")
 
-
-def _parse_run(raw):
-    raw = _object(raw, "run")
-    _reject_unknown(raw, "run", {"T", "N", "seed", "snapshot_times", "out"})
-    times = raw.get("snapshot_times", ())
-    if not isinstance(times, (list, tuple)):
-        raise ParseError("run.snapshot_times: expected a list of numbers")
-    for t in times:
-        if isinstance(t, bool) or not isinstance(t, (int, float)):
-            raise ParseError("run.snapshot_times: expected a list of numbers")
-    spec = RunSpec(
-        T=_float(raw, "run", "T", 0.5),
-        N=_int(raw, "run", "N", 10_000),
-        seed=_int(raw, "run", "seed", 0),
-        snapshot_times=tuple(float(t) for t in times),
-        out=_str(raw, "run", "out", "speckin_out"),
-    )
-    _require(spec.T > 0, "run.T", "must be positive")
-    _require(spec.N >= 1, "run.N", "must be >= 1")
-    _require(0 <= spec.seed < _SEED_LIMIT, "run.seed", "must lie in [0, 2**64)")
-    for t in spec.snapshot_times:
-        _require(0 <= t <= spec.T, "run.snapshot_times", "every time must lie in [0, T]")
-    return spec
-
-
-def _parse_picard(raw):
-    raw = _object(raw, "picard")
-    _reject_unknown(raw, "picard", {"tol", "max_iter"})
-    spec = PicardSpec(
-        tol=_float(raw, "picard", "tol", 1e-6),
-        max_iter=_int(raw, "picard", "max_iter", 20),
-    )
-    _require(spec.tol > 0, "picard.tol", "must be positive")
-    _require(spec.max_iter >= 1, "picard.max_iter", "must be >= 1")
-    return spec
+    if domain.kind != "interval":
+        _require(
+            init.x_amplitude == 0.0,
+            "initial.x_amplitude",
+            "position modulation requires an interval domain",
+        )
 
 
 def config_from_dict(raw) -> ScenarioConfig:
@@ -416,30 +326,9 @@ def config_from_dict(raw) -> ScenarioConfig:
     Structural problems (wrong types, unknown keys) raise ParseError; numeric
     rule breaks raise ConstraintViolation carrying the dotted key.
     """
-    raw = _object(raw, "config")
-    _reject_unknown(
-        raw,
-        "config",
-        {"scenario", "domain", "model", "initial", "numerics", "run", "picard"},
-    )
-    scenario = _str(raw, "config", "scenario", "default")
-    domain = _parse_domain(raw.get("domain", {}))
-    cfg = ScenarioConfig(
-        scenario=scenario,
-        domain=domain,
-        model=_parse_model(raw.get("model", {})),
-        initial=_parse_initial(raw.get("initial", {})),
-        numerics=_parse_numerics(raw.get("numerics", {}), domain.dimension),
-        run=_parse_run(raw.get("run", {})),
-        picard=_parse_picard(raw.get("picard", {})),
-    )
-    if domain.kind != "interval":
-        _require(
-            cfg.initial.x_amplitude == 0.0,
-            "initial.x_amplitude",
-            "position modulation requires an interval domain",
-        )
-    return cfg
+    values = _section(ScenarioConfig, raw, "config")
+    _check(values)
+    return _build(ScenarioConfig, values)
 
 
 def parse_config(source) -> ScenarioConfig:
@@ -456,16 +345,9 @@ def parse_config(source) -> ScenarioConfig:
     return config_from_dict(raw)
 
 
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    data = asdict(cfg)
-    data["domain"]["center"] = list(cfg.domain.center)
-    data["run"]["snapshot_times"] = list(cfg.run.snapshot_times)
-    return data
-
-
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical JSON bytes of a config; parsing them back gives cfg again."""
-    return json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"
 
 
 def default_config() -> ScenarioConfig:
@@ -489,23 +371,7 @@ def build_model(cfg: ScenarioConfig) -> KineticModel:
 
 
 def build_step_params(cfg: ScenarioConfig) -> StepParams:
-    step = cfg.numerics.step
-    return StepParams(
-        h=step.h,
-        eps_hit=step.eps_hit,
-        max_hits=step.max_hits,
-        delta_near=step.delta_near,
-    )
-
-
-def build_estimator(cfg: ScenarioConfig) -> DriftEstimatorConfig:
-    est = cfg.numerics.estimator
-    return DriftEstimatorConfig(
-        bandwidth=est.bandwidth,
-        kernel=est.kernel,
-        min_mass=est.min_mass,
-        probes=est.probes,
-    )
+    return StepParams(**asdict(cfg.numerics.step))
 
 
 def build_weight(cfg: ScenarioConfig) -> WeightParams:
@@ -520,17 +386,10 @@ def build_envelopes(cfg: ScenarioConfig):
     amplitude and the lower one to the trough.
     """
     init = cfg.initial
-    env = cfg.numerics.envelope
     model = build_model(cfg)
     length = cfg.domain.length
     swing = abs(init.x_amplitude)
-    kwargs = dict(
-        mu_lower=env.mu_lower,
-        mu_upper=env.mu_upper,
-        spread=env.spread,
-        pad=env.pad,
-        rate_margin=env.rate_margin,
-    )
+    kwargs = asdict(cfg.numerics.envelope)
     _, upper = envelope_for_gaussian(
         init.s, init.u_mean, (1.0 + swing) / length, model.sigma, model.b_norm, **kwargs
     )

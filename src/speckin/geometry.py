@@ -25,7 +25,6 @@ __all__ = [
     "project",
     "reflect",
     "classify",
-    "domain_from_config",
 ]
 
 EPS_TAN_DEFAULT = 1e-12  # |u.n| <= EPS_TAN_DEFAULT*|u| counts as a tangential graze
@@ -51,9 +50,6 @@ class Domain:
         raise NotImplementedError
 
     def project(self, x):
-        raise NotImplementedError
-
-    def volume(self):
         raise NotImplementedError
 
     def sample_uniform(self, n, rng):
@@ -90,9 +86,6 @@ class Interval(Domain):
         if x == 0.5 * self.length:
             raise AmbiguousProjection("midpoint is equidistant from both walls")
         return 0.0 if x < 0.5 * self.length else self.length
-
-    def volume(self):
-        return self.length
 
     def sample_uniform(self, n, rng):
         return self.length * rng.uniform(size=n)
@@ -139,16 +132,6 @@ class Ball(Domain):
             raise AmbiguousProjection("ball center projects to every wall point")
         c = np.asarray(self.center)
         return c + (self.radius / rho) * (x - c)
-
-    def volume(self):
-        d, r = self.dimension, self.radius
-        if d == 2:
-            return np.pi * r**2
-        if d == 3:
-            return 4.0 / 3.0 * np.pi * r**3
-        from scipy.special import gamma
-
-        return np.pi ** (d / 2) / gamma(d / 2 + 1) * r**d
 
     def sample_uniform(self, n, rng):
         d = self.dimension
@@ -209,12 +192,6 @@ class Annulus(Domain):
         target = self.inner_radius if rho < mid else self.radius
         c = np.asarray(self.center)
         return c + (target / rho) * (x - c)
-
-    def volume(self):
-        d = self.dimension
-        outer = Ball(self.center, self.radius).volume()
-        inner = Ball(self.center, self.inner_radius).volume()
-        return outer - inner
 
     def sample_uniform(self, n, rng):
         d = self.dimension
@@ -278,18 +255,3 @@ def classify(domain, x, u, eps_bd, eps_tan=EPS_TAN_DEFAULT):
         return BoundaryClass.TANGENTIAL
     return BoundaryClass.OUTGOING if un > 0 else BoundaryClass.INCOMING
 
-
-def domain_from_config(spec):
-    """Build a Domain from its config mapping (see README for the schema)."""
-    kind = spec.get("kind")
-    if kind == "interval":
-        return Interval(length=float(spec["length"]))
-    if kind == "ball":
-        return Ball(center=tuple(spec["center"]), radius=float(spec["radius"]))
-    if kind == "annulus":
-        return Annulus(
-            center=tuple(spec["center"]),
-            inner_radius=float(spec["inner_radius"]),
-            radius=float(spec["radius"]),
-        )
-    raise ValueError(f"unknown domain kind: {kind!r}")

@@ -16,6 +16,11 @@ of all of them with vectorized arithmetic.  Every random draw is addressed by
 (seed, stream id, counter) and each path draws in the order of the
 sequential depth-first traversal, so a path is a pure function of its stream
 and the results are bit for bit the same however paths are batched.
+
+One marching loop, run_ensemble, serves every particle run.  Before each
+confined step it kicks the velocities by h times a field: none for the linear
+process, b(U) for independent drifted paths, and the mean-field estimate of
+E[b(U) | X] for the McKean system (mckean.run_mckean).
 """
 
 from __future__ import annotations
@@ -413,6 +418,11 @@ def confined_step(
     return ConfinedStepResult(PhaseState(X[0], U[0]), tuple(hits[0]))
 
 
+def step_count(T: float, h: float) -> int:
+    """Macro steps of length h (the last one possibly shorter) covering [0, T]."""
+    return max(1, math.ceil(T / h - 1e-12)) if T > 0 else 0
+
+
 def _check_start(domain: Domain, initial: PhaseState, eps_hit: float):
     sd = float(signed_distance(domain, initial.x))
     if sd > eps_hit:
@@ -441,7 +451,7 @@ def simulate_path(
     path's stream, so the realized path depends only on (seed, stream_id).
     """
     _check_start(domain, initial, params.eps_hit)
-    n_steps = max(1, math.ceil(T / params.h - 1e-12)) if T > 0 else 0
+    n_steps = step_count(T, params.h)
     times = [0.0]
     states = [initial]
     events = []
@@ -544,23 +554,32 @@ def run_ensemble(
     hit_sink: list | None = None,
     snapshot_times: tuple = (),
     stream_ids: np.ndarray | None = None,
+    kick=None,
 ):
-    """March N independent confined paths to time T; optional phase snapshots.
+    """March N confined paths to time T; optional phase snapshots.
+
+    kick, when given, is a callable (X, U) -> velocity field evaluated at the
+    start of every step; each velocity is kicked by the step length times
+    its value before the confined step.  None runs free confined paths; the
+    local drift b(U) gives independent drifted paths, and a mean-field
+    estimate on the current states gives the interacting system.
 
     Returns (X, U, snapshots) where snapshots maps requested grid times to
-    (X, U) copies.  Ordering and values are independent of how callers batch
-    the work because every draw is counter-addressed.
+    (X, U) copies.  Hit times are k*h plus the time within step k.  Ordering
+    and values are independent of how callers batch the work because every
+    draw is counter-addressed.
     """
     X = np.array(X0, dtype=float)
     U = np.array(U0, dtype=float)
-    n_steps = max(1, math.ceil(T / params.h - 1e-12)) if T > 0 else 0
     wanted = {round(t / params.h): t for t in snapshot_times}
     snapshots = {}
     if 0 in wanted:
         snapshots[wanted[0]] = (X.copy(), U.copy())
-    for k in range(n_steps):
+    for k in range(step_count(T, params.h)):
         t0 = k * params.h
         dt = min(params.h, T - t0)
+        if kick is not None:
+            U = U + dt * kick(X, U)
         X, U = ensemble_confined_step(
             domain,
             X,
@@ -604,11 +623,8 @@ def semigroup_estimate(
     else:
         X0 = np.tile(np.asarray(initial.x, float), (N, 1))
         U0 = np.tile(u0, (N, 1))
-    if t == 0:
-        vals = np.asarray(psi(X0, U0), dtype=float)
-    else:
-        X, U, _ = run_ensemble(domain, X0, U0, t, params, sigma, seed)
-        vals = np.asarray(psi(X, U), dtype=float)
+    X, U, _ = run_ensemble(domain, X0, U0, t, params, sigma, seed)
+    vals = np.asarray(psi(X, U), dtype=float)
     mean = float(np.mean(vals))
     std_error = float(np.std(vals, ddof=1) / math.sqrt(N)) if N > 1 else 0.0
     return SemigroupEstimate(mean=mean, std_error=std_error)

@@ -7,6 +7,10 @@ the exact confined step. The estimate is a convex combination of b values,
 so the kick respects the componentwise bound of b no matter how degenerate
 the data are; where the local kernel mass is negligible the drift is zero.
 
+run_mckean is the one particle march, langevin.run_ensemble, with this
+mean-field kick; the linear process is the same march with no kick or the
+local b(U).
+
 On a one-dimensional interval the field is estimated on a probe grid and
 interpolated to the particles. There the particles are first binned linearly
 onto M = BIN_REFINE * (probes - 1) + 1 centres, and the binned mass and b(U)
@@ -17,7 +21,6 @@ per point; it serves probes < 2 and domains of dimension two or more.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidInitial
 from .geometry import Domain, Interval, signed_distance
-from .langevin import StepParams, ensemble_confined_step
+from .langevin import StepParams, run_ensemble
 
 BIN_REFINE = 4  # binning centres per probe interval of the binned estimate
 
@@ -38,7 +41,6 @@ __all__ = [
     "drift_from_name",
     "silverman_bandwidth",
     "conditional_drift",
-    "mckean_step",
     "run_mckean",
 ]
 
@@ -282,43 +284,6 @@ def _drift_at_particles(domain, ensemble, model, cfg):
     return np.interp(ensemble.positions, grid, values)
 
 
-def mckean_step(
-    domain: Domain,
-    ensemble: Ensemble,
-    model: KineticModel,
-    cfg: DriftEstimatorConfig,
-    params: StepParams,
-    seed: int,
-    step_index: int,
-    h: float | None = None,
-    hit_sink: list | None = None,
-    stream_ids: np.ndarray | None = None,
-) -> Ensemble:
-    """One synchronous macro step of the interacting system.
-
-    Every particle sees the same frozen snapshot: the drift field is
-    evaluated once at step start, each velocity is kicked by h times the
-    local field value, and the kicked states run the exact confined step on
-    their own noise streams.
-    """
-    dt = params.h if h is None else float(h)
-    kick = _drift_at_particles(domain, ensemble, model, cfg)
-    X1, U1 = ensemble_confined_step(
-        domain,
-        ensemble.positions,
-        ensemble.velocities + dt * kick,
-        step_index,
-        params,
-        model.sigma,
-        seed,
-        h=dt,
-        time_offset=ensemble.time,
-        hit_sink=hit_sink,
-        stream_ids=stream_ids,
-    )
-    return Ensemble(X1, U1, ensemble.time + dt)
-
-
 @dataclass
 class McKeanRun:
     """Bundle of outputs from run_mckean."""
@@ -347,6 +312,8 @@ def run_mckean(
     (X0, U0); every sampled position must lie in the closed domain. The run
     is a pure function of (initial, seed): snapshots land on the step grid
     at the requested times, hit events carry absolute times and path ids.
+    The march is langevin.run_ensemble with the mean-field kick, so a zero
+    drift gives exactly the linear ensemble.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -360,37 +327,25 @@ def run_mckean(
         worst = float(sd.max())
         raise InvalidInitial(f"initial positions leave the domain by {worst:.3e}")
 
-    ens = Ensemble(X0, U0, 0.0)
     hits: list = []
-    snapshots: dict = {}
-    drift_fields: dict = {}
-    wanted = {round(t / params.h): t for t in snapshot_times}
-    if 0 in wanted:
-        snapshots[wanted[0]] = Ensemble(X0.copy(), U0.copy(), 0.0)
+    X, U, states = run_ensemble(
+        domain, X0, U0, T, params, model.sigma, seed,
+        hit_sink=hits,
+        snapshot_times=snapshot_times,
+        stream_ids=stream_ids,
+        kick=lambda X, U: _drift_at_particles(domain, Ensemble(X, U), model, cfg),
+    )
+    # a snapshot at t was taken after step round(t / h), which ends at the
+    # grid time min(round(t / h) * h, T)
+    snapshots = {
+        t: Ensemble(Xs, Us, min(round(t / params.h) * params.h, T))
+        for t, (Xs, Us) in states.items()
+    }
+    drift_fields = {}
+    for t, ens in snapshots.items():
         fs = _field_snapshot(domain, ens, model, cfg)
         if fs is not None:
-            drift_fields[wanted[0]] = fs
-    n_steps = max(1, math.ceil(T / params.h - 1e-12)) if T > 0 else 0
-    for k in range(n_steps):
-        dt = min(params.h, T - k * params.h)
-        ens = mckean_step(
-            domain,
-            ens,
-            model,
-            cfg,
-            params,
-            seed,
-            k,
-            h=dt,
-            hit_sink=hits,
-            stream_ids=stream_ids,
-        )
-        if (k + 1) in wanted:
-            t_snap = wanted[k + 1]
-            snapshots[t_snap] = Ensemble(
-                ens.positions.copy(), ens.velocities.copy(), ens.time
-            )
-            fs = _field_snapshot(domain, ens, model, cfg)
-            if fs is not None:
-                drift_fields[t_snap] = fs
-    return McKeanRun(final=ens, snapshots=snapshots, drift_fields=drift_fields, hits=hits)
+            drift_fields[t] = fs
+    return McKeanRun(
+        final=Ensemble(X, U, T), snapshots=snapshots, drift_fields=drift_fields, hits=hits
+    )

@@ -141,13 +141,5 @@ class RngStream:
         self.counter += count
         return out
 
-    def uniforms(self, count):
-        out = uniforms_at(self.seed, [self.stream_id], self.counter, count)[0]
-        self.counter += count
-        return out
-
     def jump_to(self, counter):
         self.counter = int(counter)
-
-    def clone(self):
-        return RngStream(self.seed, self.stream_id, self.counter)

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import CFLViolated, NegativeDensity, NotConverged
+from .langevin import step_count
 from .maxwellian import MaxwellianParams, maxwellian_eval
 from .mckean import KineticModel
 from .weights import WeightParams, weight_eval
@@ -97,7 +98,7 @@ class PhaseGrid:
 
     @property
     def n_steps(self) -> int:
-        return max(1, math.ceil(self.horizon / self.dt - 1e-12))
+        return step_count(self.horizon, self.dt)
 
     @property
     def times(self) -> np.ndarray:
@@ -530,18 +531,19 @@ def _transport_inflow(values, grid: PhaseGrid, dt: float, q_at, t_eval):
     return out, injected
 
 
+def _one_sided_trace(values: np.ndarray, order: int) -> np.ndarray:
+    """(2, n_u) values at walls 0 and L, extrapolated from the nearest one
+    (order 1) or two (order 2) cell centres; not clipped."""
+    if order == 1:
+        return np.stack([values[0], values[-1]])
+    return np.stack([1.5 * values[0] - 0.5 * values[1], 1.5 * values[-1] - 0.5 * values[-2]])
+
+
 def _inflow_trace(values: np.ndarray, grid: PhaseGrid, order: int) -> np.ndarray:
     """One-sided extrapolated trace on the incoming-set rows (Sigma^-)."""
     u = grid.u
-    out = np.zeros((2, grid.n_u))
-    if order == 1:
-        at0 = values[0]
-        atL = values[-1]
-    else:
-        at0 = 1.5 * values[0] - 0.5 * values[1]
-        atL = 1.5 * values[-1] - 0.5 * values[-2]
-    out[0] = np.where(u > 0, at0, 0.0)  # wall 0, normal -1: u.n < 0
-    out[1] = np.where(u < 0, atL, 0.0)
+    # wall 0 has normal -1, so u.n < 0 there means u > 0
+    out = np.where([u > 0, u < 0], _one_sided_trace(values, order), 0.0)
     return np.clip(out, 0.0, None)
 
 
@@ -718,12 +720,7 @@ def trace_extract(field, grid: PhaseGrid, order: int = 2,
     if specular:
         gamma = _specular_trace(df.values, grid, order)
     else:
-        if order == 1:
-            at0, atL = df.values[0], df.values[-1]
-        else:
-            at0 = 1.5 * df.values[0] - 0.5 * df.values[1]
-            atL = 1.5 * df.values[-1] - 0.5 * df.values[-2]
-        gamma = np.stack([at0, atL])
+        gamma = _one_sided_trace(df.values, order)
     return TraceField(np.clip(gamma, 0.0, None), df.time)
 
 

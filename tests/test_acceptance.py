@@ -17,7 +17,6 @@ from speckin.cli import run_scenario
 from speckin.config import (
     build_domain,
     build_envelopes,
-    build_estimator,
     build_grid,
     build_model,
     build_step_params,
@@ -103,7 +102,7 @@ def _particle_state():
             st["domain"],
             lambda n, s: sample_initial(cfg, n, s),
             st["model"],
-            build_estimator(cfg),
+            cfg.numerics.estimator,
             cfg.run.T,
             build_step_params(cfg),
             cfg.run.N,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speckin.config import build_domain, config_from_dict
 from speckin.errors import AmbiguousProjection, NotUnitNormal
 from speckin.geometry import (
     Annulus,
@@ -12,7 +13,6 @@ from speckin.geometry import (
     BoundaryClass,
     Interval,
     classify,
-    domain_from_config,
     outward_normal,
     project,
     reflect,
@@ -163,12 +163,12 @@ def test_uniform_sampler_stays_inside():
 
 
 def test_domain_from_config():
-    assert domain_from_config({"kind": "interval", "length": 2.0}) == Interval(2.0)
-    b = domain_from_config({"kind": "ball", "center": [0, 0], "radius": 1})
+    # the `cube` rejection is test_cli's `domain.kind` constraint case
+    def build(domain):
+        return build_domain(config_from_dict({"domain": domain}))
+
+    assert build({"kind": "interval", "length": 2.0}) == Interval(2.0)
+    b = build({"kind": "ball", "center": [0, 0], "radius": 1})
     assert b.radius == 1.0 and b.dimension == 2
-    a = domain_from_config(
-        {"kind": "annulus", "center": [0, 0], "inner_radius": 1, "radius": 2}
-    )
+    a = build({"kind": "annulus", "center": [0, 0], "inner_radius": 1, "radius": 2})
     assert a.inner_radius == 1.0
-    with pytest.raises(ValueError):
-        domain_from_config({"kind": "cube"})

@@ -257,6 +257,21 @@ def test_watchdog_fires():
         )
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-9, 1e-3])
+def test_watchdog_fires_on_grazing_contacts(sigma):
+    # a start on the wall with exactly tangential velocity: the first located
+    # contacts are grazes, which keep the velocity, so only max_hits stops a
+    # step that keeps finding the wall; every graze must count toward it
+    with pytest.raises(WatchdogExceeded, match="max_hits=5"):
+        confined_step(
+            Ball(center=(0.0, 0.0), radius=1.0),
+            PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+            StepParams(h=0.01, max_hits=5),
+            sigma,
+            RngStream(seed=3),
+        )
+
+
 def test_simulate_path_billiard_two_hits():
     domain = Interval(length=1.0)
     path = simulate_path(

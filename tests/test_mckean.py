@@ -13,6 +13,7 @@ from speckin.langevin import (
     RngStream,
     StepParams,
     ensemble_confined_step,
+    run_ensemble,
     simulate_path,
 )
 from speckin.mckean import (
@@ -25,7 +26,6 @@ from speckin.mckean import (
     _field_snapshot,
     conditional_drift,
     drift_from_name,
-    mckean_step,
     run_mckean,
     silverman_bandwidth,
 )
@@ -347,24 +347,24 @@ def test_zero_drift_step_is_bitwise_linear():
     dom = Interval(1.0)
     params = StepParams(h=0.05)
     model = KineticModel(sigma=1.0, b="zero")
-    hits_a, hits_b = [], []
-    out = mckean_step(
-        dom, Ensemble(X, U), model, DriftEstimatorConfig(), params, 11, 4, hit_sink=hits_a
-    )
-    Xl, Ul = ensemble_confined_step(dom, X, U, 4, params, 1.0, 11, hit_sink=hits_b)
-    assert np.array_equal(out.positions, Xl)
-    assert np.array_equal(out.velocities, Ul)
-    assert out.time == pytest.approx(0.05)
-    assert [(h.path_id, h.time) for h in hits_a] == [(h.path_id, h.time) for h in hits_b]
+    hits_b = []
+    out = run_mckean(dom, (X, U), model, DriftEstimatorConfig(), 0.05, params, 200, seed=11)
+    Xl, Ul = ensemble_confined_step(dom, X, U, 0, params, 1.0, 11, hit_sink=hits_b)
+    assert np.array_equal(out.final.positions, Xl)
+    assert np.array_equal(out.final.velocities, Ul)
+    assert out.final.time == pytest.approx(0.05)
+    assert [(h.path_id, h.time) for h in out.hits] == [(h.path_id, h.time) for h in hits_b]
 
 
 def test_step_preserves_count_and_confinement():
     r = np.random.default_rng(8)
     dom = Interval(1.0)
-    ens = Ensemble(r.uniform(0, 1, 300), r.normal(size=300))
     model = KineticModel(sigma=1.0, b="sign")
     params = StepParams(h=0.05)
-    out = mckean_step(dom, ens, model, DriftEstimatorConfig(), params, 13, 0)
+    out = run_mckean(
+        dom, (r.uniform(0, 1, 300), r.normal(size=300)), model, DriftEstimatorConfig(),
+        0.05, params, 300, seed=13,
+    ).final
     assert len(out) == 300
     assert np.all(signed_distance(dom, out.positions) <= params.eps_hit)
 
@@ -377,8 +377,8 @@ def test_drift_kick_bounded():
     U = r.normal(size=200)
     model = KineticModel(sigma=1e-12, b="clipped_linear(5, 0.6)")
     params = StepParams(h=0.01, delta_near=1e-6)
-    out = mckean_step(dom, Ensemble(X, U), model, DriftEstimatorConfig(), params, 17, 0)
-    kick = out.velocities - U
+    out = run_mckean(dom, (X, U), model, DriftEstimatorConfig(), 0.01, params, 200, seed=17)
+    kick = out.final.velocities - U
     assert np.abs(kick).max() <= params.h * model.b_norm + 1e-9
 
 
@@ -420,6 +420,32 @@ def test_single_zero_drift_particle_reduces_to_simulate_path():
     assert run.final.velocities[0] == path.states[-1].u
     assert [h.time for h in run.hits] == [e.time for e in path.events]
     assert run.final.time == pytest.approx(0.35)
+
+
+def test_zero_drift_run_is_the_linear_ensemble():
+    # one march: with b = 0 the McKean march is run_ensemble, hit times
+    # included (k * h plus the time within step k, not a running sum of h)
+    r = np.random.default_rng(12)
+    X0, U0 = r.uniform(0.0, 1.0, 200), r.normal(size=200)
+    dom = Interval(1.0)
+    params = StepParams(h=0.02)
+    times = (0.0, 0.1, 0.3, 0.5)
+    run = run_mckean(
+        dom, (X0, U0), KineticModel(sigma=1.0, b="zero"), DriftEstimatorConfig(),
+        0.5, params, 200, seed=37, snapshot_times=times,
+    )
+    ref_hits = []
+    X, U, snaps = run_ensemble(
+        dom, X0, U0, 0.5, params, 1.0, 37, hit_sink=ref_hits, snapshot_times=times
+    )
+    assert np.array_equal(run.final.positions, X)
+    assert np.array_equal(run.final.velocities, U)
+    assert sorted(run.snapshots) == sorted(snaps) == list(times)
+    for t, (Xs, Us) in snaps.items():
+        assert np.array_equal(run.snapshots[t].positions, Xs)
+        assert np.array_equal(run.snapshots[t].velocities, Us)
+    assert len(ref_hits) > 50
+    assert run.hits == ref_hits
 
 
 def test_run_snapshots_and_fields():
