@@ -57,7 +57,7 @@ from .errors import (
     SpeckinError,
     WatchdogExceeded,
 )
-from .geometry import Annulus, Ball, Domain, Interval, project, reflect, signed_distance
+from .geometry import Annulus, Ball, Domain, Interval, reflect
 from .langevin import (
     HitEvent,
     HitRecord,
@@ -169,7 +169,6 @@ __all__ = [
     "no_permeability_residual",
     "parse_config",
     "picard_nonlinear",
-    "project",
     "reflect",
     "run_ensemble",
     "run_mckean",
@@ -179,7 +178,6 @@ __all__ = [
     "semigroup_l2_check",
     "serialize_config",
     "shell_flux_estimate",
-    "signed_distance",
     "simulate_path",
     "solve_linear_inflow",
     "solve_specular_linear",

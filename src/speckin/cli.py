@@ -92,18 +92,18 @@ class OutputBundle:
 # --- deterministic writers ---------------------------------------------------
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
-
-
 def _write_csv(path: Path, header, rows):
+    """Write tuples whose cells keep one type per column: strings as they
+    are, numbers as %.17g, which reads back to the same double."""
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(
-                ",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row)
-            )
-            handle.write("\n")
+        if first is None:
+            return
+        line = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in first) + "\n"
+        handle.write(line % first)
+        handle.writelines(line % row for row in rows)
 
 
 def _write_json(path: Path, payload):

@@ -20,9 +20,6 @@ __all__ = [
     "Ball",
     "Annulus",
     "BoundaryClass",
-    "signed_distance",
-    "outward_normal",
-    "project",
     "reflect",
     "classify",
 ]
@@ -44,12 +41,19 @@ class Domain:
     dimension: int = 0
 
     def signed_distance(self, x):
+        """Closed-form signed distance; negative inside, positive outside."""
         raise NotImplementedError
 
     def outward_normal(self, x, band_width=None):
+        """Unit outward normal at the wall point nearest x.
+
+        Raises AmbiguousProjection when x sits outside the uniqueness band
+        (default band: L/2, R/2, (R-r)/2 per domain kind).
+        """
         raise NotImplementedError
 
     def project(self, x):
+        """Closed-form projection onto the nearest wall; sd(project(x)) = 0."""
         raise NotImplementedError
 
     def sample_uniform(self, n, rng):
@@ -200,25 +204,6 @@ class Annulus(Domain):
         lo, hi = self.inner_radius**d, self.radius**d
         r = (lo + (hi - lo) * rng.uniform(size=(n, 1))) ** (1.0 / d)
         return np.asarray(self.center) + r * z
-
-
-def signed_distance(domain, x):
-    """Closed-form signed distance; negative inside, positive outside."""
-    return domain.signed_distance(x)
-
-
-def outward_normal(domain, x, band_width=None):
-    """Unit outward normal at the wall point nearest x.
-
-    Raises AmbiguousProjection when x sits outside the uniqueness band
-    (default band: L/2, R/2, (R-r)/2 per domain kind).
-    """
-    return domain.outward_normal(x, band_width)
-
-
-def project(domain, x):
-    """Closed-form projection onto the nearest wall; sd(project(x)) = 0."""
-    return domain.project(x)
 
 
 def reflect(u, n):

@@ -11,11 +11,14 @@ and the velocity reflected specularly.
 
 One kernel does this for single paths and ensembles alike: the near-wall
 paths of a macro step advance in lockstep, each with its own explicit stack
-of bridge segments, and every pass prunes, locates or refines the top segment
-of all of them with vectorized arithmetic.  Every random draw is addressed by
-(seed, stream id, counter) and each path draws in the order of the
-sequential depth-first traversal, so a path is a pure function of its stream
-and the results are bit for bit the same however paths are batched.
+of bridge segments.  A segment is classified (pruned, a leaf that stays
+inside, a crossing leaf, or to be split) as soon as both its endpoints
+exist, and the segments that need no more work are popped at once, so every
+pass either refines or locates the top segment of each path with vectorized
+arithmetic.  Every random draw is addressed by (seed, stream id, counter)
+and each path draws in the order of the sequential depth-first traversal,
+so a path is a pure function of its stream and the results are bit for bit
+the same however paths are batched.
 
 One marching loop, run_ensemble, serves every particle run.  Before each
 confined step it kicks the velocities by h times a field: none for the linear
@@ -31,14 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidStart, WatchdogExceeded
-from .geometry import (
-    EPS_TAN_DEFAULT as EPS_TAN,
-    Domain,
-    outward_normal,
-    project,
-    reflect,
-    signed_distance,
-)
+from .geometry import EPS_TAN_DEFAULT as EPS_TAN, Domain, reflect
 from .rng import RngStream, normals_at
 
 STEP_COUNTER_STRIDE = 1 << 16  # per-(path, macro-step) noise budget
@@ -232,11 +228,17 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
     (a tangential graze keeps it); the path then flies over the time left.
 
     Each path keeps a stack of the right endpoints of its pending segments,
-    with the dyadic level of each.  Every pass takes the top segment of
-    every active path and prunes, locates or refines it under vectorized
-    masks; only the rare wall contacts are handled one at a time.  Draws
-    come from one window of normals per path, refilled for the paths that
-    run past it, so each keeps its (seed, stream_id, counter) address.
+    with the dyadic level of each.  A segment's fate (pruned, a leaf that
+    stays inside, a crossing leaf, or split) depends only on its two
+    endpoints, its level and the time left, so it is decided when the
+    segment is pushed: by the free flight, or by the split that makes it.
+    Each entry also records the highest entry at or below it that is kept
+    (split or crossing), so the segments that need no more work are popped
+    in one step, and every pass splits or locates the top segment of each
+    active path under vectorized masks.  Only the rare wall contacts are
+    handled one at a time.  Draws come from one window of normals per path,
+    refilled for the paths that run past it, so each keeps its
+    (seed, stream_id, counter) address.
 
     Returns (X, U, counters, hits): end states, each path's counter after
     its last draw, and per path the list of its HitEvents in time order.
@@ -253,22 +255,25 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
     d = 1 if ax.ndim == 1 else ax.shape[1]
     width = WINDOW * d
     window = normals_at(seed, stream_ids, start, width)
+    flat_window = window.reshape(-1)
     w_start = ctr.copy()
     pair = np.arange(2 * d)
 
     def draw(rows):
         """2d normals for each row at its counter: (xi1, xi2) per component."""
-        off = ctr[rows] - w_start[rows]
+        c = ctr[rows]
+        off = c - w_start[rows]
         past = off + 2 * d > width
         if past.any():
             refill = rows[past]
-            window[refill] = normals_at(seed, stream_ids[refill], ctr[refill], width)
-            w_start[refill] = ctr[refill]
+            window[refill] = normals_at(seed, stream_ids[refill], c[past], width)
+            w_start[refill] = c[past]
             off[past] = 0
-        ctr[rows] += 2 * d
-        if limit is not None and ctr[rows].max() > limit:
+        c += 2 * d
+        ctr[rows] = c
+        if limit is not None and c.max() > limit:
             raise WatchdogExceeded("per-step noise budget exhausted")
-        z = window[rows[:, None], off[:, None] + pair]
+        z = flat_window[(rows * width + off)[:, None] + pair]
         return (z[:, 0], z[:, 1]) if d == 1 else (z[:, 0::2], z[:, 1::2])
 
     h = float(h)
@@ -277,116 +282,145 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
         dt *= 0.5
         depth += 1
     level_scales = np.array([_bridge_scales(sigma, math.ldexp(h, -lv)) for lv in range(depth)])
-    # stack entries: right endpoint, its signed distance and speed, and the
-    # level of the segment it closes; levels increase towards the top, where
-    # the two halves of the last split share one
-    bx = np.empty((n, depth + 2) + ax.shape[1:])
+    # Row i's stack lives in slots i*W .. i*W + W - 1 of flat arrays; slot 0
+    # is a sentinel and entries start at slot 1.  An entry holds a right
+    # endpoint, its signed distance and speed, the level of the segment it
+    # closes, whether that segment is a crossing leaf, and `kept`: the
+    # highest slot at or below it whose segment is split or crosses (0 when
+    # none is).  Levels increase towards the top, where the two halves of
+    # the last split share one.  right[i*W + l]: the level-l segment is a
+    # right half.
+    W = depth + 3
+    bx = np.empty((n * W,) + ax.shape[1:])
     bu = np.empty_like(bx)
-    b_sd = np.empty((n, depth + 2))
-    b_speed = np.empty((n, depth + 2))
-    b_lev = np.zeros((n, depth + 2), dtype=np.int64)
-    size = np.zeros(n, dtype=np.int64)
-    right = np.zeros((n, depth + 1), dtype=bool)  # the level-l segment is a right half
+    b_sd = np.empty(n * W)
+    b_speed = np.empty(n * W)
+    b_lev = np.zeros(n * W, dtype=np.int64)
+    cross = np.zeros(n * W, dtype=bool)
+    kept = np.zeros(n * W, dtype=np.int64)
+    right = np.zeros(n * W, dtype=bool)
+    top = np.zeros(n, dtype=np.int64)  # slot of the top entry; 0 once the step is done
     a_sd = np.empty(n)
     a_speed = np.empty(n)
     h_left = np.full(n, h)
     t_done = np.zeros(n)
     contacts = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
+
+    def classify(f, sd_a, speed_a, hl):
+        """Mark the entries f that close a crossing leaf, given the signed
+        distance and speed of each segment's left end; return which ones
+        need no more work (pruned, or a leaf that stays inside)."""
+        dt = np.ldexp(hl, -b_lev[f])
+        sd_b = b_sd[f]
+        reach = _reach(params, np.maximum(speed_a, b_speed[f]), dt, sigma)
+        prune = np.maximum(sd_a, sd_b) <= -reach
+        leaf = ~prune & (dt <= params.h_min)
+        cross[f] = out = leaf & (sd_b > 0.0)
+        return prune | (leaf & ~out)
+
+    def push(r, g, slot, skip):
+        """Entries g, at `slot` of rows r, go on top.  Those that need no
+        more work are popped with the skipped entries under them, and the
+        left end moves to the right end of the last one popped."""
+        kept[g] = top[r] = k = np.where(skip, kept[g - 1], slot)
+        r, k = r[skip], k[skip]
+        base = r * W
+        e = base + k + 1
+        ax[r], au[r], a_sd[r], a_speed[r] = bx[e], bu[e], b_sd[e], b_speed[e]
+        go = k > 0
+        base, k = base[go], k[go]
+        right[base + b_lev[base + k]] = True
 
     def fly(rows):
         """Free flight over the time left; its end is the whole stack."""
         xi1, xi2 = draw(rows)
-        hl = h_left[rows] if d == 1 else h_left[rows, None]
-        xe, ue = _free_update(ax[rows], au[rows], hl, sigma, xi1, xi2)
-        bx[rows, 0], bu[rows, 0], b_lev[rows, 0], size[rows] = xe, ue, 0, 1
-        b_sd[rows, 0] = domain.signed_distance(xe)
-        b_speed[rows, 0] = _speeds(ue)
+        hl = h_left[rows]
+        xe, ue = _free_update(ax[rows], au[rows], hl if d == 1 else hl[:, None], sigma, xi1, xi2)
+        f = rows * W + 1
+        bx[f], bu[f], b_lev[f] = xe, ue, 0
+        b_sd[f] = domain.signed_distance(xe)
+        b_speed[f] = _speeds(ue)
         a_sd[rows] = domain.signed_distance(ax[rows])
         a_speed[rows] = _speeds(au[rows])
+        push(rows, f, 1, classify(f, a_sd[rows], a_speed[rows], hl))
+
+    def split(r, t, f):
+        """Insert the bridge midpoint of each row's top segment: the right
+        half keeps slot t, the left half is pushed above it; then pop what
+        needs no more work."""
+        lv = b_lev[f]
+        hl = h_left[r]
+        dt = np.ldexp(hl, -lv)
+        xi1, xi2 = draw(r)
+        scales = level_scales[lv]
+        for j in np.flatnonzero(hl != h).tolist():  # paths past a wall contact
+            scales[j] = _bridge_scales(sigma, float(dt[j]))
+        sx, su = scales[:, 0], scales[:, 1]
+        if d > 1:
+            dt, sx, su = dt[:, None], sx[:, None], su[:, None]
+        xm, um = _bridge_update(ax[r], au[r], bx[f], bu[f], dt, sx, su, xi1, xi2)
+        g = f + 1
+        b_lev[f] = b_lev[g] = lv + 1
+        bx[g], bu[g] = xm, um
+        sd_m = b_sd[g] = domain.signed_distance(xm)
+        speed_m = b_speed[g] = _speeds(um)
+        right[r * W + lv + 1] = False
+        kept[f] = np.where(classify(f, sd_m, speed_m, hl), kept[f - 1], t)
+        push(r, g, t + 1, classify(g, a_sd[r], a_speed[r], hl))
 
     fly(np.arange(n))
     while True:
-        rows = np.flatnonzero(active)
+        rows = np.flatnonzero(top)
         if not rows.size:
             return ax, au, ctr, hits
-        top = size[rows] - 1
-        lev = b_lev[rows, top]
-        dt = np.ldexp(h_left[rows], -lev)
-        sd_b = b_sd[rows, top]
-        reach = _reach(params, np.maximum(a_speed[rows], b_speed[rows, top]), dt, sigma)
-        prune = np.maximum(a_sd[rows], sd_b) <= -reach
-        leaf = ~prune & (dt <= params.h_min)
-        cross = leaf & (sd_b > 0.0)
-
-        split = ~(prune | leaf)
-        if split.any():
-            r, t, lv, dt_s = rows[split], top[split], lev[split], dt[split]
-            xi1, xi2 = draw(r)
-            scales = level_scales[lv]
-            for j in np.flatnonzero(h_left[r] != h).tolist():  # paths past a wall contact
-                scales[j] = _bridge_scales(sigma, float(dt_s[j]))
-            sx, su = scales[:, 0], scales[:, 1]
-            if d > 1:
-                dt_s, sx, su = dt_s[:, None], sx[:, None], su[:, None]
-            xm, um = _bridge_update(ax[r], au[r], bx[r, t], bu[r, t], dt_s, sx, su, xi1, xi2)
-            b_lev[r, t] = lv + 1
-            bx[r, t + 1], bu[r, t + 1], b_lev[r, t + 1] = xm, um, lv + 1
-            b_sd[r, t + 1] = domain.signed_distance(xm)
-            b_speed[r, t + 1] = _speeds(um)
-            size[r] = t + 2
-            right[r, lv + 1] = False
-
-        done = prune | (leaf & ~cross)
-        if done.any():
-            r, t = rows[done], top[done]
-            ax[r], au[r] = bx[r, t], bu[r, t]
-            a_sd[r], a_speed[r] = b_sd[r, t], b_speed[r, t]
-            size[r] = t
-            active[r[t == 0]] = False
-            r, t = r[t > 0], t[t > 0] - 1
-            right[r, b_lev[r, t]] = True
-
-        if cross.any():
-            r, t, lv = rows[cross], top[cross], lev[cross]
-            xa, xb = ax[r], bx[r, t]
-            frac = _bisect(domain, xa, xb, params.eps_hit)
-            s = frac if d == 1 else frac[:, None]
-            x_at = xa + s * (xb - xa)
-            u_at = au[r] + s * (bu[r, t] - au[r])
-            again = []
-            for j, i in enumerate(r.tolist()):
-                # fold the time up from the leaf, as the recursion returns it
-                hl, level = float(h_left[i]), int(lv[j])
-                t_rel = float(frac[j]) * math.ldexp(hl, -level)
-                for up in range(level, 0, -1):
-                    if right[i, up]:
-                        t_rel = math.ldexp(hl, -up) + t_rel
-                location = domain.project(x_at[j])
-                u_pre = float(u_at[j]) if d == 1 else u_at[j]
-                normal = domain.outward_normal(location)
-                dot = float(np.dot(np.atleast_1d(u_pre), np.atleast_1d(normal)))
-                if dot <= EPS_TAN * max(_speed(u_pre), 1e-300):
-                    # tangential graze, or an interpolated velocity pointing
-                    # back inside at the located crossing: no jump
-                    u_new = u_pre
-                else:
-                    u_new = reflect(u_pre, normal)
-                    hits[i].append(HitEvent(float(t_done[i] + t_rel), location, u_pre, u_new))
-                contacts[i] += 1
-                if contacts[i] > params.max_hits:
-                    raise WatchdogExceeded(
-                        f"more than max_hits={params.max_hits} wall contacts in one step"
-                    )
-                t_done[i] += t_rel
-                h_left[i] -= t_rel
-                ax[i], au[i] = location, u_new
-                if h_left[i] > 0.0:
-                    again.append(i)
-                else:
-                    active[i] = False
-            if again:
-                fly(np.array(again))
+        t = top[rows]
+        f = rows * W + t
+        hit = cross[f]
+        if not hit.all():
+            keep = ~hit
+            split(rows[keep], t[keep], f[keep])
+        if not hit.any():
+            continue
+        r, f = rows[hit], f[hit]
+        lv = b_lev[f]
+        xa, xb = ax[r], bx[f]
+        frac = _bisect(domain, xa, xb, params.eps_hit)
+        s = frac if d == 1 else frac[:, None]
+        x_at = xa + s * (xb - xa)
+        u_at = au[r] + s * (bu[f] - au[r])
+        again = []
+        for j, i in enumerate(r.tolist()):
+            # fold the time up from the leaf, as the recursion returns it
+            hl, level = float(h_left[i]), int(lv[j])
+            t_rel = float(frac[j]) * math.ldexp(hl, -level)
+            for up in range(level, 0, -1):
+                if right[i * W + up]:
+                    t_rel = math.ldexp(hl, -up) + t_rel
+            location = domain.project(x_at[j])
+            u_pre = float(u_at[j]) if d == 1 else u_at[j]
+            normal = domain.outward_normal(location)
+            dot = float(np.dot(np.atleast_1d(u_pre), np.atleast_1d(normal)))
+            if dot <= EPS_TAN * max(_speed(u_pre), 1e-300):
+                # tangential graze, or an interpolated velocity pointing
+                # back inside at the located crossing: no jump
+                u_new = u_pre
+            else:
+                u_new = reflect(u_pre, normal)
+                hits[i].append(HitEvent(float(t_done[i] + t_rel), location, u_pre, u_new))
+            contacts[i] += 1
+            if contacts[i] > params.max_hits:
+                raise WatchdogExceeded(
+                    f"more than max_hits={params.max_hits} wall contacts in one step"
+                )
+            t_done[i] += t_rel
+            h_left[i] -= t_rel
+            ax[i], au[i] = location, u_new
+            if h_left[i] > 0.0:
+                again.append(i)
+            else:
+                top[i] = 0
+        if again:
+            fly(np.array(again))
 
 
 def confined_step(
@@ -404,8 +438,8 @@ def confined_step(
     start of this step.  Far from the wall this is exactly free_step on the
     same draws.
     """
-    if float(signed_distance(domain, state.x)) > params.eps_hit:
-        raise InvalidStart(f"state outside the domain: sd={signed_distance(domain, state.x)}")
+    if float(domain.signed_distance(state.x)) > params.eps_hit:
+        raise InvalidStart(f"state outside the domain: sd={domain.signed_distance(state.x)}")
     X = np.asarray(state.x, dtype=float)[None]
     U = np.asarray(state.u, dtype=float)[None]
     X, U, counters, hits = _near_wall_kernel(
@@ -424,11 +458,11 @@ def step_count(T: float, h: float) -> int:
 
 
 def _check_start(domain: Domain, initial: PhaseState, eps_hit: float):
-    sd = float(signed_distance(domain, initial.x))
+    sd = float(domain.signed_distance(initial.x))
     if sd > eps_hit:
         raise InvalidStart(f"initial position outside the domain: sd={sd}")
     if sd >= -eps_hit:
-        n = outward_normal(domain, project(domain, initial.x))
+        n = domain.outward_normal(domain.project(initial.x))
         dot = float(np.dot(np.atleast_1d(initial.u), np.atleast_1d(n)))
         if dot >= 0.0:
             raise InvalidStart(

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInitial
-from .geometry import Domain, Interval, signed_distance
+from .geometry import Domain, Interval
 from .langevin import StepParams, run_ensemble
 
 BIN_REFINE = 4  # binning centres per probe interval of the binned estimate
@@ -322,7 +322,7 @@ def run_mckean(
     U0 = np.array(U0, dtype=float)
     if X0.shape[0] != N:
         raise InvalidInitial(f"sampler returned {X0.shape[0]} states, wanted {N}")
-    sd = np.asarray(signed_distance(domain, X0), dtype=float)
+    sd = np.asarray(domain.signed_distance(X0), dtype=float)
     if np.any(sd > params.eps_hit):
         worst = float(sd.max())
         raise InvalidInitial(f"initial positions leave the domain by {worst:.3e}")

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from speckin.errors import InvalidStart, WatchdogExceeded
-from speckin.geometry import outward_normal, project, reflect, signed_distance
+from speckin.geometry import reflect
 from speckin.langevin import (
     EPS_TAN,
     ConfinedStepResult,
@@ -58,11 +58,11 @@ def locate_on_segment(domain, a: PhaseState, b: PhaseState, params: StepParams):
         if (s_hi - s_lo) * chord_len <= params.eps_hit:
             break
         s_mid = 0.5 * (s_lo + s_hi)
-        if float(signed_distance(domain, _interp(a.x, b.x, s_mid))) > 0.0:
+        if float(domain.signed_distance(_interp(a.x, b.x, s_mid))) > 0.0:
             s_hi = s_mid
         else:
             s_lo = s_mid
-    location = project(domain, _interp(a.x, b.x, s_lo))
+    location = domain.project(_interp(a.x, b.x, s_lo))
     return s_lo, location, _interp(a.u, b.u, s_lo)
 
 
@@ -73,8 +73,8 @@ def first_hit(domain, a, b, dt, params, sigma, rng):
     rng while refining; a pruned or hit-free call leaves the free endpoint b
     as the step result.
     """
-    sd_a = float(signed_distance(domain, a.x))
-    sd_b = float(signed_distance(domain, b.x))
+    sd_a = float(domain.signed_distance(a.x))
+    sd_b = float(domain.signed_distance(b.x))
     delta = _near_trigger(params, max(_speed(a.u), _speed(b.u)), dt, sigma)
     if sd_a <= -delta and sd_b <= -delta:
         return None
@@ -96,8 +96,8 @@ def first_hit(domain, a, b, dt, params, sigma, rng):
 
 def confined_step(domain, state, params, sigma, rng, h=None) -> ConfinedStepResult:
     """One macro step of one path, reflecting at every wall hit."""
-    if float(signed_distance(domain, state.x)) > params.eps_hit:
-        raise InvalidStart(f"state outside the domain: sd={signed_distance(domain, state.x)}")
+    if float(domain.signed_distance(state.x)) > params.eps_hit:
+        raise InvalidStart(f"state outside the domain: sd={domain.signed_distance(state.x)}")
     h_left = params.h if h is None else float(h)
     t_done = 0.0
     cur = state
@@ -110,7 +110,7 @@ def confined_step(domain, state, params, sigma, rng, h=None) -> ConfinedStepResu
         if found is None:
             return ConfinedStepResult(end, tuple(hits))
         t_rel, location, u_pre = found
-        n = outward_normal(domain, location)
+        n = domain.outward_normal(location)
         dot = float(np.dot(np.atleast_1d(u_pre), np.atleast_1d(n)))
         if dot <= EPS_TAN * max(_speed(u_pre), 1e-300):
             cur = PhaseState(location, u_pre)

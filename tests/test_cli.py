@@ -539,3 +539,23 @@ class TestReproducibility:
         X0, _ = sample_initial(cfg, cfg.run.N, cfg.run.seed)
         got = [float(l.split(",")[2]) for l in lines[1 : 1 + cfg.run.N]]
         assert got == [float(x) for x in X0]
+
+    def test_csv_cells_are_17_digit_doubles(self, tmp_path):
+        # the row template writes what per-cell format(float(v), ".17g") writes,
+        # on the special values and on doubles drawn across the whole range
+        gen = np.random.default_rng(11)
+        bits = gen.integers(0, 2**63, 2000, dtype=np.uint64) | (
+            gen.integers(0, 2, 2000, dtype=np.uint64) << np.uint64(63)
+        )
+        values = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0, 3, np.float32(0.1)]
+        values += bits.view(np.float64).tolist() + list(gen.standard_normal(10))
+        rows = [(str(i), v, np.float64(v) * 0.5, "w") for i, v in enumerate(values)]
+        path = tmp_path / "cells.csv"
+        speckin.cli._write_csv(path, ["id", "a", "b", "tag"], iter(rows))
+        want = "id,a,b,tag\n" + "".join(
+            ",".join(c if isinstance(c, str) else format(float(c), ".17g") for c in row) + "\n"
+            for row in rows
+        )
+        assert path.read_bytes() == want.encode("utf-8")
+        speckin.cli._write_csv(path, ["t"], iter(()))
+        assert path.read_bytes() == b"t\n"

@@ -13,10 +13,7 @@ from speckin.geometry import (
     BoundaryClass,
     Interval,
     classify,
-    outward_normal,
-    project,
     reflect,
-    signed_distance,
 )
 
 BALL = Ball(center=(0.0, 0.0), radius=1.0)
@@ -25,40 +22,40 @@ INTERVAL = Interval(length=1.0)
 
 
 def test_signed_distance_values():
-    assert signed_distance(BALL, (0.5, 0.0)) == -0.5
-    assert signed_distance(BALL, (2.0, 0.0)) == 1.0
-    assert signed_distance(INTERVAL, 0.0) == 0.0
-    assert signed_distance(INTERVAL, 0.25) == -0.25
-    assert signed_distance(ANNULUS, (1.5, 0.0)) == -0.5
-    assert signed_distance(ANNULUS, (0.5, 0.0)) == 0.5  # inside the hole
-    assert signed_distance(ANNULUS, (3.0, 0.0)) == 1.0
+    assert BALL.signed_distance((0.5, 0.0)) == -0.5
+    assert BALL.signed_distance((2.0, 0.0)) == 1.0
+    assert INTERVAL.signed_distance(0.0) == 0.0
+    assert INTERVAL.signed_distance(0.25) == -0.25
+    assert ANNULUS.signed_distance((1.5, 0.0)) == -0.5
+    assert ANNULUS.signed_distance((0.5, 0.0)) == 0.5  # inside the hole
+    assert ANNULUS.signed_distance((3.0, 0.0)) == 1.0
 
 
 def test_signed_distance_broadcasts():
     xs = np.array([[0.5, 0.0], [2.0, 0.0], [0.0, 0.25]])
     np.testing.assert_allclose(
-        signed_distance(BALL, xs), [-0.5, 1.0, -0.75], atol=1e-15
+        BALL.signed_distance(xs), [-0.5, 1.0, -0.75], atol=1e-15
     )
     np.testing.assert_allclose(
-        signed_distance(INTERVAL, np.array([0.1, 0.9, 1.2])), [-0.1, -0.1, 0.2]
+        INTERVAL.signed_distance(np.array([0.1, 0.9, 1.2])), [-0.1, -0.1, 0.2]
     )
 
 
 def test_outward_normal_values():
-    np.testing.assert_allclose(outward_normal(BALL, (0.0, 1.0)), (0.0, 1.0))
-    np.testing.assert_allclose(outward_normal(ANNULUS, (1.0, 0.0)), (-1.0, 0.0))
-    np.testing.assert_allclose(outward_normal(ANNULUS, (2.0, 0.0)), (1.0, 0.0))
-    assert outward_normal(INTERVAL, 0.0) == -1.0
-    assert outward_normal(INTERVAL, 1.0) == 1.0
+    np.testing.assert_allclose(BALL.outward_normal((0.0, 1.0)), (0.0, 1.0))
+    np.testing.assert_allclose(ANNULUS.outward_normal((1.0, 0.0)), (-1.0, 0.0))
+    np.testing.assert_allclose(ANNULUS.outward_normal((2.0, 0.0)), (1.0, 0.0))
+    assert INTERVAL.outward_normal(0.0) == -1.0
+    assert INTERVAL.outward_normal(1.0) == 1.0
 
 
 def test_outward_normal_ambiguous():
     with pytest.raises(AmbiguousProjection):
-        outward_normal(BALL, (0.0, 0.0))
+        BALL.outward_normal((0.0, 0.0))
     with pytest.raises(AmbiguousProjection):
-        outward_normal(INTERVAL, 0.5)
+        INTERVAL.outward_normal(0.5)
     with pytest.raises(AmbiguousProjection):
-        outward_normal(ANNULUS, (1.5, 0.0))  # mid-shell, outside default band
+        ANNULUS.outward_normal((1.5, 0.0))  # mid-shell, outside default band
 
 
 def test_normal_matches_distance_gradient():
@@ -80,14 +77,14 @@ def test_normal_matches_distance_gradient():
         else:
             pts = np.concatenate([0.1 * rng.uniform(size=6), 1.0 - 0.1 * rng.uniform(size=6)])
         for x in pts:
-            n = outward_normal(domain, x)
+            n = domain.outward_normal(x)
             if np.ndim(x) == 0:
-                fd = (signed_distance(domain, x + step) - signed_distance(domain, x - step)) / (2 * step)
+                fd = (domain.signed_distance(x + step) - domain.signed_distance(x - step)) / (2 * step)
                 assert abs(fd - n) < 1e-6
             else:
                 fd = np.array(
                     [
-                        (signed_distance(domain, x + step * e) - signed_distance(domain, x - step * e)) / (2 * step)
+                        (domain.signed_distance(x + step * e) - domain.signed_distance(x - step * e)) / (2 * step)
                         for e in np.eye(len(x))
                     ]
                 )
@@ -100,14 +97,14 @@ def test_projection_lands_on_wall():
         x = rng.uniform(-0.95, 0.95, size=2)
         if np.linalg.norm(x) < 1e-3:
             continue
-        p = project(BALL, x)
-        assert abs(signed_distance(BALL, p)) < 1e-12
+        p = BALL.project(x)
+        assert abs(BALL.signed_distance(p)) < 1e-12
     for x in [0.01, 0.3, 0.7, 0.99, -0.2, 1.4]:
-        p = project(INTERVAL, x)
-        assert abs(signed_distance(INTERVAL, p)) < 1e-12
+        p = INTERVAL.project(x)
+        assert abs(INTERVAL.signed_distance(p)) < 1e-12
     for radius in [1.05, 1.4, 1.6, 1.95, 0.5, 2.5]:
-        p = project(ANNULUS, (radius, 0.0))
-        assert abs(signed_distance(ANNULUS, p)) < 1e-12
+        p = ANNULUS.project((radius, 0.0))
+        assert abs(ANNULUS.signed_distance(p)) < 1e-12
 
 
 def test_reflect_formula_and_errors():
@@ -159,7 +156,7 @@ def test_uniform_sampler_stays_inside():
     rng = np.random.default_rng(11)
     for dom in (BALL, ANNULUS, INTERVAL):
         pts = dom.sample_uniform(500, rng)
-        assert np.all(signed_distance(dom, pts) < 0)
+        assert np.all(dom.signed_distance(pts) < 0)
 
 
 def test_domain_from_config():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from speckin.errors import InvalidStart, WatchdogExceeded
-from speckin.geometry import Ball, Interval, outward_normal, signed_distance
+from speckin.geometry import Ball, Interval
 from speckin.langevin import (
     PhaseState,
     StepParams,
@@ -313,13 +313,13 @@ def test_ensemble_statistics_ball():
     params = StepParams(h=0.1)
     hits = []
     X, U, _ = run_ensemble(domain, X0, U0, 1.0, params, 1.0, seed=2024, hit_sink=hits)
-    assert np.all(signed_distance(domain, X) <= params.eps_hit)
+    assert np.all(domain.signed_distance(X) <= params.eps_hit)
     counts = np.zeros(n)
     for rec in hits:
         counts[rec.path_id] += 1
     assert np.quantile(counts, 0.999) < params.max_hits
     for rec in hits[:2000]:
-        nrm = outward_normal(domain, rec.location)
+        nrm = domain.outward_normal(rec.location)
         assert abs(
             np.linalg.norm(rec.post_velocity) - np.linalg.norm(rec.pre_velocity)
         ) <= 1e-12 * max(1.0, np.linalg.norm(rec.pre_velocity))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from speckin.errors import InvalidInitial
-from speckin.geometry import Ball, Interval, signed_distance
+from speckin.geometry import Ball, Interval
 from speckin.langevin import (
     PhaseState,
     RngStream,
@@ -366,7 +366,7 @@ def test_step_preserves_count_and_confinement():
         0.05, params, 300, seed=13,
     ).final
     assert len(out) == 300
-    assert np.all(signed_distance(dom, out.positions) <= params.eps_hit)
+    assert np.all(dom.signed_distance(out.positions) <= params.eps_hit)
 
 
 def test_drift_kick_bounded():
@@ -533,7 +533,7 @@ def test_ball_ensemble_runs_with_vector_drift():
         120,
         seed=31,
     )
-    assert np.all(signed_distance(dom, run.final.positions) <= 1e-10)
+    assert np.all(dom.signed_distance(run.final.positions) <= 1e-10)
 
 
 def test_wall_side_hit_symmetry():

@@ -67,6 +67,24 @@ def _case(name):
     if name == "interval-delta-near":
         X = gen.uniform(0.0, 0.02, 12)
         return Interval(1.0), X, gen.standard_normal(12), StepParams(h=0.02, delta_near=0.05), 1.0
+    if name == "interval-h-min-is-h":
+        # depth 0: the free flight is the only segment and already a leaf
+        X = np.r_[gen.uniform(0.0, 0.05, 20), gen.uniform(0.95, 1.0, 20)]
+        params = StepParams(h=0.02, h_min=0.02)
+        return Interval(1.0), X, 3.0 * gen.standard_normal(40), params, 1.0
+    if name == "interval-prune-nothing":
+        # a delta_near wider than the domain prunes nothing, so every leaf
+        # is reached and those that stay inside are popped in chains
+        X = np.r_[gen.uniform(0.0, 0.01, 6), gen.uniform(0.99, 1.0, 6)]
+        U = np.r_[-gen.uniform(0.0, 1.0, 6), gen.uniform(0.0, 1.0, 6)]  # towards the wall
+        params = StepParams(h=0.02, h_min=0.02 / 64, delta_near=2.0)
+        return Interval(1.0), X, U, params, 1.0
+    if name == "interval-short-last-step":
+        # the last step of a run is shorter than params.h; fast paths hit
+        # the walls and refine what is left of it at other scales
+        X = gen.uniform(0.0, 0.1, 16)
+        U = gen.choice([-1.0, 1.0], 16) * gen.uniform(5.0, 40.0, 16)
+        return Interval(0.1), X, U, StepParams(h=0.02), 1.0
     if name == "ball-2d":
         X = _shell(gen, 60, 2, 0.85, 1.0)
         return Ball((0.0, 0.0), 1.0), X, 2.0 * gen.standard_normal((60, 2)), StepParams(h=0.05), 1.0
@@ -101,20 +119,24 @@ CASES = [
     "ball-3d-delta-near",
     "annulus-2d",
     "annulus-2d-boundary-fast",
+    "interval-h-min-is-h",
+    "interval-prune-nothing",
+    "interval-short-last-step",
 ]
+SHORT_STEP = {"interval-short-last-step": 0.013}  # step lengths other than params.h
 
 
 def _row(A, i):
     return float(A[i]) if A.ndim == 1 else A[i].copy()
 
 
-def _reference(domain, X, U, params, sigma):
+def _reference(domain, X, U, params, sigma, h):
     """Each path alone through the scalar cascade: (result, counter)."""
     out = []
     for i in range(X.shape[0]):
         rng = RngStream(SEED, i, STEP * STEP_COUNTER_STRIDE)
         res = scalar_cascade.confined_step(
-            domain, PhaseState(_row(X, i), _row(U, i)), params, sigma, rng
+            domain, PhaseState(_row(X, i), _row(U, i)), params, sigma, rng, h=h
         )
         out.append((res, rng.counter))
     return out
@@ -133,16 +155,16 @@ def _assert_same_hits(mine, ref):
 def case(request):
     """One scenario with its scalar reference, shared by the tests below."""
     domain, X, U, params, sigma = _case(request.param)
-    return request.param, domain, X, U, params, sigma, _reference(domain, X, U, params, sigma)
+    h = SHORT_STEP.get(request.param, params.h)
+    return (request.param, domain, X, U, params, sigma, h,
+            _reference(domain, X, U, params, sigma, h))
 
 
 def test_kernel_matches_scalar_cascade_bitwise(case):
-    name, domain, X, U, params, sigma, ref = case
+    name, domain, X, U, params, sigma, h, ref = case
     base = STEP * STEP_COUNTER_STRIDE
     ids = np.arange(X.shape[0], dtype=np.uint64)
-    Xk, Uk, counters, hits = _near_wall_kernel(
-        domain, X, U, params.h, params, sigma, SEED, ids, base
-    )
+    Xk, Uk, counters, hits = _near_wall_kernel(domain, X, U, h, params, sigma, SEED, ids, base)
     for i, (res, counter) in enumerate(ref):
         np.testing.assert_array_equal(Xk[i], res.state.x)
         np.testing.assert_array_equal(Uk[i], res.state.u)
@@ -155,16 +177,16 @@ def test_kernel_matches_scalar_cascade_bitwise(case):
 
 
 def test_single_path_and_ensemble_match_scalar_cascade(case):
-    _, domain, X, U, params, sigma, ref = case
+    _, domain, X, U, params, sigma, h, ref = case
     for i in range(0, X.shape[0], 7):
         rng = RngStream(SEED, i, STEP * STEP_COUNTER_STRIDE)
-        res = confined_step(domain, PhaseState(_row(X, i), _row(U, i)), params, sigma, rng)
+        res = confined_step(domain, PhaseState(_row(X, i), _row(U, i)), params, sigma, rng, h=h)
         assert rng.counter == ref[i][1]
         np.testing.assert_array_equal(res.state.x, ref[i][0].state.x)
         np.testing.assert_array_equal(res.state.u, ref[i][0].state.u)
         _assert_same_hits(res.hits, ref[i][0].hits)
     sink = []
-    Xe, Ue = ensemble_confined_step(domain, X, U, STEP, params, sigma, SEED, hit_sink=sink)
+    Xe, Ue = ensemble_confined_step(domain, X, U, STEP, params, sigma, SEED, h=h, hit_sink=sink)
     for i, (res, _) in enumerate(ref):
         np.testing.assert_array_equal(Xe[i], res.state.x)
         np.testing.assert_array_equal(Ue[i], res.state.u)
