@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 
@@ -404,7 +405,9 @@ def build_grid(cfg: ScenarioConfig, upper=None) -> PhaseGrid:
 
     v_max defaults to the certified envelope support radius; dt is the
     largest uniform step below dt_factor times the binding limit among
-    transport, diffusion positivity, and drift advection.
+    transport, diffusion positivity, and drift advection. Every grid solve
+    holds at least one field history, so a grid whose history does not fit
+    in physical memory is refused here, before anything is allocated.
     """
     if cfg.domain.kind != "interval":
         raise ConstraintViolation("domain.kind", "the grid solver needs an interval domain")
@@ -422,7 +425,7 @@ def build_grid(cfg: ScenarioConfig, upper=None) -> PhaseGrid:
     if model.b_norm > 0:
         limit = min(limit, du / model.b_norm)
     dt = horizon / math.ceil(horizon / (grid_spec.dt_factor * limit))
-    return PhaseGrid(
+    grid = PhaseGrid(
         length=cfg.domain.length,
         n_x=grid_spec.n_x,
         v_max=v_max,
@@ -430,6 +433,24 @@ def build_grid(cfg: ScenarioConfig, upper=None) -> PhaseGrid:
         dt=dt,
         horizon=horizon,
     )
+    history = (grid.n_steps + 1) * grid.n_x * grid.n_u * 8
+    memory = _physical_memory()
+    if memory is not None and history > memory:
+        raise ConstraintViolation(
+            "numerics.grid",
+            f"one field history of {grid.n_steps + 1} time slices takes "
+            f"{history / 1e6:.1f} MB, more than the {memory / 1e6:.1f} MB of "
+            "physical memory",
+        )
+    return grid
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def initial_density(cfg: ScenarioConfig, grid: PhaseGrid) -> np.ndarray:

@@ -260,9 +260,13 @@ def _rotate_interp(circles: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return prev
 
 
-def _transport_specular(values: np.ndarray, grid: PhaseGrid, dt: float) -> np.ndarray:
-    half = grid.n_u // 2
-    shifts = grid.u[half:] * (dt / grid.dx)
+def _transport_shifts(grid: PhaseGrid, dt: float) -> np.ndarray:
+    """Cells each circle row moves in time dt, one row per u > 0 node."""
+    return grid.u[grid.n_u // 2:] * (dt / grid.dx)
+
+
+def _transport_specular(values: np.ndarray, grid: PhaseGrid,
+                        shifts: np.ndarray) -> np.ndarray:
     return _fold(_rotate_interp(_unfold(values, grid), shifts), grid)
 
 
@@ -360,6 +364,74 @@ def _resolve_drift(B, grid: PhaseGrid):
     raise ValueError("drift must be None, scalar, callable, or (n_x,) array")
 
 
+def _specular_march(grid: PhaseGrid, rho0, B, sigma: float,
+                    weight: WeightParams | None = None, trace_order: int = 2):
+    """The one copy of the specular Strang step, marching rho0 to the horizon.
+
+    Returns (result, steps). `steps` yields (k, slice k) for k = 0..n_steps,
+    slice 0 being the initial density, and fills the per-step ledgers of
+    `result` (traces, mass, gradient and bracket terms, clamps) as it goes.
+    `result.fields` is None: each caller keeps only the slices it needs. A
+    yielded slice is never written again by the march. The band matrix and
+    the transport shifts are built once per distinct dt, and dt changes on
+    the last step only.
+    """
+    grid.check_diffusion(sigma)
+    f = _as_values(rho0)
+    if f.shape != (grid.n_x, grid.n_u):
+        raise ValueError(f"rho0 must have shape {(grid.n_x, grid.n_u)}")
+    if float(f.min()) < 0:
+        raise NegativeDensity("initial density has negative entries")
+    drift_fn = _resolve_drift(B, grid)
+    n_steps = grid.n_steps
+    result = SpecularResult(
+        grid=grid,
+        times=grid.times,
+        fields=None,
+        traces=np.empty((n_steps + 1, 2, grid.n_u)),
+        mass=np.empty(n_steps + 1),
+        grad_sq_weighted=np.zeros(n_steps),
+        bracket_sq_weighted=np.zeros(n_steps),
+        clamped=[],
+        weight=weight,
+    )
+    result.traces[0] = _specular_trace(f, grid, trace_order)
+    result.mass[0] = grid.cell_mass(f)
+
+    def steps(f):
+        w_face = _face_weights(grid, weight)
+        wgrad, wlap = _weight_derivatives(grid, weight)
+        quad = grid.dx * grid.du
+        x = grid.x
+        scale = float(f.max())
+        per_dt = {}
+        t = 0.0
+        yield 0, f
+        for k in range(n_steps):
+            dt = min(grid.dt, grid.horizon - t)
+            drift = np.asarray(drift_fn(t, x), dtype=float)
+            grid.check_drift(float(np.abs(drift).max()) if drift.size else 0.0)
+            if dt not in per_dt:
+                per_dt[dt] = (*_diffusion_matrix(grid, sigma, dt),
+                              _transport_shifts(grid, 0.5 * dt))
+            lam, ab, shifts = per_dt[dt]
+            f = _transport_specular(f, grid, shifts)
+            f = _advect_u(f, drift, grid, dt)
+            pre = f
+            f = _diffuse(f, lam, ab)
+            result.grad_sq_weighted[k] = dt * _face_grad_sq(0.5 * (pre + f), grid, w_face)
+            f = _transport_specular(f, grid, shifts)
+            f = _clamp(f, scale, result.clamped)
+            t += dt
+            result.traces[k + 1] = _specular_trace(f, grid, trace_order)
+            result.mass[k + 1] = grid.cell_mass(f)
+            bracket = 0.5 * sigma**2 * wlap[None, :] + drift[:, None] * wgrad[None, :]
+            result.bracket_sq_weighted[k] = dt * float((bracket * f**2).sum()) * quad
+            yield k + 1, f
+
+    return result, steps(f)
+
+
 def solve_specular_linear(
     grid: PhaseGrid,
     rho0,
@@ -374,59 +446,12 @@ def solve_specular_linear(
     it is evaluated at the start of each step. The returned traces are the
     unfolded-field wall values, identical for u and -u by construction.
     """
-    grid.check_diffusion(sigma)
-    f = _as_values(rho0)
-    if f.shape != (grid.n_x, grid.n_u):
-        raise ValueError(f"rho0 must have shape {(grid.n_x, grid.n_u)}")
-    if float(f.min()) < 0:
-        raise NegativeDensity("initial density has negative entries")
-    drift_fn = _resolve_drift(B, grid)
-    n_steps = grid.n_steps
-    fields = np.empty((n_steps + 1, grid.n_x, grid.n_u))
-    traces = np.empty((n_steps + 1, 2, grid.n_u))
-    mass = np.empty(n_steps + 1)
-    grad_sq = np.zeros(n_steps)
-    bracket_sq = np.zeros(n_steps)
-    clamped: list = []
-    w_face = _face_weights(grid, weight)
-    wgrad, wlap = _weight_derivatives(grid, weight)
-    quad = grid.dx * grid.du
-    x = grid.x
-    scale = float(f.max())
-
-    fields[0] = f
-    traces[0] = _specular_trace(f, grid, trace_order)
-    mass[0] = grid.cell_mass(f)
-    t = 0.0
-    for k in range(n_steps):
-        dt = min(grid.dt, grid.horizon - t)
-        drift = np.asarray(drift_fn(t, x), dtype=float)
-        grid.check_drift(float(np.abs(drift).max()) if drift.size else 0.0)
-        lam, ab = _diffusion_matrix(grid, sigma, dt)
-        f = _transport_specular(f, grid, 0.5 * dt)
-        f = _advect_u(f, drift, grid, dt)
-        pre = f
-        f = _diffuse(f, lam, ab)
-        grad_sq[k] = dt * _face_grad_sq(0.5 * (pre + f), grid, w_face)
-        f = _transport_specular(f, grid, 0.5 * dt)
-        f = _clamp(f, scale, clamped)
-        t += dt
-        fields[k + 1] = f
-        traces[k + 1] = _specular_trace(f, grid, trace_order)
-        mass[k + 1] = grid.cell_mass(f)
-        bracket = 0.5 * sigma**2 * wlap[None, :] + drift[:, None] * wgrad[None, :]
-        bracket_sq[k] = dt * float((bracket * f**2).sum()) * quad
-    return SpecularResult(
-        grid=grid,
-        times=grid.times,
-        fields=fields,
-        traces=traces,
-        mass=mass,
-        grad_sq_weighted=grad_sq,
-        bracket_sq_weighted=bracket_sq,
-        clamped=clamped,
-        weight=weight,
-    )
+    result, steps = _specular_march(grid, rho0, B, sigma, weight, trace_order)
+    fields = np.empty((grid.n_steps + 1, grid.n_x, grid.n_u))
+    for k, f in steps:
+        fields[k] = f
+    result.fields = fields
+    return result
 
 
 def _weight_derivatives(grid: PhaseGrid, weight: WeightParams | None):
@@ -601,9 +626,12 @@ def solve_linear_inflow(
     def wall_quad(pair):
         return float((abs_u * pair**2).sum()) * grid.du
 
+    per_dt = {}
     for k in range(n_steps):
         dt = min(grid.dt, grid.horizon - t)
-        lam, ab = _diffusion_matrix(grid, sigma, dt)
+        if dt not in per_dt:
+            per_dt[dt] = _diffusion_matrix(grid, sigma, dt)
+        lam, ab = per_dt[dt]
         before = grid.cell_mass(f)
         g_prev = grad_quad(f)
         q_prev = wall_quad(np.stack([q_at(t, 0), q_at(t, 1)]))
@@ -684,29 +712,38 @@ def weighted_norms(fields: np.ndarray, grid: PhaseGrid,
     arr = np.asarray(fields, dtype=float)
     if arr.ndim == 2:
         arr = arr[None]
-    return _norms_of_slices(arr, len(arr), grid, weight, dt)
+    terms = _SliceNorms(len(arr), grid, weight)
+    for k, f in enumerate(arr):
+        terms.add(k, f)
+    return terms.norms(dt)
 
 
-def _norms_of_slices(slices, n_t: int, grid: PhaseGrid, weight: WeightParams,
-                     dt: float | None = None) -> WeightedNorms:
-    """`weighted_norms` of n_t (n_x, n_u) time slices, taken one at a time.
+class _SliceNorms:
+    """Per-slice terms of `weighted_norms`, kept one number per slice.
 
-    Only slice-sized temporaries are built; the per-slice sums are kept and
-    reduced over time as whole arrays.
+    Only slice-sized temporaries are built; the per-slice sums are reduced
+    over time as whole arrays once every slice is in.
     """
-    w = weight_eval(weight, grid.u).value
-    quad = grid.dx * grid.du
-    sq = np.empty(n_t)
-    gsq = np.empty(n_t)
-    for k, f in enumerate(slices):
-        sq[k] = (f**2 * w).sum() * quad
-        g = np.gradient(f, grid.du, axis=1)
-        gsq[k] = (g**2 * w).sum() * quad
-    step = grid.dt if dt is None else dt
-    return WeightedNorms(
-        sup_l2w_sq=float(sq.max()),
-        grad_l2w_sq=float(gsq[1:].sum()) * step if n_t > 1 else float(gsq[0]) * step,
-    )
+
+    def __init__(self, n_t: int, grid: PhaseGrid, weight: WeightParams):
+        self.grid = grid
+        self.w = weight_eval(weight, grid.u).value
+        self.quad = grid.dx * grid.du
+        self.sq = np.empty(n_t)
+        self.gsq = np.empty(n_t)
+
+    def add(self, k: int, f: np.ndarray):
+        self.sq[k] = (f**2 * self.w).sum() * self.quad
+        g = np.gradient(f, self.grid.du, axis=1)
+        self.gsq[k] = (g**2 * self.w).sum() * self.quad
+
+    def norms(self, dt: float | None = None) -> WeightedNorms:
+        step = self.grid.dt if dt is None else dt
+        gsq = self.gsq
+        return WeightedNorms(
+            sup_l2w_sq=float(self.sq.max()),
+            grad_l2w_sq=float(gsq[1:].sum()) * step if len(gsq) > 1 else float(gsq[0]) * step,
+        )
 
 
 def trace_extract(field, grid: PhaseGrid, order: int = 2,
@@ -763,32 +800,12 @@ class PicardResult:
     drift_history: np.ndarray  # (n_steps, n_x) of the final frozen drift
 
 
-def _v1_distance(a: np.ndarray, b: np.ndarray, grid: PhaseGrid,
-                 weight: WeightParams) -> float:
-    """`weighted_norms(a - b, ...).v1`, one time slice of the difference at a time."""
-    diffs = (a[k] - b[k] for k in range(len(a)))
-    return _norms_of_slices(diffs, len(a), grid, weight).v1
-
-
 def _envelope_table(params: MaxwellianParams | None,
                     grid: PhaseGrid) -> np.ndarray | None:
     """Envelope values at every (grid time, velocity node), one row per time."""
     if params is None:
         return None
     return np.stack([maxwellian_eval(params, float(t), grid.u) for t in grid.times])
-
-
-def _envelope_violations(fields: np.ndarray, lower: np.ndarray | None,
-                         upper: np.ndarray | None):
-    """Largest excursions of a history below/above tabulated envelopes."""
-    lo_viol = 0.0
-    up_viol = 0.0
-    for k in range(len(fields)):
-        if lower is not None:
-            lo_viol = max(lo_viol, float((lower[k] - fields[k]).max()))
-        if upper is not None:
-            up_viol = max(up_viol, float((fields[k] - upper[k]).max()))
-    return max(lo_viol, 0.0), max(up_viol, 0.0)
 
 
 def picard_nonlinear(
@@ -808,38 +825,52 @@ def picard_nonlinear(
     iterate solves the specular problem with the drift estimated from the
     previous iterate's history, step by step. Stops when the discrete
     weighted V1 distance between consecutive histories drops below tol.
-    A sweep holds the new history and the previous one; the distance and
-    the envelope violations are taken one time slice at a time, against
-    envelope tables evaluated once per call.
+
+    A sweep holds one field history. Each new time slice is checked against
+    the previous iterate's slice at the same time (its terms of the V1
+    distance and its envelope excursions, against envelope tables evaluated
+    once per call) and gives the next sweep its drift row; then it is
+    written over that slice. Only the first sweep allocates the history.
     """
     if weight is None:
         weight = WeightParams(alpha=3.0, dimension=1)
     rho_init = _as_values(rho0)
     n_steps = grid.n_steps
-    # iterate 0 is constant in time: a read-only view, not a stored history
-    prev = np.broadcast_to(rho_init, (n_steps + 1, grid.n_x, grid.n_u))
     lower_table = _envelope_table(lower, grid)
     upper_table = _envelope_table(upper, grid)
     report = PicardReport(iterates=0)
     result = None
     drifts = None
+    # iterate 0 is constant in time: a read-only view, and one drift row
+    prev = np.broadcast_to(rho_init, (n_steps + 1, grid.n_x, grid.n_u))
+    row = drift_from_density(rho_init, grid, model, mass_floor)
+    next_drifts = np.repeat(row[None, :], n_steps, axis=0)
+    history = np.empty(prev.shape)
     for n in range(1, max_iter + 1):
-        drifts = np.stack(
-            [drift_from_density(prev[k], grid, model, mass_floor) for k in range(n_steps)]
-        )
+        drifts, next_drifts = next_drifts, np.empty_like(next_drifts)
 
         def frozen(t, x, _table=drifts):
             k = min(int(round(t / grid.dt)), n_steps - 1)
             return _table[k]
 
-        result = solve_specular_linear(grid, rho_init, frozen, model.sigma, weight=weight)
-        dist = _v1_distance(result.fields, prev, grid, weight)
+        result, steps = _specular_march(grid, rho_init, frozen, model.sigma, weight=weight)
+        distance = _SliceNorms(n_steps + 1, grid, weight)
+        lo_v = up_v = 0.0
+        for k, f in steps:
+            distance.add(k, f - prev[k])
+            if lower_table is not None:
+                lo_v = max(lo_v, float((lower_table[k] - f).max()))
+            if upper_table is not None:
+                up_v = max(up_v, float((f - upper_table[k]).max()))
+            if k < n_steps:
+                next_drifts[k] = drift_from_density(f, grid, model, mass_floor)
+            history[k] = f
+        result.fields = prev = history
+        dist = distance.norms().v1
         report.iterates = n
         report.distances.append(dist)
-        lo_v, up_v = _envelope_violations(result.fields, lower_table, upper_table)
         report.lower_violation.append(lo_v)
         report.upper_violation.append(up_v)
-        prev = result.fields
         if dist < tol:
             report.converged = True
             break

@@ -240,6 +240,14 @@ class TestBuilders:
         with pytest.raises(ConstraintViolation, match="interval"):
             build_grid(cfg)
 
+    def test_grid_whose_history_cannot_fit_is_refused(self):
+        # one history of this grid is ~5e15 bytes; only the grid is built
+        cfg = config_from_dict({"numerics": {"grid": {"n_x": 32768, "n_u": 32768}}})
+        refused = r"[0-9.]+ MB, more than the [0-9.]+ MB"
+        with pytest.raises(ConstraintViolation, match=refused) as err:
+            build_grid(cfg)
+        assert err.value.key == "numerics.grid"
+
     def test_initial_density_mass_and_sandwich(self):
         cfg = config_from_dict(
             {"initial": {"s": 0.8, "u_mean": 0.5, "x_amplitude": 0.4}}

@@ -3,10 +3,12 @@ statistics, L2 contraction accounting, envelope violations, and the
 particle-vs-grid histogram distance."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from speckin.config import build_grid, config_from_dict, initial_density
 from speckin.diagnostics import (
     DiagnosticsReport,
     flux_balance_particles,
@@ -152,6 +154,27 @@ class TestSemigroup:
                                      sigma=1.0).split_residual
                   for n in (16, 32)]
         assert splits[1] < 0.7 * splits[0]
+
+    def test_holds_no_field_history(self):
+        cfg = config_from_dict({
+            "model": {"sigma": 1.0, "drift": "tanh(1.0)"},
+            "initial": {"s": 1.0, "u_mean": 0.8},
+            "numerics": {"grid": {"n_x": 64, "n_u": 128}},
+            "run": {"T": 0.5},
+        })
+        grid = build_grid(cfg)
+        psi = initial_density(cfg, grid)
+        history_bytes = (grid.n_steps + 1) * grid.n_x * grid.n_u * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            chk = semigroup_l2_check(psi, grid, sigma=1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert chk.margin > 0.0
+        # the last slice and the per-step ledgers, never the field history
+        assert peak <= 0.1 * history_bytes, peak / history_bytes
 
     def test_quadratic_scaling_exact_for_power_of_two(self):
         g = self.grid(16)
