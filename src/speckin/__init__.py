@@ -60,7 +60,6 @@ from .errors import (
 from .geometry import Annulus, Ball, Domain, Interval, reflect
 from .langevin import (
     HitEvent,
-    HitRecord,
     PhaseState,
     StepParams,
     confined_step,
@@ -121,7 +120,6 @@ __all__ = [
     "FluxBalance",
     "GaussianCore",
     "HitEvent",
-    "HitRecord",
     "Interval",
     "InvalidExponent",
     "InvalidInitial",

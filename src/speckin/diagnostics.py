@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoxMismatch, DegenerateTrace
-from .geometry import Domain
+from .geometry import Domain, normal_velocity
 from .maxwellian import MaxwellianParams, maxwellian_eval
 from .vfp import DensityField, PhaseGrid, SpecularResult, TraceField, _specular_march
 
@@ -60,14 +60,6 @@ def no_permeability_residual(traces, grid: PhaseGrid) -> float:
     return worst
 
 
-def _normal_dot(domain: Domain, location, velocity) -> float:
-    n = domain.outward_normal(location)
-    v = np.asarray(velocity, dtype=float)
-    if v.ndim == 0:
-        return float(v) * float(n)
-    return float(np.dot(v, np.asarray(n, dtype=float)))
-
-
 @dataclass
 class FluxBalance:
     """Exact reflection-algebra checks over a hit log."""
@@ -99,8 +91,9 @@ def flux_balance_particles(hits, domain: Domain, window=None) -> FluxBalance:
     worst = 0.0
     total = 0.0
     for h in selected:
-        pre = _normal_dot(domain, h.location, h.pre_velocity)
-        post = _normal_dot(domain, h.location, h.post_velocity)
+        n = domain.outward_normal(h.location)
+        pre = normal_velocity(h.pre_velocity, n)
+        post = normal_velocity(h.post_velocity, n)
         worst = max(worst, abs(pre + post))
         total += pre + post
     return FluxBalance(antisymmetry_residual=worst, signed_flux_sum=total,
@@ -115,6 +108,14 @@ class ShellFlux:
     stderr: float
     count: int
     skipped: bool = False
+
+
+def _phase_arrays(snapshot):
+    """(X, U) float arrays of an (X, U) pair or of an object with positions
+    and velocities."""
+    if hasattr(snapshot, "positions"):
+        snapshot = snapshot.positions, snapshot.velocities
+    return tuple(np.asarray(a, dtype=float) for a in snapshot)
 
 
 def _wall_scale(domain: Domain) -> float:
@@ -134,16 +135,11 @@ def shell_flux_estimate(domain: Domain, snapshots, shell: float | None = None) -
         shell = 0.02 * _wall_scale(domain)
     values = []
     for snap in snapshots:
-        if hasattr(snap, "positions"):
-            X, U = snap.positions, snap.velocities
-        else:
-            X, U = snap
-        X = np.asarray(X, dtype=float)
-        U = np.asarray(U, dtype=float)
+        X, U = _phase_arrays(snap)
         depth = domain.signed_distance(X)
         idx = np.nonzero(depth >= -shell)[0]
         for i in idx:
-            values.append(_normal_dot(domain, X[i], U[i]))
+            values.append(normal_velocity(U[i], domain.outward_normal(X[i])))
     if not values:
         return ShellFlux(mean=float("nan"), stderr=float("nan"), count=0,
                          skipped=True)
@@ -233,7 +229,7 @@ def sandwich_check(fields, times, grid: PhaseGrid,
 
 
 def mc_grid_distance(snapshot, field: DensityField, grid: PhaseGrid,
-                     block: tuple = (1, 1), time_slack: float | None = None) -> float:
+                     block: tuple = (1, 1)) -> float:
     """L1 distance between a particle histogram and a grid density.
 
     Both sides are normalized to unit mass, so the result lives in [0, 2]
@@ -241,22 +237,14 @@ def mc_grid_distance(snapshot, field: DensityField, grid: PhaseGrid,
     (bx, bu) cell blocks before comparison, trading spatial resolution for
     multinomial noise roughly sqrt(2 cells / (pi N)).
     """
-    if hasattr(snapshot, "positions"):
-        X, U = snapshot.positions, snapshot.velocities
-        t_part = getattr(snapshot, "time", None)
-    else:
-        X, U = snapshot
-        t_part = None
-    X = np.asarray(X, dtype=float).reshape(-1)
-    U = np.asarray(U, dtype=float).reshape(-1)
+    X, U = (a.reshape(-1) for a in _phase_arrays(snapshot))
+    t_part = getattr(snapshot, "time", None)
     if X.min() < 0.0 or X.max() > grid.length:
         raise BoxMismatch("particle positions leave the grid's domain")
-    if t_part is not None:
-        slack = 0.5 * grid.dt if time_slack is None else time_slack
-        if abs(t_part - field.time) > slack:
-            raise BoxMismatch(
-                f"snapshot time {t_part} does not match field time {field.time}"
-            )
+    if t_part is not None and abs(t_part - field.time) > 0.5 * grid.dt:
+        raise BoxMismatch(
+            f"snapshot time {t_part} does not match field time {field.time}"
+        )
     bx, bu = block
     if grid.n_x % bx or grid.n_u % bu:
         raise BoxMismatch(f"block {block} does not tile {grid.n_x}x{grid.n_u}")

@@ -44,11 +44,10 @@ class NegativeDensity(SpeckinError):
 class NotConverged(SpeckinError):
     """Picard iteration hit max_iter before reaching tol."""
 
-    def __init__(self, message, report=None, history=None, traces=None):
+    def __init__(self, message, report=None, history=None):
         super().__init__(message)
         self.report = report
         self.history = history
-        self.traces = traces
 
 
 class DegenerateTrace(SpeckinError):

@@ -21,6 +21,7 @@ __all__ = [
     "Annulus",
     "BoundaryClass",
     "reflect",
+    "normal_velocity",
     "classify",
 ]
 
@@ -44,11 +45,11 @@ class Domain:
         """Closed-form signed distance; negative inside, positive outside."""
         raise NotImplementedError
 
-    def outward_normal(self, x, band_width=None):
+    def outward_normal(self, x):
         """Unit outward normal at the wall point nearest x.
 
         Raises AmbiguousProjection when x sits outside the uniqueness band
-        (default band: L/2, R/2, (R-r)/2 per domain kind).
+        (L/2, R/2, (R-r)/2 per domain kind).
         """
         raise NotImplementedError
 
@@ -76,8 +77,8 @@ class Interval(Domain):
         x = np.asarray(x, dtype=float)
         return np.maximum(-x, x - self.length)
 
-    def outward_normal(self, x, band_width=None):
-        band = 0.5 * self.length if band_width is None else band_width
+    def outward_normal(self, x):
+        band = 0.5 * self.length
         x = float(np.asarray(x).reshape(()))
         if abs(self.signed_distance(x)) >= band:
             raise AmbiguousProjection(
@@ -119,8 +120,8 @@ class Ball(Domain):
     def signed_distance(self, x):
         return self._radial(x) - self.radius
 
-    def outward_normal(self, x, band_width=None):
-        band = 0.5 * self.radius if band_width is None else band_width
+    def outward_normal(self, x):
+        band = 0.5 * self.radius
         x = np.asarray(x, dtype=float)
         rho = float(self._radial(x))
         if abs(rho - self.radius) >= band:
@@ -171,8 +172,8 @@ class Annulus(Domain):
         rho = self._radial(x)
         return np.maximum(self.inner_radius - rho, rho - self.radius)
 
-    def outward_normal(self, x, band_width=None):
-        band = 0.5 * (self.radius - self.inner_radius) if band_width is None else band_width
+    def outward_normal(self, x):
+        band = 0.5 * (self.radius - self.inner_radius)
         x = np.asarray(x, dtype=float)
         rho = float(self._radial(x))
         if abs(float(self.signed_distance(x))) >= band:
@@ -208,19 +209,21 @@ class Annulus(Domain):
 
 def reflect(u, n):
     """Specular reflection u - 2(u.n)n; in d=1 the exact sign flip -u."""
-    if np.ndim(n) == 0:
-        if abs(abs(float(n)) - 1.0) > 1e-12:
-            raise NotUnitNormal(f"|n|={abs(float(n))} deviates from 1")
-        return -u if np.ndim(u) == 0 else -np.asarray(u, dtype=float)
-    n = np.asarray(n, dtype=float)
-    u = np.asarray(u, dtype=float)
     norm = float(np.linalg.norm(n))
     if abs(norm - 1.0) > 1e-12:
         raise NotUnitNormal(f"|n|={norm} deviates from 1")
-    return u - 2.0 * float(np.dot(u, n)) * n
+    if np.ndim(n) == 0:
+        return -u if np.ndim(u) == 0 else -np.asarray(u, dtype=float)
+    u = np.asarray(u, dtype=float)
+    return u - 2.0 * normal_velocity(u, n) * np.asarray(n, dtype=float)
 
 
-def classify(domain, x, u, eps_bd, eps_tan=EPS_TAN_DEFAULT):
+def normal_velocity(u, n) -> float:
+    """u . n for a velocity and a wall normal; in d=1 the product u*n."""
+    return float(np.dot(np.atleast_1d(u), np.atleast_1d(n)))
+
+
+def classify(domain, x, u, eps_bd):
     """Interior / incoming / outgoing / tangential at (x, u).
 
     Interior whenever sd(x) < -eps_bd; otherwise classified by the sign of
@@ -229,14 +232,8 @@ def classify(domain, x, u, eps_bd, eps_tan=EPS_TAN_DEFAULT):
     sd = float(np.asarray(domain.signed_distance(x)).reshape(()))
     if sd < -eps_bd:
         return BoundaryClass.INTERIOR
-    n = domain.outward_normal(x)
-    if np.ndim(n) == 0:
-        un = float(n) * float(np.asarray(u).reshape(()))
-        speed = abs(float(np.asarray(u).reshape(())))
-    else:
-        un = float(np.dot(np.asarray(u, dtype=float), n))
-        speed = float(np.linalg.norm(u))
-    if abs(un) <= eps_tan * speed:
+    un = normal_velocity(u, domain.outward_normal(x))
+    if abs(un) <= EPS_TAN_DEFAULT * float(np.linalg.norm(u)):
         return BoundaryClass.TANGENTIAL
     return BoundaryClass.OUTGOING if un > 0 else BoundaryClass.INCOMING
 

@@ -20,21 +20,23 @@ and each path draws in the order of the sequential depth-first traversal,
 so a path is a pure function of its stream and the results are bit for bit
 the same however paths are batched.
 
-One marching loop, run_ensemble, serves every particle run.  Before each
-confined step it kicks the velocities by h times a field: none for the linear
-process, b(U) for independent drifted paths, and the mean-field estimate of
-E[b(U) | X] for the McKean system (mckean.run_mckean).
+One marching loop, run_ensemble, serves every particle run; simulate_path is
+that march on one row.  Before each confined step it kicks the velocities by
+h times a field: none for the linear process, b(U) for independent drifted
+paths, and the mean-field estimate of E[b(U) | X] for the McKean system
+(mckean.run_mckean).  Every wall contact is one HitEvent, built once by the
+kernel with its path id and its time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidStart, WatchdogExceeded
-from .geometry import EPS_TAN_DEFAULT as EPS_TAN, Domain, reflect
+from .geometry import EPS_TAN_DEFAULT as EPS_TAN, Domain, normal_velocity, reflect
 from .rng import RngStream, normals_at
 
 STEP_COUNTER_STRIDE = 1 << 16  # per-(path, macro-step) noise budget
@@ -51,8 +53,10 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class HitEvent:
-    """One wall contact: time, location, velocities just before and after."""
+    """One wall contact of path path_id: time, location, velocities just
+    before and after."""
 
+    path_id: int
     time: float
     location: object
     pre_velocity: object
@@ -105,13 +109,9 @@ class SemigroupEstimate:
     std_error: float
 
 
-def _speed(u):
-    u = np.asarray(u, dtype=float)
-    return float(np.abs(u)) if u.ndim == 0 else float(np.linalg.norm(u))
-
-
 def _speeds(U):
-    """Per-row speeds of a batch, each bit-identical to _speed of its row.
+    """Per-row speeds of a batch: |u| in d=1, else each bit-identical to
+    np.linalg.norm of its row.
 
     For vectors, matmul takes the same dot product np.linalg.norm takes on
     one vector; the norm's axis= form sums in another order.
@@ -150,6 +150,23 @@ def _bridge_update(xa, ua, xb, ub, h, scale_x, scale_u, xi1, xi2):
     return mean_x + scale_x * xi1, mean_u + scale_u * xi2
 
 
+def _as_rows(state: PhaseState, n: int = 1):
+    """(X, U) holding state in each of n rows: shape (n,) in d=1, (n, d) otherwise."""
+    return tuple(np.repeat(np.asarray(v, float)[None], n, axis=0) for v in (state.x, state.u))
+
+
+def _row_state(X, U, i: int = 0) -> PhaseState:
+    """Row i of a batch as a PhaseState; Python floats in d=1."""
+    if X.ndim == 1:
+        return PhaseState(float(X[i]), float(U[i]))
+    return PhaseState(X[i], U[i])
+
+
+def _pairs(Z, X):
+    """(xi1, xi2) per row of Z, which holds 2 normals per component of X's rows."""
+    return (Z[:, 0], Z[:, 1]) if X.ndim == 1 else (Z[:, 0::2], Z[:, 1::2])
+
+
 def free_step(state: PhaseState, h: float, sigma: float, rng: RngStream) -> PhaseState:
     """Exact unconfined step: per component the increment pair is Gaussian with
     mean (h*u, 0) and covariance [[s^2 h^3/3, s^2 h^2/2], [s^2 h^2/2, s^2 h]]."""
@@ -157,14 +174,8 @@ def free_step(state: PhaseState, h: float, sigma: float, rng: RngStream) -> Phas
         raise ValueError(f"h must be nonnegative, got {h}")
     if h == 0:
         return state
-    u = np.asarray(state.u, dtype=float)
-    d = 1 if u.ndim == 0 else u.shape[-1]
-    z = rng.normals(2 * d)
-    if u.ndim == 0:
-        x_new, u_new = _free_update(float(state.x), float(u), h, sigma, z[0], z[1])
-        return PhaseState(float(x_new), float(u_new))
-    x_new, u_new = _free_update(np.asarray(state.x, float), u, h, sigma, z[0::2], z[1::2])
-    return PhaseState(x_new, u_new)
+    X, U = _as_rows(state)
+    return _row_state(*ensemble_free_flight(X, U, h, sigma, rng.normals(2 * U[0].size)[None]))
 
 
 def bridge_midpoint(
@@ -179,17 +190,10 @@ def bridge_midpoint(
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    ua = np.asarray(a.u, dtype=float)
-    d = 1 if ua.ndim == 0 else ua.shape[-1]
-    z = rng.normals(2 * d)
-    xi1, xi2 = (z[0], z[1]) if ua.ndim == 0 else (z[0::2], z[1::2])
-    x_mid, u_mid = _bridge_update(
-        np.asarray(a.x, float), ua, np.asarray(b.x, float), np.asarray(b.u, dtype=float),
-        h, *_bridge_scales(sigma, h), xi1, xi2,
-    )
-    if ua.ndim == 0:
-        return PhaseState(float(x_mid), float(u_mid))
-    return PhaseState(x_mid, u_mid)
+    (xa, ua), (xb, ub) = _as_rows(a), _as_rows(b)
+    Z = rng.normals(2 * ua[0].size)[None]
+    x_mid, u_mid = _bridge_update(xa, ua, xb, ub, h, *_bridge_scales(sigma, h), *_pairs(Z, xa))
+    return _row_state(x_mid, u_mid)
 
 
 def _bisect(domain: Domain, xa, xb, eps_hit: float):
@@ -216,7 +220,8 @@ def _bisect(domain: Domain, xa, xb, eps_hit: float):
     return lo
 
 
-def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, limit=None):
+def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, limit=None,
+                      time_offset=0.0):
     """Advance n paths through one confined step of length h, in lockstep.
 
     Path i draws from stream stream_ids[i] from counter `start` on, in the
@@ -241,7 +246,9 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
     (seed, stream_id, counter) address.
 
     Returns (X, U, counters, hits): end states, each path's counter after
-    its last draw, and per path the list of its HitEvents in time order.
+    its last draw, and per path the list of its HitEvents in time order,
+    each with path_id stream_ids[i] and time time_offset plus the time
+    within the step.
     Raises WatchdogExceeded when a path has more than params.max_hits wall
     contacts, or draws past counter `limit`.
     """
@@ -273,8 +280,7 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
         ctr[rows] = c
         if limit is not None and c.max() > limit:
             raise WatchdogExceeded("per-step noise budget exhausted")
-        z = flat_window[(rows * width + off)[:, None] + pair]
-        return (z[:, 0], z[:, 1]) if d == 1 else (z[:, 0::2], z[:, 1::2])
+        return _pairs(flat_window[(rows * width + off)[:, None] + pair], ax)
 
     h = float(h)
     depth, dt = 0, h
@@ -388,6 +394,7 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
         s = frac if d == 1 else frac[:, None]
         x_at = xa + s * (xb - xa)
         u_at = au[r] + s * (bu[f] - au[r])
+        speed_at = _speeds(u_at)
         again = []
         for j, i in enumerate(r.tolist()):
             # fold the time up from the leaf, as the recursion returns it
@@ -399,14 +406,14 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
             location = domain.project(x_at[j])
             u_pre = float(u_at[j]) if d == 1 else u_at[j]
             normal = domain.outward_normal(location)
-            dot = float(np.dot(np.atleast_1d(u_pre), np.atleast_1d(normal)))
-            if dot <= EPS_TAN * max(_speed(u_pre), 1e-300):
+            if normal_velocity(u_pre, normal) <= EPS_TAN * max(float(speed_at[j]), 1e-300):
                 # tangential graze, or an interpolated velocity pointing
                 # back inside at the located crossing: no jump
                 u_new = u_pre
             else:
                 u_new = reflect(u_pre, normal)
-                hits[i].append(HitEvent(float(t_done[i] + t_rel), location, u_pre, u_new))
+                hits[i].append(HitEvent(int(stream_ids[i]), time_offset + float(t_done[i] + t_rel),
+                                        location, u_pre, u_new))
             contacts[i] += 1
             if contacts[i] > params.max_hits:
                 raise WatchdogExceeded(
@@ -435,26 +442,32 @@ def confined_step(
 
     Draws from rng's stream from its counter on and leaves the counter after
     the last draw.  Hit times in the returned events are relative to the
-    start of this step.  Far from the wall this is exactly free_step on the
-    same draws.
+    start of this step, and their path_id is rng.stream_id.  Far from the
+    wall this is exactly free_step on the same draws.
     """
     if float(domain.signed_distance(state.x)) > params.eps_hit:
         raise InvalidStart(f"state outside the domain: sd={domain.signed_distance(state.x)}")
-    X = np.asarray(state.x, dtype=float)[None]
-    U = np.asarray(state.u, dtype=float)[None]
     X, U, counters, hits = _near_wall_kernel(
-        domain, X, U, params.h if h is None else float(h), params, sigma,
+        domain, *_as_rows(state), params.h if h is None else float(h), params, sigma,
         rng.seed, np.array([rng.stream_id], dtype=np.uint64), rng.counter,
     )
     rng.jump_to(counters[0])
-    if X.ndim == 1:
-        return ConfinedStepResult(PhaseState(float(X[0]), float(U[0])), tuple(hits[0]))
-    return ConfinedStepResult(PhaseState(X[0], U[0]), tuple(hits[0]))
+    return ConfinedStepResult(_row_state(X, U), tuple(hits[0]))
 
 
 def step_count(T: float, h: float) -> int:
     """Macro steps of length h (the last one possibly shorter) covering [0, T]."""
     return max(1, math.ceil(T / h - 1e-12)) if T > 0 else 0
+
+
+def snapshot_step(t: float, T: float, h: float) -> int:
+    """Steps done at the grid time nearest t; the grid times are k*h before
+    the last of step_count(T, h) steps, and T after it."""
+    n = step_count(T, h)
+    k = min(max(round(t / h), 0), n)
+    if k < n and abs(T - t) < abs(k * h - t):
+        k = n
+    return k
 
 
 def _check_start(domain: Domain, initial: PhaseState, eps_hit: float):
@@ -463,8 +476,7 @@ def _check_start(domain: Domain, initial: PhaseState, eps_hit: float):
         raise InvalidStart(f"initial position outside the domain: sd={sd}")
     if sd >= -eps_hit:
         n = domain.outward_normal(domain.project(initial.x))
-        dot = float(np.dot(np.atleast_1d(initial.u), np.atleast_1d(n)))
-        if dot >= 0.0:
+        if normal_velocity(initial.u, n) >= 0.0:
             raise InvalidStart(
                 "boundary start must have strictly incoming velocity; "
                 "reflect it before calling"
@@ -481,45 +493,26 @@ def simulate_path(
 ) -> PathResult:
     """Simulate one confined path on [0, T], sampled at the macro grid.
 
-    Each macro step k consumes draws addressed from counter k * 2^16 of the
-    path's stream, so the realized path depends only on (seed, stream_id).
+    The path is run_ensemble on one row with stream rng.stream_id: macro
+    step k always draws from counter k * 2^16 of that stream, so the
+    realized path depends only on (seed, stream_id).  rng.counter is
+    neither read nor advanced.
     """
     _check_start(domain, initial, params.eps_hit)
-    n_steps = step_count(T, params.h)
-    times = [0.0]
-    states = [initial]
+    h = params.h
+    times = [0.0] + [k * h + min(h, T - k * h) for k in range(step_count(T, h))]
     events = []
-    cur = initial
-    for k in range(n_steps):
-        t0 = k * params.h
-        dt = min(params.h, T - t0)
-        rng.jump_to(k * STEP_COUNTER_STRIDE)
-        res = confined_step(domain, cur, params, sigma, rng, h=dt)
-        if rng.counter - k * STEP_COUNTER_STRIDE > STEP_COUNTER_STRIDE:
-            raise WatchdogExceeded("per-step noise budget exhausted")
-        cur = res.state
-        events.extend(replace(ev, time=t0 + ev.time) for ev in res.hits)
-        times.append(t0 + dt)
-        states.append(cur)
-    return PathResult(times=np.array(times), states=tuple(states), events=tuple(events))
-
-
-@dataclass(frozen=True)
-class HitRecord:
-    """Flattened hit log entry for ensemble runs."""
-
-    path_id: int
-    time: float
-    location: object
-    pre_velocity: object
-    post_velocity: object
+    _, _, snapshots = run_ensemble(
+        domain, *_as_rows(initial), T, params, sigma, rng.seed,
+        hit_sink=events, snapshot_times=tuple(times), stream_ids=[rng.stream_id],
+    )
+    states = tuple(_row_state(*snapshots[t]) for t in times)
+    return PathResult(times=np.array(times), states=states, events=tuple(events))
 
 
 def ensemble_free_flight(X, U, h, sigma, Z):
     """Vectorized exact flow; Z holds 2 standard normals per component."""
-    if X.ndim == 1:
-        return _free_update(X, U, h, sigma, Z[:, 0], Z[:, 1])
-    return _free_update(X, U, h, sigma, Z[:, 0::2], Z[:, 1::2])
+    return _free_update(X, U, h, sigma, *_pairs(Z, X))
 
 
 def ensemble_confined_step(
@@ -560,20 +553,11 @@ def ensemble_confined_step(
         return Xf, Uf
     Xf[near], Uf[near], _, hits = _near_wall_kernel(
         domain, X[near], U[near], dt, params, sigma, seed, stream_ids[near], base,
-        limit=base + STEP_COUNTER_STRIDE,
+        limit=base + STEP_COUNTER_STRIDE, time_offset=time_offset,
     )
     if hit_sink is not None:
-        for i, events in zip(near.tolist(), hits):
-            hit_sink.extend(
-                HitRecord(
-                    path_id=int(stream_ids[i]),
-                    time=time_offset + ev.time,
-                    location=ev.location,
-                    pre_velocity=ev.pre_velocity,
-                    post_velocity=ev.post_velocity,
-                )
-                for ev in events
-            )
+        for events in hits:
+            hit_sink.extend(events)
     return Xf, Uf
 
 
@@ -598,17 +582,23 @@ def run_ensemble(
     local drift b(U) gives independent drifted paths, and a mean-field
     estimate on the current states gives the interacting system.
 
-    Returns (X, U, snapshots) where snapshots maps requested grid times to
-    (X, U) copies.  Hit times are k*h plus the time within step k.  Ordering
-    and values are independent of how callers batch the work because every
-    draw is counter-addressed.
+    Returns (X, U, snapshots) where snapshots maps every requested time t
+    to a copy of (X, U) after snapshot_step(t, T, h) steps.  Hit times are
+    k*h plus the time within step k.  Ordering and values are independent of
+    how callers batch the work because every draw is counter-addressed.
     """
     X = np.array(X0, dtype=float)
     U = np.array(U0, dtype=float)
-    wanted = {round(t / params.h): t for t in snapshot_times}
+    wanted = {}
+    for t in snapshot_times:
+        wanted.setdefault(snapshot_step(t, T, params.h), []).append(t)
     snapshots = {}
-    if 0 in wanted:
-        snapshots[wanted[0]] = (X.copy(), U.copy())
+
+    def take(k):
+        for t in wanted.get(k, ()):
+            snapshots[t] = (X.copy(), U.copy())
+
+    take(0)
     for k in range(step_count(T, params.h)):
         t0 = k * params.h
         dt = min(params.h, T - t0)
@@ -627,8 +617,7 @@ def run_ensemble(
             hit_sink=hit_sink,
             stream_ids=stream_ids,
         )
-        if (k + 1) in wanted:
-            snapshots[wanted[k + 1]] = (X.copy(), U.copy())
+        take(k + 1)
     return X, U, snapshots
 
 
@@ -650,14 +639,7 @@ def semigroup_estimate(
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     _check_start(domain, initial, params.eps_hit)
-    u0 = np.asarray(initial.u, dtype=float)
-    if u0.ndim == 0:
-        X0 = np.full(N, float(initial.x))
-        U0 = np.full(N, float(u0))
-    else:
-        X0 = np.tile(np.asarray(initial.x, float), (N, 1))
-        U0 = np.tile(u0, (N, 1))
-    X, U, _ = run_ensemble(domain, X0, U0, t, params, sigma, seed)
+    X, U, _ = run_ensemble(domain, *_as_rows(initial, N), t, params, sigma, seed)
     vals = np.asarray(psi(X, U), dtype=float)
     mean = float(np.mean(vals))
     std_error = float(np.std(vals, ddof=1) / math.sqrt(N)) if N > 1 else 0.0

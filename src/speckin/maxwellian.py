@@ -214,12 +214,11 @@ def maxwellian_mass_bounds(
     params: MaxwellianParams,
     horizon: float,
     weight: WeightParams | None = None,
-    time_points: int = 33,
     rtol: float = 1e-6,
 ) -> MassBounds:
     """sup_t of the speed-weighted L2 mass and inf_t of the plain mass on [0, T].
 
-    Both extrema are taken over a uniform time grid; each time slice is an
+    Both extrema are taken over 33 uniform times; each time slice is an
     adaptive radial quadrature.  The weighted supremum is finite whenever
     2*mu > 1 and the infimum is positive (mass does not vanish) for mu >= 1.
     """
@@ -227,7 +226,7 @@ def maxwellian_mass_bounds(
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     if weight is None:
         weight = default_weight(params.dimension)
-    times = np.linspace(0.0, horizon, time_points)
+    times = np.linspace(0.0, horizon, 33)
     sup_l2 = max(weighted_square_mass(params, t, weight, rtol=rtol) for t in times)
     inf_mass = min(total_mass(params, t, rtol=rtol) for t in times)
     return MassBounds(sup_weighted_l2=sup_l2, inf_mass=inf_mass)

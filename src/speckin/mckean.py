@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidInitial
 from .geometry import Domain, Interval
-from .langevin import StepParams, run_ensemble
+from .langevin import StepParams, run_ensemble, snapshot_step
 
 BIN_REFINE = 4  # binning centres per probe interval of the binned estimate
 
@@ -204,12 +204,8 @@ def conditional_drift(
     n = len(ensemble)
     bw = _resolve_bandwidth(cfg, X)
     pts = np.asarray(x, dtype=float)
-    if X.ndim == 1:
-        single = pts.ndim == 0
-        probes = np.atleast_1d(pts)
-    else:
-        single = pts.ndim == 1
-        probes = pts[None, :] if single else pts
+    single = pts.ndim < X.ndim
+    probes = pts[None] if single else pts
 
     out = np.zeros(probes.shape, dtype=float)
     threshold = cfg.min_mass * n
@@ -335,10 +331,10 @@ def run_mckean(
         stream_ids=stream_ids,
         kick=lambda X, U: _drift_at_particles(domain, Ensemble(X, U), model, cfg),
     )
-    # a snapshot at t was taken after step round(t / h), which ends at the
-    # grid time min(round(t / h) * h, T)
+    # a snapshot at t was taken after snapshot_step(t, T, h) steps, which
+    # end at the grid time min(steps * h, T)
     snapshots = {
-        t: Ensemble(Xs, Us, min(round(t / params.h) * params.h, T))
+        t: Ensemble(Xs, Us, min(snapshot_step(t, T, params.h) * params.h, T))
         for t, (Xs, Us) in states.items()
     }
     drift_fields = {}

@@ -153,15 +153,14 @@ class TraceField:
         return np.where(mask, self.gamma[wall], 0.0)
 
 
-def auto_vmax(upper: MaxwellianParams, horizon: float, rel: float = 1e-10,
-              time_points: int = 33) -> float:
+def auto_vmax(upper: MaxwellianParams, horizon: float, rel: float = 1e-10) -> float:
     """Smallest velocity cutoff V with max_t P(t, V) below rel * max P.
 
     P is the radial upper envelope; since it is decreasing in |u| the cutoff
     certifies that everything the envelope allows outside (-V, V) is
     negligible at the rel level.
     """
-    ts = np.linspace(0.0, horizon, time_points)
+    ts = np.linspace(0.0, horizon, 33)
     peak = float(np.max(maxwellian_eval(upper, ts, np.zeros_like(ts))))
     target = rel * peak
 
@@ -365,7 +364,7 @@ def _resolve_drift(B, grid: PhaseGrid):
 
 
 def _specular_march(grid: PhaseGrid, rho0, B, sigma: float,
-                    weight: WeightParams | None = None, trace_order: int = 2):
+                    weight: WeightParams | None = None):
     """The one copy of the specular Strang step, marching rho0 to the horizon.
 
     Returns (result, steps). `steps` yields (k, slice k) for k = 0..n_steps,
@@ -395,7 +394,7 @@ def _specular_march(grid: PhaseGrid, rho0, B, sigma: float,
         clamped=[],
         weight=weight,
     )
-    result.traces[0] = _specular_trace(f, grid, trace_order)
+    result.traces[0] = _specular_trace(f, grid)
     result.mass[0] = grid.cell_mass(f)
 
     def steps(f):
@@ -423,7 +422,7 @@ def _specular_march(grid: PhaseGrid, rho0, B, sigma: float,
             f = _transport_specular(f, grid, shifts)
             f = _clamp(f, scale, result.clamped)
             t += dt
-            result.traces[k + 1] = _specular_trace(f, grid, trace_order)
+            result.traces[k + 1] = _specular_trace(f, grid)
             result.mass[k + 1] = grid.cell_mass(f)
             bracket = 0.5 * sigma**2 * wlap[None, :] + drift[:, None] * wgrad[None, :]
             result.bracket_sq_weighted[k] = dt * float((bracket * f**2).sum()) * quad
@@ -438,7 +437,6 @@ def solve_specular_linear(
     B,
     sigma: float,
     weight: WeightParams | None = None,
-    trace_order: int = 2,
 ) -> SpecularResult:
     """March the specular problem with frozen drift B(t, x) to the horizon.
 
@@ -446,7 +444,7 @@ def solve_specular_linear(
     it is evaluated at the start of each step. The returned traces are the
     unfolded-field wall values, identical for u and -u by construction.
     """
-    result, steps = _specular_march(grid, rho0, B, sigma, weight, trace_order)
+    result, steps = _specular_march(grid, rho0, B, sigma, weight)
     fields = np.empty((grid.n_steps + 1, grid.n_x, grid.n_u))
     for k, f in steps:
         fields[k] = f
@@ -462,7 +460,7 @@ def _weight_derivatives(grid: PhaseGrid, weight: WeightParams | None):
     return ev.gradient, ev.laplacian
 
 
-def _specular_trace(values: np.ndarray, grid: PhaseGrid, order: int) -> np.ndarray:
+def _specular_trace(values: np.ndarray, grid: PhaseGrid, order: int = 2) -> np.ndarray:
     """Wall traces from the unfolded field; even in u by construction."""
     half = grid.n_u // 2
     out = np.empty((2, grid.n_u))
@@ -556,19 +554,13 @@ def _transport_inflow(values, grid: PhaseGrid, dt: float, q_at, t_eval):
     return out, injected
 
 
-def _one_sided_trace(values: np.ndarray, order: int) -> np.ndarray:
-    """(2, n_u) values at walls 0 and L, extrapolated from the nearest one
-    (order 1) or two (order 2) cell centres; not clipped."""
-    if order == 1:
-        return np.stack([values[0], values[-1]])
-    return np.stack([1.5 * values[0] - 0.5 * values[1], 1.5 * values[-1] - 0.5 * values[-2]])
-
-
-def _inflow_trace(values: np.ndarray, grid: PhaseGrid, order: int) -> np.ndarray:
-    """One-sided extrapolated trace on the incoming-set rows (Sigma^-)."""
+def _inflow_trace(values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """Trace on the incoming-set rows (Sigma^-), extrapolated at walls 0 and
+    L from the two nearest cell centres."""
     u = grid.u
+    walls = np.stack([1.5 * values[0] - 0.5 * values[1], 1.5 * values[-1] - 0.5 * values[-2]])
     # wall 0 has normal -1, so u.n < 0 there means u > 0
-    out = np.where([u > 0, u < 0], _one_sided_trace(values, order), 0.0)
+    out = np.where([u > 0, u < 0], walls, 0.0)
     return np.clip(out, 0.0, None)
 
 
@@ -577,7 +569,6 @@ def solve_linear_inflow(
     f0,
     q,
     sigma: float,
-    trace_order: int = 2,
 ) -> InflowResult:
     """March the backward-oriented wall-data problem to the horizon.
 
@@ -615,7 +606,7 @@ def solve_linear_inflow(
     abs_u = np.abs(grid.u)
 
     fields[0] = f
-    gamma[0] = _inflow_trace(f, grid, trace_order)
+    gamma[0] = _inflow_trace(f, grid)
     mass[0] = grid.cell_mass(f)
     t = 0.0
 
@@ -641,7 +632,7 @@ def solve_linear_inflow(
         f = _clamp(f, float(fields[0].max()) + 1.0, clamped)
         t += dt
         fields[k + 1] = f
-        gamma[k + 1] = _inflow_trace(f, grid, trace_order)
+        gamma[k + 1] = _inflow_trace(f, grid)
         mass[k + 1] = grid.cell_mass(f)
         mass_in[k] = in1 + in2
         mass_out[k] = before + mass_in[k] - mass[k + 1]
@@ -668,21 +659,18 @@ def solve_linear_inflow(
 # ------------------------------------------------- drift and norms
 
 
-def drift_from_density(field, grid: PhaseGrid, model: KineticModel,
-                       mass_floor: float | None = None) -> np.ndarray:
+def drift_from_density(field, grid: PhaseGrid, model: KineticModel) -> np.ndarray:
     """Velocity average of b against the density columns.
 
     B(x_i) = sum_j b(u_j) rho[i, j] / sum_j rho[i, j]; zero where the column
-    mass falls below the floor. A convex combination of b values, so it
-    never exceeds the componentwise bound of b.
+    mass falls below 1e-14 / (du n_u). A convex combination of b values, so
+    it never exceeds the componentwise bound of b.
     """
     values = _as_values(field)
-    if mass_floor is None:
-        mass_floor = 1e-14 / (grid.du * grid.n_u)
     bu = model.drift(grid.u)
     col = values.sum(axis=1)
     num = (values * bu[None, :]).sum(axis=1)
-    ok = col * grid.du >= mass_floor
+    ok = col * grid.du >= 1e-14 / (grid.du * grid.n_u)
     return np.where(ok, num / np.where(ok, col, 1.0), 0.0)
 
 
@@ -703,7 +691,7 @@ class WeightedNorms:
 
 
 def weighted_norms(fields: np.ndarray, grid: PhaseGrid,
-                   weight: WeightParams, dt: float | None = None) -> WeightedNorms:
+                   weight: WeightParams) -> WeightedNorms:
     """sup_t L2(w) square and time-integrated L2(w) square of u-gradients.
 
     fields has shape (n_t, n_x, n_u); a single snapshot may be passed as
@@ -715,7 +703,7 @@ def weighted_norms(fields: np.ndarray, grid: PhaseGrid,
     terms = _SliceNorms(len(arr), grid, weight)
     for k, f in enumerate(arr):
         terms.add(k, f)
-    return terms.norms(dt)
+    return terms.norms()
 
 
 class _SliceNorms:
@@ -737,8 +725,8 @@ class _SliceNorms:
         g = np.gradient(f, self.grid.du, axis=1)
         self.gsq[k] = (g**2 * self.w).sum() * self.quad
 
-    def norms(self, dt: float | None = None) -> WeightedNorms:
-        step = self.grid.dt if dt is None else dt
+    def norms(self) -> WeightedNorms:
+        step = self.grid.dt
         gsq = self.gsq
         return WeightedNorms(
             sup_l2w_sq=float(self.sq.max()),
@@ -746,18 +734,11 @@ class _SliceNorms:
         )
 
 
-def trace_extract(field, grid: PhaseGrid, order: int = 2,
-                  specular: bool = True) -> TraceField:
-    """Wall traces of one snapshot, with the Definition functionals attached.
-
-    specular=True symmetrizes across each +-u pair (the fold-back
-    convention); otherwise plain one-sided extrapolation per row.
-    """
+def trace_extract(field, grid: PhaseGrid, order: int = 2) -> TraceField:
+    """Wall traces of one snapshot, symmetrized across each +-u pair (the
+    fold-back convention)."""
     df = field if isinstance(field, DensityField) else DensityField(_as_values(field), 0.0)
-    if specular:
-        gamma = _specular_trace(df.values, grid, order)
-    else:
-        gamma = _one_sided_trace(df.values, order)
+    gamma = _specular_trace(df.values, grid, order)
     return TraceField(np.clip(gamma, 0.0, None), df.time)
 
 
@@ -817,7 +798,6 @@ def picard_nonlinear(
     weight: WeightParams | None = None,
     lower: MaxwellianParams | None = None,
     upper: MaxwellianParams | None = None,
-    mass_floor: float | None = None,
 ) -> PicardResult:
     """Fixed-point iteration on the frozen-drift specular solves.
 
@@ -843,7 +823,7 @@ def picard_nonlinear(
     drifts = None
     # iterate 0 is constant in time: a read-only view, and one drift row
     prev = np.broadcast_to(rho_init, (n_steps + 1, grid.n_x, grid.n_u))
-    row = drift_from_density(rho_init, grid, model, mass_floor)
+    row = drift_from_density(rho_init, grid, model)
     next_drifts = np.repeat(row[None, :], n_steps, axis=0)
     history = np.empty(prev.shape)
     for n in range(1, max_iter + 1):
@@ -863,7 +843,7 @@ def picard_nonlinear(
             if upper_table is not None:
                 up_v = max(up_v, float((f - upper_table[k]).max()))
             if k < n_steps:
-                next_drifts[k] = drift_from_density(f, grid, model, mass_floor)
+                next_drifts[k] = drift_from_density(f, grid, model)
             history[k] = f
         result.fields = prev = history
         dist = distance.norms().v1

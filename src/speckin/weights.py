@@ -96,12 +96,11 @@ def subadditivity_constant(alpha):
 def stabilized_radial_quad(
     integrand: Callable[[np.ndarray], np.ndarray],
     rtol: float = 1e-6,
-    r_start: float = 1.0,
     max_doublings: int = 48,
 ) -> float:
     """Integrate f(r) over [0, inf) by doubling the truncation radius.
 
-    Accumulates quadrature over [0, R], R -> 2R, ... until the latest shell
+    Accumulates quadrature over [0, R], R = 1 -> 2R, ... until the latest shell
     contributes less than rtol of the running total twice in a row.  Raises
     QuadratureNonConvergent when the shells keep contributing (divergent or
     too-slowly-decaying integrands).
@@ -110,8 +109,8 @@ def stabilized_radial_quad(
     # function needs it, so the CLI start-up does not pay for it
     from scipy import integrate
 
-    total, err_acc = integrate.quad(integrand, 0.0, r_start, limit=200)
-    lo, hi = r_start, 2.0 * r_start
+    total, err_acc = integrate.quad(integrand, 0.0, 1.0, limit=200)
+    lo, hi = 1.0, 2.0
     calm_rounds = 0
     for _ in range(max_doublings):
         shell, err = integrate.quad(integrand, lo, hi, limit=200)

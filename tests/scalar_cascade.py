@@ -116,7 +116,7 @@ def confined_step(domain, state, params, sigma, rng, h=None) -> ConfinedStepResu
             cur = PhaseState(location, u_pre)
         else:
             u_post = reflect(u_pre, n)
-            hits.append(HitEvent(time=t_done + t_rel, location=location,
+            hits.append(HitEvent(path_id=rng.stream_id, time=t_done + t_rel, location=location,
                                  pre_velocity=u_pre, post_velocity=u_post))
             if len(hits) > params.max_hits:
                 raise WatchdogExceeded(

@@ -8,6 +8,7 @@ import pytest
 from speckin.errors import InvalidStart, WatchdogExceeded
 from speckin.geometry import Ball, Interval
 from speckin.langevin import (
+    STEP_COUNTER_STRIDE,
     PhaseState,
     StepParams,
     bridge_midpoint,
@@ -17,6 +18,7 @@ from speckin.langevin import (
     run_ensemble,
     semigroup_estimate,
     simulate_path,
+    step_count,
 )
 from speckin.rng import RngStream
 
@@ -339,22 +341,62 @@ def test_ensemble_matches_sequential_paths_bitwise():
     hits = []
     X, U, _ = run_ensemble(domain, X0, U0, 1.0, params, 1.0, seed=seed, hit_sink=hits)
     for i in range(n):
-        path = simulate_path(
-            domain,
-            PhaseState(X0[i].copy(), U0[i].copy()),
-            1.0,
-            params,
-            1.0,
-            RngStream(seed=seed, stream_id=i),
-        )
-        np.testing.assert_array_equal(path.states[-1].x, X[i])
-        np.testing.assert_array_equal(path.states[-1].u, U[i])
+        # path i alone, one confined_step per macro step k from counter k * 2^16
+        rng = RngStream(seed=seed, stream_id=i)
+        state, events = PhaseState(X0[i].copy(), U0[i].copy()), []
+        for k in range(step_count(1.0, params.h)):
+            t0 = k * params.h
+            rng.jump_to(k * STEP_COUNTER_STRIDE)
+            res = confined_step(domain, state, params, 1.0, rng, h=min(params.h, 1.0 - t0))
+            state = res.state
+            events += [(t0 + ev.time, ev) for ev in res.hits]
+        np.testing.assert_array_equal(state.x, X[i])
+        np.testing.assert_array_equal(state.u, U[i])
         mine = [h for h in hits if h.path_id == i]
-        assert len(mine) == len(path.events)
-        for rec, ev in zip(mine, path.events):
-            assert rec.time == ev.time
+        assert len(mine) == len(events)
+        for rec, (t, ev) in zip(mine, events):
+            assert rec.time == t
             np.testing.assert_array_equal(rec.location, ev.location)
             np.testing.assert_array_equal(rec.post_velocity, ev.post_velocity)
+
+
+def test_simulate_path_is_one_row_of_the_ensemble():
+    # T = 0.35 ends on a short step; the stream id picks the row's noise
+    domain = Interval(length=1.0)
+    params = StepParams(h=0.1)
+    rng = RngStream(seed=8, stream_id=5, counter=123)
+    path = simulate_path(domain, PhaseState(0.05, -2.0), 0.35, params, 1.0, rng)
+    assert rng.counter == 123
+    hits = []
+    X, U, snaps = run_ensemble(
+        domain, np.array([0.05]), np.array([-2.0]), 0.35, params, 1.0, 8,
+        hit_sink=hits, snapshot_times=(0.1, 0.2), stream_ids=[5],
+    )
+    np.testing.assert_allclose(path.times, [0.0, 0.1, 0.2, 0.3, 0.35], rtol=0, atol=1e-15)
+    assert path.states[0] == PhaseState(0.05, -2.0)
+    assert path.states[-1] == PhaseState(float(X[0]), float(U[0]))
+    for k in (1, 2):
+        assert path.states[k] == PhaseState(float(snaps[k / 10][0][0]), float(snaps[k / 10][1][0]))
+    assert path.events == tuple(hits) and hits
+    assert {ev.path_id for ev in hits} == {5}
+
+
+def test_snapshots_keep_every_time_and_end_at_T():
+    # T = 0.502 takes 101 steps of h = 0.005, the last one 0.002 long: the
+    # snapshot at T is the state after it, and 0.1 and 0.1001 both land on
+    # the state after step 20
+    domain = Interval(length=1.0)
+    gen = np.random.default_rng(3)
+    X0, U0 = gen.uniform(0.0, 1.0, 50), gen.standard_normal(50)
+    params = StepParams(h=0.005)
+    X, U, snaps = run_ensemble(
+        domain, X0, U0, 0.502, params, 1.0, 9, snapshot_times=(0.1, 0.1001, 0.502)
+    )
+    assert sorted(snaps) == [0.1, 0.1001, 0.502]
+    assert np.array_equal(snaps[0.502][0], X) and np.array_equal(snaps[0.502][1], U)
+    X20, U20, _ = run_ensemble(domain, X0, U0, 0.1, params, 1.0, 9)
+    for t in (0.1, 0.1001):
+        assert np.array_equal(snaps[t][0], X20) and np.array_equal(snaps[t][1], U20)
 
 
 def test_semigroup_constant_and_zero_time():

@@ -9,12 +9,14 @@ from scipy import stats
 from speckin.errors import InvalidInitial
 from speckin.geometry import Ball, Interval
 from speckin.langevin import (
+    STEP_COUNTER_STRIDE,
     PhaseState,
     RngStream,
     StepParams,
+    confined_step,
     ensemble_confined_step,
     run_ensemble,
-    simulate_path,
+    step_count,
 )
 from speckin.mckean import (
     DriftEstimatorConfig,
@@ -415,11 +417,36 @@ def test_single_zero_drift_particle_reduces_to_simulate_path():
         1,
         seed=21,
     )
-    path = simulate_path(dom, PhaseState(0.3, 0.5), 0.35, params, 1.0, RngStream(21, 0))
-    assert run.final.positions[0] == path.states[-1].x
-    assert run.final.velocities[0] == path.states[-1].u
-    assert [h.time for h in run.hits] == [e.time for e in path.events]
+    # the path alone, one confined_step per macro step k from counter k * 2^16
+    rng, state, times = RngStream(21, 0), PhaseState(0.3, 0.5), []
+    for k in range(step_count(0.35, params.h)):
+        t0 = k * params.h
+        rng.jump_to(k * STEP_COUNTER_STRIDE)
+        res = confined_step(dom, state, params, 1.0, rng, h=min(params.h, 0.35 - t0))
+        state = res.state
+        times += [t0 + e.time for e in res.hits]
+    assert run.final.positions[0] == state.x
+    assert run.final.velocities[0] == state.u
+    assert [h.time for h in run.hits] == times
     assert run.final.time == pytest.approx(0.35)
+
+
+def test_snapshot_times_name_the_steps_they_follow():
+    # T = 0.502 takes 101 steps of h = 0.005, the last one 0.002 long
+    r = np.random.default_rng(14)
+    run = run_mckean(
+        Interval(1.0), (r.uniform(0, 1, 100), r.normal(size=100)),
+        KineticModel(sigma=1.0, b="tanh(1)"), DriftEstimatorConfig(probes=17),
+        0.502, StepParams(h=0.005), 100, seed=5, snapshot_times=(0.1, 0.1001, 0.502),
+    )
+    assert sorted(run.snapshots) == sorted(run.drift_fields) == [0.1, 0.1001, 0.502]
+    end = run.snapshots[0.502]
+    assert end.time == 0.502 == run.final.time
+    assert np.array_equal(end.positions, run.final.positions)
+    assert np.array_equal(end.velocities, run.final.velocities)
+    for t in (0.1, 0.1001):
+        assert run.snapshots[t].time == 20 * 0.005
+        assert np.array_equal(run.snapshots[t].positions, run.snapshots[0.1].positions)
 
 
 def test_zero_drift_run_is_the_linear_ensemble():
