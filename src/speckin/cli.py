@@ -10,8 +10,10 @@ Every run writes a bundle directory: a canonical config.json, data files in
 CSV or JSON with a fixed column order and 17-significant-digit floats, and a
 manifest recording the scenario hash, the seed, library versions, and the
 SHA-256 of every file.  Bundle bytes are a pure function of (config bytes,
-seed, subcommand); the --threads flag is accepted and changes neither speed
-nor output.  Exit codes: 0 success, 1 execution error, 2 a diagnostic pass
+seed, subcommand); every subcommand runs on one thread, and the --threads
+flag is validated and then ignored.  Each output time lands on the nearest
+step of the run's time grid; a step is written once, labelled with its grid
+time.  Exit codes: 0 success, 1 execution error, 2 a diagnostic pass
 flag came back false, 64 usage error.
 """
 
@@ -53,7 +55,7 @@ from .diagnostics import (
 )
 from .errors import NotConverged, SpeckinError
 from .geometry import Interval
-from .langevin import run_ensemble
+from .langevin import run_ensemble, snapshot_step, step_time
 from .maxwellian import maxwellian_eval
 from .mckean import run_mckean
 from .vfp import picard_nonlinear, trace_functionals
@@ -124,8 +126,17 @@ def _components(value, dimension: int):
     return tuple(float(v) for v in np.asarray(value))
 
 
-def _output_times(cfg: ScenarioConfig):
-    return sorted(set(cfg.run.snapshot_times) | {0.0, cfg.run.T})
+def _output_steps(cfg: ScenarioConfig, T: float, h: float) -> list:
+    """The distinct steps of a grid of step h on [0, T] nearest the output
+    times: 0, T and every configured snapshot time."""
+    times = set(cfg.run.snapshot_times) | {0.0, cfg.run.T}
+    return sorted({snapshot_step(t, T, h) for t in times})
+
+
+def _particle_times(cfg: ScenarioConfig) -> tuple:
+    """The grid times of the particle steps to write."""
+    T, h = cfg.run.T, cfg.numerics.step.h
+    return tuple(step_time(k, T, h) for k in _output_steps(cfg, T, h))
 
 
 def _write_paths_csv(path: Path, snapshots: dict, dimension: int):
@@ -163,14 +174,13 @@ def _write_hits_csv(path: Path, hits, dimension: int):
     _write_csv(path, header, rows())
 
 
-def _write_slices_csv(path: Path, header, solution, history, labels, times):
-    """One row (t, label, u, value) per node of the history slice nearest
-    each output time; labels name the rows of a slice."""
+def _write_slices_csv(path: Path, header, solution, history, labels, steps):
+    """One row (t, label, u, value) per node of the history slice of each
+    step, t being the step's grid time; labels name the rows of a slice."""
     us = solution.grid.u.tolist()
 
     def rows():
-        for t in times:
-            k = int(np.argmin(np.abs(solution.times - t)))
+        for k in steps:
             t_k = float(solution.times[k])
             for label, row in zip(labels, history[k].tolist()):
                 for u, value in zip(us, row):
@@ -232,7 +242,7 @@ def _march_linear(cfg: ScenarioConfig):
     _, _, snapshots = run_ensemble(
         domain, X, U, cfg.run.T, build_step_params(cfg), model.sigma, cfg.run.seed,
         hit_sink=hits,
-        snapshot_times=tuple(_output_times(cfg)),
+        snapshot_times=_particle_times(cfg),
         kick=(lambda X, U: drift(U)) if model.b_norm > 0 else None,
     )
     return snapshots, hits, domain.dimension
@@ -261,7 +271,7 @@ def _march_mckean(cfg: ScenarioConfig, snapshot_times: tuple = ()):
 
 
 def _run_simulate_mckean(cfg: ScenarioConfig, out_dir: Path):
-    result = _march_mckean(cfg, tuple(_output_times(cfg)))
+    result = _march_mckean(cfg, _particle_times(cfg))
     snapshots = {
         t: (ens.positions, ens.velocities) for t, ens in result.snapshots.items()
     }
@@ -294,11 +304,11 @@ def _solve_picard(cfg: ScenarioConfig):
 
 def _run_solve_vfp(cfg: ScenarioConfig, out_dir: Path):
     solution, report, grid, lower, upper = _solve_picard(cfg)
-    times = _output_times(cfg)
+    steps = _output_steps(cfg, grid.horizon, grid.dt)
     _write_slices_csv(out_dir / "field.csv", ["t", "x", "u", "rho"],
-                      solution, solution.fields, solution.grid.x.tolist(), times)
+                      solution, solution.fields, solution.grid.x.tolist(), steps)
     _write_slices_csv(out_dir / "traces.csv", ["t", "wall", "u", "gamma"],
-                      solution, solution.traces, ("0", "1"), times)
+                      solution, solution.traces, ("0", "1"), steps)
     payload = report.to_dict()
     payload["grid"] = {
         "n_x": grid.n_x,
@@ -440,13 +450,10 @@ _RUNNERS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig, subcommand: str,
-                 out_dir=None, threads: int = 1) -> OutputBundle:
+def run_scenario(cfg: ScenarioConfig, subcommand: str, out_dir=None) -> OutputBundle:
     """Run one subcommand and write its output bundle.
 
     Bundle bytes depend only on (canonical config, seed, subcommand).
-    threads is accepted for compatibility and has no effect: every
-    subcommand runs on one thread.
     """
     if subcommand not in _RUNNERS:
         raise ValueError(f"unknown subcommand: {subcommand!r}")
@@ -489,7 +496,7 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--out", metavar="DIR", default=None,
                          help="override run.out bundle directory")
         cmd.add_argument("--threads", metavar="N", type=int, default=1,
-                         help="accepted for compatibility; has no effect")
+                         help="validated, then ignored: every run uses one thread")
     return parser
 
 
@@ -515,7 +522,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
         # --out stays outside the config so bundle bytes never depend on
         # where the bundle lands
-        bundle = run_scenario(cfg, args.command, out_dir=args.out, threads=args.threads)
+        bundle = run_scenario(cfg, args.command, out_dir=args.out)
     except SpeckinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

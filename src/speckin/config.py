@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConstraintViolation, ParseError
 from .geometry import Annulus, Ball, Interval
 from .langevin import StepParams
-from .maxwellian import envelope_for_gaussian, heat_kernel
+from .maxwellian import EnvelopeSpec, envelope_for_gaussian, heat_kernel
 from .mckean import DriftEstimatorConfig, KineticModel, drift_from_name
 from .vfp import PhaseGrid, auto_vmax
 from .weights import WeightParams
@@ -85,15 +85,6 @@ class GridSpec:
     n_u: int = 128
     v_max: float | None = None
     dt_factor: float = 0.9
-
-
-@dataclass(frozen=True)
-class EnvelopeSpec:
-    mu_lower: float = 2.0
-    mu_upper: float = 0.75
-    spread: float = 2.0
-    pad: float = 0.1
-    rate_margin: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -390,12 +381,12 @@ def build_envelopes(cfg: ScenarioConfig):
     model = build_model(cfg)
     length = cfg.domain.length
     swing = abs(init.x_amplitude)
-    kwargs = asdict(cfg.numerics.envelope)
+    spec = cfg.numerics.envelope
     _, upper = envelope_for_gaussian(
-        init.s, init.u_mean, (1.0 + swing) / length, model.sigma, model.b_norm, **kwargs
+        init.s, init.u_mean, (1.0 + swing) / length, model.sigma, model.b_norm, spec
     )
     lower, _ = envelope_for_gaussian(
-        init.s, init.u_mean, (1.0 - swing) / length, model.sigma, model.b_norm, **kwargs
+        init.s, init.u_mean, (1.0 - swing) / length, model.sigma, model.b_norm, spec
     )
     return lower, upper
 

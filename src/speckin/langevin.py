@@ -460,9 +460,14 @@ def step_count(T: float, h: float) -> int:
     return max(1, math.ceil(T / h - 1e-12)) if T > 0 else 0
 
 
+def step_time(k: int, T: float, h: float) -> float:
+    """Grid time after k steps: k*h before the last of step_count(T, h)
+    steps, and T after it."""
+    return T if k >= step_count(T, h) else k * h
+
+
 def snapshot_step(t: float, T: float, h: float) -> int:
-    """Steps done at the grid time nearest t; the grid times are k*h before
-    the last of step_count(T, h) steps, and T after it."""
+    """Steps done at the grid time (see step_time) nearest t."""
     n = step_count(T, h)
     k = min(max(round(t / h), 0), n)
     if k < n and abs(T - t) < abs(k * h - t):
@@ -500,7 +505,7 @@ def simulate_path(
     """
     _check_start(domain, initial, params.eps_hit)
     h = params.h
-    times = [0.0] + [k * h + min(h, T - k * h) for k in range(step_count(T, h))]
+    times = [step_time(k, T, h) for k in range(step_count(T, h) + 1)]
     events = []
     _, _, snapshots = run_ensemble(
         domain, *_as_rows(initial), T, params, sigma, rng.seed,

@@ -109,17 +109,24 @@ def lB_apply(params: MaxwellianParams, B, t, u):
     return maxwellian_eval(params, t, u) * bracket
 
 
+@dataclass(frozen=True)
+class EnvelopeSpec:
+    """Shape knobs of the envelope pair built by envelope_for_gaussian."""
+
+    mu_lower: float = 2.0
+    mu_upper: float = 0.75
+    spread: float = 2.0
+    pad: float = 0.1
+    rate_margin: float = 0.1
+
+
 def envelope_for_gaussian(
     s0: float,
     u_mean: float,
     amplitude: float,
     sigma: float,
     b_norm: float,
-    mu_lower: float = 2.0,
-    mu_upper: float = 0.75,
-    spread: float = 2.0,
-    pad: float = 0.1,
-    rate_margin: float = 0.1,
+    spec: EnvelopeSpec = EnvelopeSpec(),
 ) -> tuple:
     """Radial envelope pair sandwiching amplitude * G(s0, u - u_mean) in d=1.
 
@@ -128,8 +135,9 @@ def envelope_for_gaussian(
     lower member faster; kappa is set from the log-ratio vertex so the worst
     ratio across u equals 1 + pad.  Rates sit rate_margin beyond the critical
     thresholds, so the pair stays super/sub along the flow for any drift
-    bounded by b_norm.
+    bounded by b_norm.  The knobs come from spec.
     """
+    mu_lower, mu_upper, spread, pad = spec.mu_lower, spec.mu_upper, spec.spread, spec.pad
     if not 0.5 < mu_upper < 1.0:
         raise InvalidExponent(f"mu_upper must lie in (1/2, 1), got {mu_upper}")
     if not mu_lower > 1.0:
@@ -149,7 +157,7 @@ def envelope_for_gaussian(
         + 0.5 * mu_upper * np.log(2.0 * np.pi * s_up)
     ) / mu_upper
     upper = MaxwellianParams(
-        a=super_sub_thresholds(mu_upper, sigma, b_norm) + rate_margin,
+        a=super_sub_thresholds(mu_upper, sigma, b_norm) + spec.rate_margin,
         mu=mu_upper,
         core=GaussianCore(kappa=float(np.exp(log_kappa_up)), s=s_up),
         sigma=sigma,
@@ -163,7 +171,7 @@ def envelope_for_gaussian(
         + 0.5 * mu_lower * np.log(2.0 * np.pi * s_lo)
     ) / mu_lower
     lower = MaxwellianParams(
-        a=super_sub_thresholds(mu_lower, sigma, b_norm) - rate_margin,
+        a=super_sub_thresholds(mu_lower, sigma, b_norm) - spec.rate_margin,
         mu=mu_lower,
         core=GaussianCore(kappa=float(np.exp(log_kappa_lo)), s=s_lo),
         sigma=sigma,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidInitial
 from .geometry import Domain, Interval
-from .langevin import StepParams, run_ensemble, snapshot_step
+from .langevin import StepParams, run_ensemble, snapshot_step, step_time
 
 BIN_REFINE = 4  # binning centres per probe interval of the binned estimate
 
@@ -331,10 +331,9 @@ def run_mckean(
         stream_ids=stream_ids,
         kick=lambda X, U: _drift_at_particles(domain, Ensemble(X, U), model, cfg),
     )
-    # a snapshot at t was taken after snapshot_step(t, T, h) steps, which
-    # end at the grid time min(steps * h, T)
+    # a snapshot at t was taken after snapshot_step(t, T, h) steps
     snapshots = {
-        t: Ensemble(Xs, Us, min(snapshot_step(t, T, params.h) * params.h, T))
+        t: Ensemble(Xs, Us, step_time(snapshot_step(t, T, params.h), T, params.h))
         for t, (Xs, Us) in states.items()
     }
     drift_fields = {}

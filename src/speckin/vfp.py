@@ -1,17 +1,17 @@
 """Phase-grid solvers for the kinetic Fokker-Planck problems on an interval.
 
-One spatial dimension, one velocity dimension. Strang splitting: a half step
-of semi-Lagrangian x-transport, a full velocity substep (explicit upwind
-drift advection followed by Crank-Nicolson diffusion with homogeneous
-Dirichlet truncation at |u| = V_max), and a second transport half step.
-
-Two wall treatments share the transport core. The specular solver folds
-characteristics back by unfolding each +-u row pair onto a periodic circle
-of twice the interval, which realizes the reflection exactly, conserves
-mass to round-off, and makes the wall traces even in u by construction.
-The inflow solver runs the backward-oriented transport whose characteristic
-feet leave through the outgoing walls, where the prescribed boundary data
-fills the ghost values; its in/out mass ledger is exact by bookkeeping.
+One spatial dimension, one velocity dimension. Both linear solvers march
+one Strang splitting (transport half step, Crank-Nicolson u-diffusion with
+homogeneous Dirichlet truncation at |u| = V_max, transport half step) and
+share its diffusion stencil, clamp, initial-data check and wall-value rule.
+They differ in the transport. The specular solver unfolds each +-u row pair
+onto a periodic circle of twice the interval and shifts it by linear
+interpolation: the reflection is exact, mass holds to round-off, and the
+wall traces are even in u; its velocity substep also advects the drift
+upwind. The inflow solver reads the new value at x from x + u dt, blending
+each cell with its neighbour towards the wall its row leaves by, and the
+last cell with the wall datum half a cell out; the datum's share is the
+injected mass, so the in/out mass ledger is exact by bookkeeping.
 
 The nonlinear solver iterates frozen-drift specular solves, re-estimating
 the drift from the previous iterate's velocity averages, and stops when
@@ -30,7 +30,7 @@ from .errors import CFLViolated, NegativeDensity, NotConverged
 from .langevin import step_count
 from .maxwellian import MaxwellianParams, maxwellian_eval
 from .mckean import KineticModel
-from .weights import WeightParams, weight_eval
+from .weights import WeightParams, default_weight, weight_eval
 
 __all__ = [
     "PhaseGrid",
@@ -285,6 +285,25 @@ def _as_values(rho0) -> np.ndarray:
     return np.array(rho0, dtype=float)
 
 
+def _initial_values(grid: PhaseGrid, rho0, sigma: float) -> np.ndarray:
+    """A copy of a solver's initial data, checked against the grid and sigma."""
+    grid.check_diffusion(sigma)
+    f = _as_values(rho0)
+    if f.shape != (grid.n_x, grid.n_u):
+        raise ValueError(f"initial data must have shape {(grid.n_x, grid.n_u)}")
+    if float(f.min()) < 0:
+        raise NegativeDensity("initial data has negative entries")
+    return f
+
+
+def _wall_values(values: np.ndarray, order: int = 2) -> np.ndarray:
+    """(2, n_u) values at x = 0 and x = L: the outermost cell (order 1) or
+    the linear extrapolation from the two outermost cells (order 2)."""
+    if order == 1:
+        return values[[0, -1]]
+    return 1.5 * values[[0, -1]] - 0.5 * values[[1, -2]]
+
+
 # --------------------------------------------------- specular solver
 
 
@@ -315,7 +334,7 @@ class SpecularResult:
         ||f(T)||^2 + sigma^2 int ||grad_u f||^2 = ||f(0)||^2 + bracket term,
         all in L2(w). Time integrals use the per-step field quadrature.
         """
-        w = _weight_values(self.grid, self.weight)
+        w = _weight_tables(self.grid, self.weight)[0]
         quad = self.grid.dx * self.grid.du
         e0 = float((self.fields[0] ** 2 * w).sum()) * quad
         eT = float((self.fields[-1] ** 2 * w).sum()) * quad
@@ -324,18 +343,19 @@ class SpecularResult:
         return abs(eT + grad - e0 - bracket) / e0
 
 
-def _weight_values(grid: PhaseGrid, weight: WeightParams | None) -> np.ndarray:
-    if weight is None:
-        return np.ones(grid.n_u)
-    return weight_eval(weight, grid.u).value
+def _weight_tables(grid: PhaseGrid, weight: WeightParams | None):
+    """(node weights, face weights, gradient, Laplacian) of the weight.
 
-
-def _face_weights(grid: PhaseGrid, weight: WeightParams | None) -> np.ndarray:
-    """Weight at the n_u + 1 velocity faces (both Dirichlet faces included)."""
+    The nodes are the n_u velocity nodes, the faces the n_u + 1 velocity
+    faces (both Dirichlet faces included); gradient and Laplacian are taken
+    at the nodes. No weight means 1, 1, 0 and 0.
+    """
+    n = grid.n_u
     if weight is None:
-        return np.ones(grid.n_u + 1)
-    faces = (np.arange(grid.n_u + 1) - grid.n_u / 2.0) * grid.du
-    return weight_eval(weight, faces).value
+        return np.ones(n), np.ones(n + 1), np.zeros(n), np.zeros(n)
+    nodes = weight_eval(weight, grid.u)
+    faces = (np.arange(n + 1) - n / 2.0) * grid.du
+    return nodes.value, weight_eval(weight, faces).value, nodes.gradient, nodes.laplacian
 
 
 def _face_grad_sq(mid: np.ndarray, grid: PhaseGrid, w_face: np.ndarray) -> float:
@@ -375,12 +395,7 @@ def _specular_march(grid: PhaseGrid, rho0, B, sigma: float,
     the transport shifts are built once per distinct dt, and dt changes on
     the last step only.
     """
-    grid.check_diffusion(sigma)
-    f = _as_values(rho0)
-    if f.shape != (grid.n_x, grid.n_u):
-        raise ValueError(f"rho0 must have shape {(grid.n_x, grid.n_u)}")
-    if float(f.min()) < 0:
-        raise NegativeDensity("initial density has negative entries")
+    f = _initial_values(grid, rho0, sigma)
     drift_fn = _resolve_drift(B, grid)
     n_steps = grid.n_steps
     result = SpecularResult(
@@ -394,12 +409,11 @@ def _specular_march(grid: PhaseGrid, rho0, B, sigma: float,
         clamped=[],
         weight=weight,
     )
-    result.traces[0] = _specular_trace(f, grid)
+    result.traces[0] = _specular_trace(f)
     result.mass[0] = grid.cell_mass(f)
 
     def steps(f):
-        w_face = _face_weights(grid, weight)
-        wgrad, wlap = _weight_derivatives(grid, weight)
+        _, w_face, wgrad, wlap = _weight_tables(grid, weight)
         quad = grid.dx * grid.du
         x = grid.x
         scale = float(f.max())
@@ -422,7 +436,7 @@ def _specular_march(grid: PhaseGrid, rho0, B, sigma: float,
             f = _transport_specular(f, grid, shifts)
             f = _clamp(f, scale, result.clamped)
             t += dt
-            result.traces[k + 1] = _specular_trace(f, grid)
+            result.traces[k + 1] = _specular_trace(f)
             result.mass[k + 1] = grid.cell_mass(f)
             bracket = 0.5 * sigma**2 * wlap[None, :] + drift[:, None] * wgrad[None, :]
             result.bracket_sq_weighted[k] = dt * float((bracket * f**2).sum()) * quad
@@ -452,31 +466,10 @@ def solve_specular_linear(
     return result
 
 
-def _weight_derivatives(grid: PhaseGrid, weight: WeightParams | None):
-    if weight is None:
-        n = grid.n_u
-        return np.zeros(n), np.zeros(n)
-    ev = weight_eval(weight, grid.u)
-    return ev.gradient, ev.laplacian
-
-
-def _specular_trace(values: np.ndarray, grid: PhaseGrid, order: int = 2) -> np.ndarray:
-    """Wall traces from the unfolded field; even in u by construction."""
-    half = grid.n_u // 2
-    out = np.empty((2, grid.n_u))
-    for wall, (c0, c1) in ((0, (0, 1)), (1, (grid.n_x - 1, grid.n_x - 2))):
-        a = values[c0, half:]
-        b = values[c0, half - 1 :: -1]
-        if order == 1:
-            g = 0.5 * (a + b)
-        else:
-            a2 = values[c1, half:]
-            b2 = values[c1, half - 1 :: -1]
-            g = 0.5 * ((1.5 * a - 0.5 * a2) + (1.5 * b - 0.5 * b2))
-            np.clip(g, 0.0, None, out=g)
-        out[wall, half:] = g
-        out[wall, half - 1 :: -1] = g
-    return out
+def _specular_trace(values: np.ndarray, order: int = 2) -> np.ndarray:
+    """Wall traces averaged over each +-u pair, so even in u, and clipped at 0."""
+    w = _wall_values(values, order)
+    return np.clip(0.5 * (w + w[:, ::-1]), 0.0, None)
 
 
 # ----------------------------------------------------- inflow solver
@@ -519,49 +512,36 @@ class InflowResult:
         return abs(lhs - rhs) / max(self.mass[0] + float(self.mass_in.sum()), 1e-300)
 
 
-def _transport_inflow(values, grid: PhaseGrid, dt: float, q_at, t_eval):
-    """Backward-oriented transport: feet at x + u dt, q fills wall ghosts.
+def _transport_inflow(values: np.ndarray, grid: PhaseGrid, dt: float,
+                      q: np.ndarray):
+    """Backward-oriented transport: the new value at x is read at x + u dt.
+
+    q holds the (2, n_u) wall data, zero off each wall's outgoing half. A
+    row is read towards the wall its velocity leaves by (u > 0 rows as they
+    are, u < 0 rows reversed in x), and each cell blends with the next one
+    by s = |u| dt / dx. The last cell blends with the wall datum, half a
+    cell out, by min(2s, 1). This needs s <= 1/2, a half step moving at most
+    half a cell, which the transport CFL limit of `PhaseGrid` guarantees.
 
     Returns the updated field and the q-mass injected (scheme bookkeeping).
     """
-    x = grid.x
     u = grid.u
-    dx = grid.dx
-    n_x = grid.n_x
-    out = np.empty_like(values)
-    injected = 0.0
-    q0 = q_at(t_eval, 0)  # wall x=0, used by u < 0 rows
-    qL = q_at(t_eval, 1)  # wall x=L, used by u > 0 rows
-    for j, uj in enumerate(u):
-        feet = x + uj * dt
-        col = values[:, j]
-        if uj > 0:
-            inside = np.interp(feet, x, col)
-            # between the last center and the wall, blend with q at the wall
-            upper = x[-1]
-            theta = np.clip((feet - upper) / (0.5 * dx), 0.0, 1.0)
-            vals = np.where(feet <= upper, inside, (1 - theta) * col[-1] + theta * qL[j])
-            vals = np.where(feet >= grid.length, qL[j], vals)
-            injected += float((theta * qL[j]).sum()) * dx * grid.du
-        else:
-            inside = np.interp(feet, x, col)
-            lower = x[0]
-            theta = np.clip((lower - feet) / (0.5 * dx), 0.0, 1.0)
-            vals = np.where(feet >= lower, inside, (1 - theta) * col[0] + theta * q0[j])
-            vals = np.where(feet <= 0.0, q0[j], vals)
-            injected += float((theta * q0[j]).sum()) * dx * grid.du
-        out[:, j] = vals
-    return out, injected
+    s = np.abs(u) * (dt / grid.dx)
+    rows = np.where(u > 0, values, values[::-1])
+    out = np.empty_like(rows)
+    out[:-1] = rows[:-1] + s * (rows[1:] - rows[:-1])
+    theta = np.minimum(2.0 * s, 1.0)
+    datum = np.where(u > 0, q[1], q[0])
+    out[-1] = rows[-1] + theta * (datum - rows[-1])
+    injected = float((theta * datum).sum()) * grid.dx * grid.du
+    return np.where(u > 0, out, out[::-1]), injected
 
 
 def _inflow_trace(values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """Trace on the incoming-set rows (Sigma^-), extrapolated at walls 0 and
-    L from the two nearest cell centres."""
+    """Trace on the incoming-set rows (Sigma^-), clipped at 0."""
     u = grid.u
-    walls = np.stack([1.5 * values[0] - 0.5 * values[1], 1.5 * values[-1] - 0.5 * values[-2]])
     # wall 0 has normal -1, so u.n < 0 there means u > 0
-    out = np.where([u > 0, u < 0], walls, 0.0)
-    return np.clip(out, 0.0, None)
+    return np.clip(np.where([u > 0, u < 0], _wall_values(values), 0.0), 0.0, None)
 
 
 def solve_linear_inflow(
@@ -577,70 +557,55 @@ def solve_linear_inflow(
     trace, the energy pieces of the balance identity, and the exact in/out
     mass ledger are recorded every step.
     """
-    grid.check_diffusion(sigma)
-    f = _as_values(f0)
-    if f.shape != (grid.n_x, grid.n_u):
-        raise ValueError(f"f0 must have shape {(grid.n_x, grid.n_u)}")
-    if float(f.min()) < 0:
-        raise NegativeDensity("initial data has negative entries")
+    f = _initial_values(grid, f0, sigma)
+    u = grid.u
 
-    def q_at(t, wall):
-        vals = np.asarray(q(t, wall), dtype=float)
-        if vals.shape != (grid.n_u,):
+    def q_at(t):
+        walls = [np.asarray(q(t, wall), dtype=float) for wall in (0, 1)]
+        if any(vals.shape != (grid.n_u,) for vals in walls):
             raise ValueError("q(t, wall) must return one value per u node")
-        u = grid.u
-        keep = u < 0 if wall == 0 else u > 0
-        return np.where(keep, vals, 0.0)
+        return np.where([u < 0, u > 0], walls, 0.0)
 
     n_steps = grid.n_steps
     fields = np.empty((n_steps + 1, grid.n_x, grid.n_u))
     gamma = np.empty((n_steps + 1, 2, grid.n_u))
     mass = np.empty(n_steps + 1)
-    mass_in = np.zeros(n_steps)
-    mass_out = np.zeros(n_steps)
-    grad_sq = np.zeros(n_steps)
-    trace_sq = np.zeros(n_steps)
-    data_sq = np.zeros(n_steps)
+    mass_in = np.empty(n_steps)
+    # per slice: sigma^2 ||grad_u f||^2, ||gamma^-||^2 and ||q||^2, each
+    # integrated in time by the trapezoid rule once every slice is in
+    terms = np.empty((3, n_steps + 1))
+    dts = np.empty(n_steps)
     clamped: list = []
     quad = grid.dx * grid.du
-    abs_u = np.abs(grid.u)
+    abs_u = np.abs(u)
+    scale = float(f.max()) + 1.0
 
-    fields[0] = f
-    gamma[0] = _inflow_trace(f, grid)
-    mass[0] = grid.cell_mass(f)
+    def record(k, t, f):
+        fields[k] = f
+        gamma[k] = _inflow_trace(f, grid)
+        mass[k] = grid.cell_mass(f)
+        g = np.gradient(f, grid.du, axis=1)
+        terms[:, k] = (sigma**2 * float((g**2).sum()) * quad,
+                       float((abs_u * gamma[k]**2).sum()) * grid.du,
+                       float((abs_u * q_at(t)**2).sum()) * grid.du)
+
     t = 0.0
-
-    def grad_quad(values):
-        g = np.gradient(values, grid.du, axis=1)
-        return sigma**2 * float((g**2).sum()) * quad
-
-    def wall_quad(pair):
-        return float((abs_u * pair**2).sum()) * grid.du
-
+    record(0, t, f)
     per_dt = {}
     for k in range(n_steps):
         dt = min(grid.dt, grid.horizon - t)
         if dt not in per_dt:
             per_dt[dt] = _diffusion_matrix(grid, sigma, dt)
         lam, ab = per_dt[dt]
-        before = grid.cell_mass(f)
-        g_prev = grad_quad(f)
-        q_prev = wall_quad(np.stack([q_at(t, 0), q_at(t, 1)]))
-        f, in1 = _transport_inflow(f, grid, 0.5 * dt, q_at, t + 0.25 * dt)
+        f, in1 = _transport_inflow(f, grid, 0.5 * dt, q_at(t + 0.25 * dt))
         f = _diffuse(f, lam, ab)
-        f, in2 = _transport_inflow(f, grid, 0.5 * dt, q_at, t + 0.75 * dt)
-        f = _clamp(f, float(fields[0].max()) + 1.0, clamped)
+        f, in2 = _transport_inflow(f, grid, 0.5 * dt, q_at(t + 0.75 * dt))
+        f = _clamp(f, scale, clamped)
         t += dt
-        fields[k + 1] = f
-        gamma[k + 1] = _inflow_trace(f, grid)
-        mass[k + 1] = grid.cell_mass(f)
+        dts[k] = dt
         mass_in[k] = in1 + in2
-        mass_out[k] = before + mass_in[k] - mass[k + 1]
-        # trapezoid in time for every energy accumulator
-        grad_sq[k] = 0.5 * dt * (g_prev + grad_quad(f))
-        trace_sq[k] = 0.5 * dt * (wall_quad(gamma[k]) + wall_quad(gamma[k + 1]))
-        q_next = wall_quad(np.stack([q_at(t, 0), q_at(t, 1)]))
-        data_sq[k] = 0.5 * dt * (q_prev + q_next)
+        record(k + 1, t, f)
+    grad_sq, trace_sq, data_sq = 0.5 * dts * (terms[:, :-1] + terms[:, 1:])
     return InflowResult(
         grid=grid,
         times=grid.times,
@@ -648,7 +613,7 @@ def solve_linear_inflow(
         gamma_minus=gamma,
         mass=mass,
         mass_in=mass_in,
-        mass_out=mass_out,
+        mass_out=mass[:-1] + mass_in - mass[1:],
         grad_sq=grad_sq,
         trace_sq=trace_sq,
         data_sq=data_sq,
@@ -738,8 +703,7 @@ def trace_extract(field, grid: PhaseGrid, order: int = 2) -> TraceField:
     """Wall traces of one snapshot, symmetrized across each +-u pair (the
     fold-back convention)."""
     df = field if isinstance(field, DensityField) else DensityField(_as_values(field), 0.0)
-    gamma = _specular_trace(df.values, grid, order)
-    return TraceField(np.clip(gamma, 0.0, None), df.time)
+    return TraceField(_specular_trace(df.values, order), df.time)
 
 
 def trace_functionals(trace: TraceField, grid: PhaseGrid) -> dict:
@@ -813,7 +777,7 @@ def picard_nonlinear(
     written over that slice. Only the first sweep allocates the history.
     """
     if weight is None:
-        weight = WeightParams(alpha=3.0, dimension=1)
+        weight = default_weight(1)
     rho_init = _as_values(rho0)
     n_steps = grid.n_steps
     lower_table = _envelope_table(lower, grid)

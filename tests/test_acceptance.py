@@ -13,7 +13,7 @@ from time import perf_counter
 import numpy as np
 from scipy import special
 
-from speckin.cli import run_scenario
+from speckin.cli import main
 from speckin.config import (
     build_domain,
     build_envelopes,
@@ -23,6 +23,7 @@ from speckin.config import (
     config_from_dict,
     initial_density,
     sample_initial,
+    serialize_config,
 )
 from speckin.diagnostics import (
     flux_balance_particles,
@@ -398,6 +399,15 @@ def _read_tree(root: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
 
 
+def _run_cli(cfg, subcommand: str, out: Path, threads: int = 1) -> Path:
+    """The command line on cfg, from a config file beside the bundle."""
+    path = out.with_suffix(".json")
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    argv = [subcommand, "--config", str(path), "--out", str(out), "--threads", str(threads)]
+    assert main(argv) == 0
+    return out
+
+
 def test_12_bundle_reproducibility(tmp_path):
     small = config_from_dict({
         "scenario": "repro",
@@ -407,15 +417,15 @@ def test_12_bundle_reproducibility(tmp_path):
         "run": {"T": 0.1, "N": 400, "seed": 31415},
     })
     t0 = perf_counter()
-    base = run_scenario(small, "simulate-mckean", out_dir=tmp_path / "base")
+    base = _run_cli(small, "simulate-mckean", tmp_path / "base")
     t_base = perf_counter() - t0
     trees, t_runs = [], []
     for tag, threads in (("again", 1), ("two", 2), ("eight", 8)):
         t1 = perf_counter()
-        run_scenario(small, "simulate-mckean", out_dir=tmp_path / tag, threads=threads)
+        _run_cli(small, "simulate-mckean", tmp_path / tag, threads)
         t_runs.append(perf_counter() - t1)
         trees.append(_read_tree(tmp_path / tag))
-    ref = _read_tree(Path(base.path))
+    ref = _read_tree(base)
     identical = all(tree == ref for tree in trees)
 
     coarse = config_from_dict({
@@ -424,8 +434,8 @@ def test_12_bundle_reproducibility(tmp_path):
         "numerics": {"grid": {"n_x": 24, "n_u": 48}},
         "run": {"T": 0.1, "seed": 5},
     })
-    run_scenario(coarse, "solve-vfp", out_dir=tmp_path / "vfp-a")
-    run_scenario(coarse, "solve-vfp", out_dir=tmp_path / "vfp-b", threads=8)
+    _run_cli(coarse, "solve-vfp", tmp_path / "vfp-a")
+    _run_cli(coarse, "solve-vfp", tmp_path / "vfp-b", threads=8)
     identical = identical and _read_tree(tmp_path / "vfp-a") == _read_tree(tmp_path / "vfp-b")
 
     budget = 3.0 * (3.0 * t_base + 1.0)

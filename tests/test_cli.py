@@ -378,6 +378,37 @@ class TestBundles:
         assert traces[0] == "t,wall,u,gamma"
         assert len(traces) == 1 + 3 * 2 * 32  # three times, two walls
 
+    def test_output_times_on_one_step_are_written_once_at_its_grid_time(self, tmp_path):
+        # 0.0101 and 0.0102 both lie nearest step 2 of h = 0.005, at t = 0.01
+        cfg = config_from_dict(small_scenario(
+            tmp_path, numerics={"step": {"h": 0.005}},
+            run={"T": 0.02, "N": 50, "snapshot_times": [0.0101, 0.0102]},
+        ))
+
+        def times(bundle, name, column=0):
+            lines = (bundle.path / name).read_text().splitlines()[1:]
+            return [float(line.split(",")[column]) for line in lines]
+
+        for subcommand in ("simulate-linear", "simulate-mckean"):
+            bundle = run_scenario(cfg, subcommand, out_dir=tmp_path / subcommand)
+            t = times(bundle, "paths.csv", column=1)
+            assert sorted(set(t)) == [0.0, 0.01, 0.02]
+            assert len(t) == 3 * cfg.run.N
+        t = times(bundle, "drift.csv")
+        assert sorted(set(t)) == [0.0, 0.01, 0.02]
+        assert len(t) == 3 * t.count(0.0)
+
+        bundle = run_scenario(cfg, "solve-vfp", out_dir=tmp_path / "grid")
+        grid = json.loads((bundle.path / "picard.json").read_text())["grid"]
+        cell = (1.0 / grid["n_x"]) * (2 * grid["v_max"] / grid["n_u"])
+        data = np.loadtxt(bundle.path / "field.csv", delimiter=",", skiprows=1)
+        steps = np.unique(data[:, 0])
+        assert len(steps) == 3 and len(data) == 3 * grid["n_x"] * grid["n_u"]
+        assert abs(steps[1] - 0.0101) <= 0.5 * grid["dt"] + 1e-12
+        for t in steps:
+            assert data[data[:, 0] == t, 3].sum() * cell == pytest.approx(1.0, abs=1e-8)
+        assert len(times(bundle, "traces.csv")) == 3 * 2 * grid["n_u"]
+
     @staticmethod
     def _validate_scenario(tmp_path):
         return config_from_dict(small_scenario(

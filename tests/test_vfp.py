@@ -30,6 +30,8 @@ from speckin.vfp import (
     _fold,
     _rotate_interp,
     _SliceNorms,
+    _specular_trace,
+    _transport_inflow,
     _transport_shifts,
     _transport_specular,
     _unfold,
@@ -60,6 +62,53 @@ def gather_rotate(circles, shifts):
     i1 = (i0 - 1) % m
     rows = np.arange(circles.shape[0])[:, None]
     return (1.0 - theta[:, None]) * circles[rows, i0] + theta[:, None] * circles[rows, i1]
+
+
+def reference_specular_trace(values, grid, order=2):
+    """Reference: wall traces wall by wall over the +-u row pairs."""
+    half = grid.n_u // 2
+    out = np.empty((2, grid.n_u))
+    for wall, (c0, c1) in ((0, (0, 1)), (1, (grid.n_x - 1, grid.n_x - 2))):
+        a = values[c0, half:]
+        b = values[c0, half - 1 :: -1]
+        if order == 1:
+            g = 0.5 * (a + b)
+        else:
+            a2 = values[c1, half:]
+            b2 = values[c1, half - 1 :: -1]
+            g = 0.5 * ((1.5 * a - 0.5 * a2) + (1.5 * b - 0.5 * b2))
+            np.clip(g, 0.0, None, out=g)
+        out[wall, half:] = g
+        out[wall, half - 1 :: -1] = g
+    return out
+
+
+def reference_transport_inflow(values, grid, dt, q):
+    """Reference: the inflow transport one velocity row at a time, by
+    interpolation at the feet x + u dt; q holds the (2, n_u) wall data."""
+    x = grid.x
+    dx = grid.dx
+    out = np.empty_like(values)
+    injected = 0.0
+    q0, qL = q  # wall x=0, used by u < 0 rows; wall x=L, used by u > 0 rows
+    for j, uj in enumerate(grid.u):
+        feet = x + uj * dt
+        col = values[:, j]
+        inside = np.interp(feet, x, col)
+        if uj > 0:
+            upper = x[-1]
+            theta = np.clip((feet - upper) / (0.5 * dx), 0.0, 1.0)
+            vals = np.where(feet <= upper, inside, (1 - theta) * col[-1] + theta * qL[j])
+            vals = np.where(feet >= grid.length, qL[j], vals)
+            injected += float((theta * qL[j]).sum()) * dx * grid.du
+        else:
+            lower = x[0]
+            theta = np.clip((lower - feet) / (0.5 * dx), 0.0, 1.0)
+            vals = np.where(feet >= lower, inside, (1 - theta) * col[0] + theta * q0[j])
+            vals = np.where(feet <= 0.0, q0[j], vals)
+            injected += float((theta * q0[j]).sum()) * dx * grid.du
+        out[:, j] = vals
+    return out, injected
 
 
 def _v1_distance(a, b, grid, weight):
@@ -334,6 +383,26 @@ class TestInflow:
         rhs = res.mass[0] + res.mass_in.sum()
         assert lhs <= rhs * (1 + 1e-10)
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_transport_matches_per_row_reference(self, n):
+        g, f0, q, _ = inflow_scenario(n)
+        f = f0 * np.random.default_rng(n).uniform(0.5, 1.5, size=f0.shape)
+        u = g.u
+        walls = np.where([u < 0, u > 0], [q(0.1, 0), q(0.1, 1)], 0.0)
+        for dt in (0.5 * g.dt, 0.15 * g.dt):  # a full and a short half step
+            got, injected = _transport_inflow(f, g, dt, walls)
+            want, want_injected = reference_transport_inflow(f, g, dt, walls)
+            assert np.abs(got - want).max() <= 1e-14 * want.max()
+            assert injected == pytest.approx(want_injected, rel=1e-14)
+
+    def test_solve_matches_per_row_reference_transport(self, monkeypatch):
+        g, f0, q, sigma = inflow_scenario(32)
+        res = solve_linear_inflow(g, f0, q, sigma)
+        monkeypatch.setattr("speckin.vfp._transport_inflow", reference_transport_inflow)
+        ref = solve_linear_inflow(g, f0, q, sigma)
+        assert np.abs(res.fields - ref.fields).max() <= 1e-13 * ref.fields.max()
+        np.testing.assert_allclose(res.mass_in, ref.mass_in, rtol=1e-13)
+
     def test_incoming_trace_only_on_incoming_rows(self):
         g, f0, q, sigma = inflow_scenario(32)
         res = solve_linear_inflow(g, f0, q, sigma)
@@ -440,6 +509,17 @@ class TestTraceExtract:
         for order in (1, 2):
             tr = trace_extract(f, g, order=order)
             assert np.allclose(tr.gamma, f[0][None, :], rtol=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_traces_match_per_wall_reference_bitwise(self, order):
+        g = PhaseGrid(length=1.0, n_x=12, v_max=3.0, n_u=24, dt=1e-3, horizon=0.01)
+        f = np.random.default_rng(7).uniform(0.0, 1.0, size=(g.n_x, g.n_u))
+        f[[1, -2]] *= 4.0  # steep next-to-wall rows: extrapolations go negative
+        want = reference_specular_trace(f, g, order)
+        if order == 2:
+            assert (want == 0.0).any() and (want > 0.0).any()
+        assert np.array_equal(_specular_trace(f, order), want)
+        assert np.array_equal(trace_extract(f, g, order).gamma, want)
 
     def test_functionals_match_quadrature(self):
         g = PhaseGrid(length=1.0, n_x=8, v_max=3.0, n_u=16, dt=1e-3, horizon=0.01)
