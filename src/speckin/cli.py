@@ -54,7 +54,6 @@ from .diagnostics import (
     shell_flux_estimate,
 )
 from .errors import NotConverged, SpeckinError
-from .geometry import Interval
 from .langevin import run_ensemble, snapshot_step, step_time
 from .maxwellian import maxwellian_eval
 from .mckean import run_mckean
@@ -348,7 +347,12 @@ def _predicted_wall_hits(trace_fields, grid, n_paths: int) -> float:
 
 
 def _run_validate(cfg: ScenarioConfig, out_dir: Path):
-    """Grid and particle runs cross-checked into one pass/fail report."""
+    """Grid and particle runs cross-checked into one pass/fail report.
+
+    The grid needs an interval (`build_grid` refuses any other domain), so
+    the wall-flux gate, the particle hit count against the grid's outgoing
+    flux, always runs.
+    """
     solution, picard_report, grid, lower, upper = _solve_picard(cfg)
     model = build_model(cfg)
     tol_grid = _grid_tolerance(grid, upper)
@@ -423,13 +427,12 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
             z = abs(shell.mean) / shell.stderr
             detail += f", near-wall flux z={z:.2f} ({shell.count} states)"
             hit_passed = hit_passed and z <= SHELL_FLUX_SIGMAS
-    if isinstance(domain, Interval):
-        # cross-layer check: the particle hit log against the grid solution
-        expected = _predicted_wall_hits(trace_fields, grid, cfg.run.N)
-        if expected > 0:
-            z = (len(particles.hits) - expected) / math.sqrt(expected)
-            detail += f"; grid flux predicts {expected:.1f} hits, z={z:.2f}"
-            hit_passed = hit_passed and abs(z) <= WALL_FLUX_SIGMAS
+    # cross-layer check: the particle hit log against the grid solution
+    expected = _predicted_wall_hits(trace_fields, grid, cfg.run.N)
+    if expected > 0:
+        z = (len(particles.hits) - expected) / math.sqrt(expected)
+        detail += f"; grid flux predicts {expected:.1f} hits, z={z:.2f}"
+        hit_passed = hit_passed and abs(z) <= WALL_FLUX_SIGMAS
     report.add(
         "hit_count_stats",
         float(len(particles.hits)),

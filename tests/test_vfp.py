@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import solve_banded
 
 from speckin.config import (
     build_envelopes,
@@ -26,15 +27,17 @@ from speckin.maxwellian import (
 from speckin.mckean import KineticModel
 from speckin.vfp import (
     PhaseGrid,
+    _advect_u,
+    _diffuse,
+    _diffusion_matrix,
     _envelope_table,
-    _fold,
-    _rotate_interp,
     _SliceNorms,
     _specular_trace,
     _transport_inflow,
     _transport_shifts,
     _transport_specular,
-    _unfold,
+    _transport_weights,
+    _u_gradient,
     auto_vmax,
     drift_from_density,
     picard_nonlinear,
@@ -50,6 +53,30 @@ from speckin.weights import WeightParams
 def uniform_gaussian(grid, variance, shift=0.0):
     prof = heat_kernel(variance, grid.u - shift) / grid.length
     return np.broadcast_to(prof, (grid.n_x, grid.n_u)).copy()
+
+
+def unfold(values):
+    """Reference layout: one periodic circle per +-u column pair. Pair k
+    runs out along u[half + k] > 0 from x = 0 and back along its mirror
+    column from x = L, so specular transport is a rotation of the circle."""
+    half = values.shape[1] // 2
+    pos = values[:, half:]  # (n_x, half), u > 0
+    neg = values[:, half - 1 :: -1]  # (n_x, half), matching -u columns
+    return np.concatenate([pos.T, neg.T[:, ::-1]], axis=1)  # (half, 2 n_x)
+
+
+def fold(circles):
+    """The inverse of `unfold`."""
+    half, n_x = circles.shape[0], circles.shape[1] // 2
+    values = np.empty((n_x, 2 * half))
+    values[:, half:] = circles[:, :n_x].T
+    values[:, half - 1 :: -1] = circles[:, n_x:][:, ::-1].T
+    return values
+
+
+def column_shifts(shifts):
+    """Per-column shifts of circle-row shifts: each pair moves both its columns."""
+    return np.concatenate([shifts[::-1], shifts])
 
 
 def gather_rotate(circles, shifts):
@@ -301,12 +328,18 @@ class TestSpecularLinear:
 class TestSpecularTransport:
     @pytest.mark.parametrize("n_x", [8, 9, 96])
     def test_rotation_matches_gather_bitwise(self, n_x):
+        # the transport on the (n_x, n_u) layout is the rotation of the
+        # unfolded circles, at shift 0, at the half-cell CFL limit and between
         rng = np.random.default_rng(n_x)
         half = 24
-        circles = rng.random((half, 2 * n_x)) * rng.lognormal(size=(half, 1))
+        f = rng.random((n_x, 2 * half)) * rng.lognormal(size=(1, 2 * half))
         shifts = np.concatenate([[0.0, 0.5], rng.uniform(0.0, 0.5, half - 2)])
-        assert np.array_equal(_rotate_interp(circles, shifts),
-                              gather_rotate(circles, shifts))
+        want = fold(gather_rotate(unfold(f), shifts))
+        weights = _transport_weights(column_shifts(shifts), n_x)
+        assert np.array_equal(_transport_specular(f, weights), want)
+        out = np.full_like(f, np.nan)
+        assert _transport_specular(f, weights, out=out) is out
+        assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("n_x", [8, 9])
     def test_grid_half_steps_match_gather_bitwise(self, n_x):
@@ -317,14 +350,93 @@ class TestSpecularTransport:
         half = g.n_u // 2
         shifts = g.u[half:] * (0.5 * g.dt / g.dx)
         assert shifts.max() <= 0.5
-        want = _fold(gather_rotate(_unfold(f, g), shifts), g)
-        assert np.array_equal(_transport_specular(f, g, _transport_shifts(g, 0.5 * g.dt)), want)
+        assert np.array_equal(_transport_shifts(g, 0.5 * g.dt), column_shifts(shifts))
+        want = fold(gather_rotate(unfold(f), shifts))
+        weights = _transport_weights(_transport_shifts(g, 0.5 * g.dt), n_x)
+        assert np.array_equal(_transport_specular(f, weights), want)
 
     @pytest.mark.parametrize("bad", [1.0, 1.5, -1e-3, np.nan])
     def test_shift_outside_one_cell_raises(self, bad):
-        circles = np.ones((3, 16))
         with pytest.raises(CFLViolated):
-            _rotate_interp(circles, np.array([0.2, bad, 0.4]))
+            _transport_weights(np.array([0.2, bad, 0.4]), 8)
+
+
+def full_field_upwind(values, drift, grid, dt):
+    """Reference: the upwind u-drift step with a full-field face select."""
+    c = drift[:, None] * (dt / grid.du)
+    d = np.zeros((values.shape[0], values.shape[1] + 2))
+    d[:, 1:-1] = values
+    d = np.diff(d, axis=1)  # face differences, zero ghosts beyond +-V_max
+    return values - c * np.where(c > 0, d[:, :-1], d[:, 1:])
+
+
+class TestVelocitySubsteps:
+    """The u-drift, the u-diffusion and the u-gradient against the library
+    and full-field forms they replace, bit for bit."""
+
+    @pytest.mark.parametrize("signs", ["+", "-", "+-+", "alternating"])
+    def test_upwind_picks_faces_per_row(self, signs):
+        g = PhaseGrid(length=1.0, n_x=12, v_max=3.0, n_u=16, dt=0.01, horizon=0.1)
+        rng = np.random.default_rng(len(signs))
+        f = rng.random((g.n_x, g.n_u))
+        drift = rng.uniform(0.1, 1.0, g.n_x)
+        if signs == "-":
+            drift = -drift
+        elif signs == "+-+":
+            drift[4:8] *= -1.0
+            drift[5] = 0.0  # no drift takes the face above, like u-drift < 0
+        elif signs == "alternating":
+            drift[1::2] *= -1.0
+        want = full_field_upwind(f, drift, g, g.dt)
+        out, work = np.full_like(f, np.nan), np.full_like(f, np.nan)
+        assert _advect_u(f, drift * (g.dt / g.du), out=out, work=work) is out
+        assert np.array_equal(out, want)
+
+    def test_flat_buffer_substeps_refuse_unusable_work_arrays(self):
+        g = PhaseGrid(length=1.0, n_x=8, v_max=4.0, n_u=16, dt=0.004, horizon=0.1)
+        lam, ab = _diffusion_matrix(g, 1.0, g.dt)
+        f = np.random.default_rng(3).random((g.n_x, g.n_u))
+        courant = np.full(g.n_x, 0.1)
+        ok = np.empty_like(f)
+        for bad in (np.empty((g.n_u, g.n_x)).T, np.empty((g.n_x, 2 * g.n_u))[:, ::2],
+                    np.empty((g.n_x, g.n_u + 1)), f):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                _diffuse(f, lam, ab, out=bad)
+            with pytest.raises(ValueError, match="C-contiguous"):
+                _advect_u(f, courant, out=bad, work=ok)
+            with pytest.raises(ValueError, match="C-contiguous"):
+                _advect_u(f, courant, out=ok, work=bad)
+
+    @pytest.mark.parametrize("n_x, n_u", [(8, 16), (96, 192)])
+    def test_diffusion_matches_solve_banded_bitwise(self, n_x, n_u):
+        g = PhaseGrid(length=1.0, n_x=n_x, v_max=4.0, n_u=n_u, dt=0.002, horizon=0.1)
+        lam, ab = _diffusion_matrix(g, 1.0, g.dt)
+        f = np.random.default_rng(n_x).random((n_x, n_u))
+        rhs = (1.0 - lam) * f
+        rhs[:, 1:] += 0.5 * lam * f[:, :-1]
+        rhs[:, :-1] += 0.5 * lam * f[:, 1:]
+        want = solve_banded((1, 1), ab, rhs.T).T
+        kept = f.copy()
+        assert np.array_equal(_diffuse(f, lam, ab), want)
+        out = np.empty_like(f)
+        assert np.array_equal(_diffuse(f, lam, ab, out=out), want)
+        assert np.shares_memory(_diffuse(f, lam, ab, out=out), out)
+        assert np.array_equal(f, kept)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_diffusion_refuses_non_finite_input(self, bad):
+        g = PhaseGrid(length=1.0, n_x=8, v_max=4.0, n_u=16, dt=0.004, horizon=0.1)
+        lam, ab = _diffusion_matrix(g, 1.0, g.dt)
+        f = np.ones((8, 16))
+        f[3, 5] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _diffuse(f, lam, ab)
+
+    @pytest.mark.parametrize("n_u", [8, 192])
+    def test_u_gradient_matches_numpy_bitwise(self, n_u):
+        f = np.random.default_rng(n_u).lognormal(size=(9, n_u))
+        for du in (0.1, 2.0 / 3.0):
+            assert np.array_equal(_u_gradient(f, du), np.gradient(f, du, axis=1))
 
 
 # ---------------------------------------------------- inflow solver
@@ -507,7 +619,7 @@ class TestTraceExtract:
         g = PhaseGrid(length=1.0, n_x=8, v_max=3.0, n_u=16, dt=1e-3, horizon=0.01)
         f = uniform_gaussian(g, 0.8)
         for order in (1, 2):
-            tr = trace_extract(f, g, order=order)
+            tr = trace_extract(f, order=order)
             assert np.allclose(tr.gamma, f[0][None, :], rtol=1e-12)
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -519,12 +631,19 @@ class TestTraceExtract:
         if order == 2:
             assert (want == 0.0).any() and (want > 0.0).any()
         assert np.array_equal(_specular_trace(f, order), want)
-        assert np.array_equal(trace_extract(f, g, order).gamma, want)
+        assert np.array_equal(trace_extract(f, order).gamma, want)
+
+    def test_order_other_than_one_or_two_is_refused(self):
+        g = PhaseGrid(length=1.0, n_x=8, v_max=3.0, n_u=16, dt=1e-3, horizon=0.01)
+        f = uniform_gaussian(g, 0.8)
+        for order in (0, 3, g):  # g: the old trace_extract(field, grid) form
+            with pytest.raises(ValueError, match="order must be 1 or 2"):
+                trace_extract(f, order)
 
     def test_functionals_match_quadrature(self):
         g = PhaseGrid(length=1.0, n_x=8, v_max=3.0, n_u=16, dt=1e-3, horizon=0.01)
         f = uniform_gaussian(g, 0.8)
-        tr = trace_extract(f, g, order=1)
+        tr = trace_extract(f, order=1)
         fn = trace_functionals(tr, g)
         assert fn["mass"][0] == pytest.approx((f[0]).sum() * g.du, rel=1e-12)
         assert fn["speed_mass"][0] == pytest.approx(
@@ -532,7 +651,7 @@ class TestTraceExtract:
 
     def test_outgoing_incoming_split(self):
         g = PhaseGrid(length=1.0, n_x=8, v_max=3.0, n_u=16, dt=1e-3, horizon=0.01)
-        tr = trace_extract(uniform_gaussian(g, 0.8), g)
+        tr = trace_extract(uniform_gaussian(g, 0.8))
         out0 = tr.outgoing(g, 0)
         assert np.all(out0[g.u > 0] == 0.0)
         in0 = tr.incoming(g, 0)
