@@ -88,16 +88,12 @@ def flux_balance_particles(hits, domain: Domain, window=None) -> FluxBalance:
     ]
     if not selected:
         return FluxBalance(0.0, 0.0, 0, skipped=True)
-    worst = 0.0
-    total = 0.0
-    for h in selected:
-        n = domain.outward_normal(h.location)
-        pre = normal_velocity(h.pre_velocity, n)
-        post = normal_velocity(h.post_velocity, n)
-        worst = max(worst, abs(pre + post))
-        total += pre + post
-    return FluxBalance(antisymmetry_residual=worst, signed_flux_sum=total,
-                       count=len(selected))
+    normals = domain.outward_normal(np.array([h.location for h in selected]))
+    pre, post = (normal_velocity(np.array([getattr(h, side) for h in selected]), normals)
+                 for side in ("pre_velocity", "post_velocity"))
+    flux = pre + post
+    return FluxBalance(antisymmetry_residual=float(np.abs(flux).max()),
+                       signed_flux_sum=float(flux.sum()), count=len(selected))
 
 
 @dataclass
@@ -133,17 +129,16 @@ def shell_flux_estimate(domain: Domain, snapshots, shell: float | None = None) -
     """
     if shell is None:
         shell = 0.02 * _wall_scale(domain)
-    values = []
+    xs, us = [], []
     for snap in snapshots:
         X, U = _phase_arrays(snap)
-        depth = domain.signed_distance(X)
-        idx = np.nonzero(depth >= -shell)[0]
-        for i in idx:
-            values.append(normal_velocity(U[i], domain.outward_normal(X[i])))
-    if not values:
+        near = domain.signed_distance(X) >= -shell
+        xs.append(X[near])
+        us.append(U[near])
+    if not sum(len(x) for x in xs):
         return ShellFlux(mean=float("nan"), stderr=float("nan"), count=0,
                          skipped=True)
-    arr = np.asarray(values)
+    arr = normal_velocity(np.concatenate(us), domain.outward_normal(np.concatenate(xs)))
     stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else float("inf")
     return ShellFlux(mean=float(arr.mean()), stderr=stderr, count=arr.size)
 

@@ -3,11 +3,16 @@
 Every supported domain has a closed-form signed distance (negative inside,
 zero on the wall, positive outside), so hit detection and wall projection
 introduce no geometric approximation error.
+
+Every operation takes batches of rows.  A domain method takes points of any
+leading shape: the Interval works elementwise, Ball and Annulus read the last
+axis as the vector axis, and a single point is a batch of its own.  The free
+functions reflect and normal_velocity take rows: shape (n,) in d = 1 and
+(n, d) otherwise, so a single d-vector u is passed as u[None].
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,20 +24,11 @@ __all__ = [
     "Interval",
     "Ball",
     "Annulus",
-    "BoundaryClass",
     "reflect",
     "normal_velocity",
-    "classify",
+    "row_dot",
+    "row_norm",
 ]
-
-EPS_TAN_DEFAULT = 1e-12  # |u.n| <= EPS_TAN_DEFAULT*|u| counts as a tangential graze
-
-
-class BoundaryClass(enum.Enum):
-    INTERIOR = "interior"
-    INCOMING = "incoming"    # (u . n) < 0
-    OUTGOING = "outgoing"    # (u . n) > 0
-    TANGENTIAL = "tangential"
 
 
 @dataclass(frozen=True)
@@ -46,20 +42,28 @@ class Domain:
         raise NotImplementedError
 
     def outward_normal(self, x):
-        """Unit outward normal at the wall point nearest x.
+        """Unit outward normal at the wall point nearest each x.
 
-        Raises AmbiguousProjection when x sits outside the uniqueness band
-        (L/2, R/2, (R-r)/2 per domain kind).
+        Raises AmbiguousProjection when any x sits outside the uniqueness
+        band (L/2, R/2, (R-r)/2 per domain kind).
         """
         raise NotImplementedError
 
     def project(self, x):
-        """Closed-form projection onto the nearest wall; sd(project(x)) = 0."""
+        """Closed-form projection onto the nearest wall; sd(project(x)) = 0.
+
+        Raises AmbiguousProjection when any x has no unique nearest wall point.
+        """
         raise NotImplementedError
 
     def sample_uniform(self, n, rng):
         """n positions uniform over the domain, rng a numpy Generator."""
         raise NotImplementedError
+
+
+def _refuse(bad, what: str):
+    if np.any(bad):
+        raise AmbiguousProjection(f"{int(np.count_nonzero(bad))} point(s) {what}")
 
 
 @dataclass(frozen=True)
@@ -78,26 +82,50 @@ class Interval(Domain):
         return np.maximum(-x, x - self.length)
 
     def outward_normal(self, x):
-        band = 0.5 * self.length
-        x = float(np.asarray(x).reshape(()))
-        if abs(self.signed_distance(x)) >= band:
-            raise AmbiguousProjection(
-                f"x={x} outside the band |sd| < {band} around the walls"
-            )
-        return -1.0 if x < 0.5 * self.length else 1.0
+        half = 0.5 * self.length  # the band, and the midpoint
+        _refuse(np.abs(self.signed_distance(x)) >= half,
+                f"outside the band |sd| < {half} around the walls")
+        return np.where(np.asarray(x) < half, -1.0, 1.0)
 
     def project(self, x):
-        x = float(np.asarray(x).reshape(()))
-        if x == 0.5 * self.length:
-            raise AmbiguousProjection("midpoint is equidistant from both walls")
-        return 0.0 if x < 0.5 * self.length else self.length
+        x = np.asarray(x, dtype=float)
+        mid = 0.5 * self.length
+        _refuse(x == mid, "at the midpoint, equidistant from both walls")
+        return np.where(x < mid, 0.0, self.length)
 
     def sample_uniform(self, n, rng):
         return self.length * rng.uniform(size=n)
 
 
+class _Radial(Domain):
+    """Ball and Annulus: a center in d >= 2, and walls that are spheres
+    around it."""
+
+    def __post_init__(self):
+        center = tuple(float(c) for c in np.atleast_1d(self.center))
+        if len(center) < 2:
+            raise ValueError(f"{type(self).__name__.lower()} requires dimension >= 2")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "dimension", len(center))
+
+    def _radial(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.linalg.norm(x - np.asarray(self.center), axis=-1)
+
+    def _unit(self, x, rho):
+        """(x - c) / |x - c| along the last axis."""
+        _refuse(rho == 0.0, "at the center, which has no outward normal")
+        return (np.asarray(x, dtype=float) - np.asarray(self.center)) / rho[..., None]
+
+    def _to_radius(self, x, target, rho):
+        """x moved along its ray from the center to radius target."""
+        _refuse(rho == 0.0, "at the center, which projects to every wall point")
+        c = np.asarray(self.center)
+        return c + (target / rho)[..., None] * (np.asarray(x, dtype=float) - c)
+
+
 @dataclass(frozen=True)
-class Ball(Domain):
+class Ball(_Radial):
     """D = open ball of given center and radius, d >= 2."""
 
     center: tuple = (0.0, 0.0)
@@ -107,36 +135,19 @@ class Ball(Domain):
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
-        center = tuple(float(c) for c in np.atleast_1d(self.center))
-        if len(center) < 2:
-            raise ValueError("ball requires dimension >= 2")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "dimension", len(center))
-
-    def _radial(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x - np.asarray(self.center), axis=-1)
+        super().__post_init__()
 
     def signed_distance(self, x):
         return self._radial(x) - self.radius
 
     def outward_normal(self, x):
         band = 0.5 * self.radius
-        x = np.asarray(x, dtype=float)
-        rho = float(self._radial(x))
-        if abs(rho - self.radius) >= band:
-            raise AmbiguousProjection(
-                f"|sd|={abs(rho - self.radius)} outside the band < {band}"
-            )
-        return (x - np.asarray(self.center)) / rho
+        rho = self._radial(x)
+        _refuse(np.abs(rho - self.radius) >= band, f"outside the band |sd| < {band}")
+        return self._unit(x, rho)
 
     def project(self, x):
-        x = np.asarray(x, dtype=float)
-        rho = float(self._radial(x))
-        if rho == 0.0:
-            raise AmbiguousProjection("ball center projects to every wall point")
-        c = np.asarray(self.center)
-        return c + (self.radius / rho) * (x - c)
+        return self._to_radius(x, self.radius, self._radial(x))
 
     def sample_uniform(self, n, rng):
         d = self.dimension
@@ -147,7 +158,7 @@ class Ball(Domain):
 
 
 @dataclass(frozen=True)
-class Annulus(Domain):
+class Annulus(_Radial):
     """D = {r < |x - c| < R}, d >= 2."""
 
     center: tuple = (0.0, 0.0)
@@ -158,15 +169,7 @@ class Annulus(Domain):
     def __post_init__(self):
         if not (0 < self.inner_radius < self.radius):
             raise ValueError("annulus requires 0 < inner_radius < radius")
-        center = tuple(float(c) for c in np.atleast_1d(self.center))
-        if len(center) < 2:
-            raise ValueError("annulus requires dimension >= 2")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "dimension", len(center))
-
-    def _radial(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x - np.asarray(self.center), axis=-1)
+        super().__post_init__()
 
     def signed_distance(self, x):
         rho = self._radial(x)
@@ -174,29 +177,20 @@ class Annulus(Domain):
 
     def outward_normal(self, x):
         band = 0.5 * (self.radius - self.inner_radius)
-        x = np.asarray(x, dtype=float)
-        rho = float(self._radial(x))
-        if abs(float(self.signed_distance(x))) >= band:
-            raise AmbiguousProjection(
-                f"point at radius {rho} outside the band < {band} around a wall"
-            )
-        radial = (x - np.asarray(self.center)) / rho
+        _refuse(np.abs(self.signed_distance(x)) >= band,
+                f"outside the band |sd| < {band} around a wall")
+        rho = self._radial(x)
+        radial = self._unit(x, rho)
         # outward from D: toward the center at the inner wall
-        if rho < 0.5 * (self.inner_radius + self.radius):
-            return -radial
-        return radial
+        inner = rho < 0.5 * (self.inner_radius + self.radius)
+        return np.where(inner[..., None], -radial, radial)
 
     def project(self, x):
-        x = np.asarray(x, dtype=float)
-        rho = float(self._radial(x))
-        if rho == 0.0:
-            raise AmbiguousProjection("annulus center projects to every inner point")
+        rho = self._radial(x)
         mid = 0.5 * (self.inner_radius + self.radius)
-        if rho == mid:
-            raise AmbiguousProjection("mid-shell point is equidistant from both walls")
-        target = self.inner_radius if rho < mid else self.radius
-        c = np.asarray(self.center)
-        return c + (target / rho) * (x - c)
+        _refuse(rho == mid, "mid-shell, equidistant from both walls")
+        target = np.where(rho < mid, self.inner_radius, self.radius)
+        return self._to_radius(x, target, rho)
 
     def sample_uniform(self, n, rng):
         d = self.dimension
@@ -207,33 +201,38 @@ class Annulus(Domain):
         return np.asarray(self.center) + r * z
 
 
-def reflect(u, n):
-    """Specular reflection u - 2(u.n)n; in d=1 the exact sign flip -u."""
-    norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > 1e-12:
-        raise NotUnitNormal(f"|n|={norm} deviates from 1")
-    if np.ndim(n) == 0:
-        return -u if np.ndim(u) == 0 else -np.asarray(u, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return u - 2.0 * normal_velocity(u, n) * np.asarray(n, dtype=float)
+def row_dot(U, N):
+    """Per-row dot products of two (n, d) batches.
 
-
-def normal_velocity(u, n) -> float:
-    """u . n for a velocity and a wall normal; in d=1 the product u*n."""
-    return float(np.dot(np.atleast_1d(u), np.atleast_1d(n)))
-
-
-def classify(domain, x, u, eps_bd):
-    """Interior / incoming / outgoing / tangential at (x, u).
-
-    Interior whenever sd(x) < -eps_bd; otherwise classified by the sign of
-    (u . n) at the projected wall point, with a relative tangential band.
+    Each equals np.dot of its two rows bit for bit: matmul takes the same
+    dot product, where an axis-wise sum such as np.einsum('ij,ij->i') adds
+    in another order.
     """
-    sd = float(np.asarray(domain.signed_distance(x)).reshape(()))
-    if sd < -eps_bd:
-        return BoundaryClass.INTERIOR
-    un = normal_velocity(u, domain.outward_normal(x))
-    if abs(un) <= EPS_TAN_DEFAULT * float(np.linalg.norm(u)):
-        return BoundaryClass.TANGENTIAL
-    return BoundaryClass.OUTGOING if un > 0 else BoundaryClass.INCOMING
+    return np.matmul(U[:, None, :], N[:, :, None])[:, 0, 0]
 
+
+def row_norm(U):
+    """Per-row lengths: |u| in d=1, else each bit-identical to np.linalg.norm
+    of its row, which takes the same dot product on one vector."""
+    return np.abs(U) if U.ndim <= 1 else np.sqrt(row_dot(U, U))
+
+
+def normal_velocity(U, N):
+    """u . n per row of velocities U and wall normals N; in d=1 the product U*N."""
+    U, N = np.asarray(U, dtype=float), np.asarray(N, dtype=float)
+    return U * N if U.ndim <= 1 else row_dot(U, N)
+
+
+def reflect(U, N):
+    """Specular reflection u - 2(u.n)n per row; in d=1 the exact sign flip -u.
+
+    Raises NotUnitNormal when any normal's length deviates from 1 by more
+    than 1e-12.
+    """
+    U, N = np.asarray(U, dtype=float), np.asarray(N, dtype=float)
+    length = row_norm(N)
+    if np.any(np.abs(length - 1.0) > 1e-12):
+        raise NotUnitNormal(f"|n| deviates from 1 by up to {np.max(np.abs(length - 1.0))}")
+    if U.ndim <= 1:
+        return -U
+    return U - (2.0 * row_dot(U, N))[:, None] * N

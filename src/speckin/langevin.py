@@ -36,10 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStart, WatchdogExceeded
-from .geometry import EPS_TAN_DEFAULT as EPS_TAN, Domain, normal_velocity, reflect
+from .geometry import Domain, normal_velocity, reflect, row_norm
 from .rng import RngStream, normals_at
 
 STEP_COUNTER_STRIDE = 1 << 16  # per-(path, macro-step) noise budget
+EPS_TAN = 1e-12  # |u.n| <= EPS_TAN*|u| at a wall contact counts as a tangential graze
 WINDOW = 96  # normals per component fetched ahead for each near-wall path
 
 
@@ -107,18 +108,6 @@ class PathResult:
 class SemigroupEstimate:
     mean: float
     std_error: float
-
-
-def _speeds(U):
-    """Per-row speeds of a batch: |u| in d=1, else each bit-identical to
-    np.linalg.norm of its row.
-
-    For vectors, matmul takes the same dot product np.linalg.norm takes on
-    one vector; the norm's axis= form sums in another order.
-    """
-    if U.ndim == 1:
-        return np.abs(U)
-    return np.sqrt(np.matmul(U[:, None, :], U[:, :, None])[:, 0, 0])
 
 
 def _reach(params: StepParams, speed, dt, sigma: float):
@@ -205,7 +194,7 @@ def _bisect(domain: Domain, xa, xb, eps_hit: float):
     not report its start as the contact.
     """
     chord = xb - xa
-    length = _speeds(chord)
+    length = row_norm(chord)
     lo = np.zeros(length.shape)
     hi = np.ones(length.shape)
     for _ in range(80):
@@ -240,10 +229,11 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
     Each entry also records the highest entry at or below it that is kept
     (split or crossing), so the segments that need no more work are popped
     in one step, and every pass splits or locates the top segment of each
-    active path under vectorized masks.  Only the rare wall contacts are
-    handled one at a time.  Draws come from one window of normals per path,
-    refilled for the paths that run past it, so each keeps its
-    (seed, stream_id, counter) address.
+    active path under vectorized masks.  The wall contacts of a pass are
+    projected, given their normals and reflected together; only the fold of
+    each contact's time runs one at a time.  Draws come from one window of
+    normals per path, refilled for the paths that run past it, so each
+    keeps its (seed, stream_id, counter) address.
 
     Returns (X, U, counters, hits): end states, each path's counter after
     its last draw, and per path the list of its HitEvents in time order,
@@ -345,9 +335,9 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
         f = rows * W + 1
         bx[f], bu[f], b_lev[f] = xe, ue, 0
         b_sd[f] = domain.signed_distance(xe)
-        b_speed[f] = _speeds(ue)
+        b_speed[f] = row_norm(ue)
         a_sd[rows] = domain.signed_distance(ax[rows])
-        a_speed[rows] = _speeds(au[rows])
+        a_speed[rows] = row_norm(au[rows])
         push(rows, f, 1, classify(f, a_sd[rows], a_speed[rows], hl))
 
     def split(r, t, f):
@@ -369,7 +359,7 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
         b_lev[f] = b_lev[g] = lv + 1
         bx[g], bu[g] = xm, um
         sd_m = b_sd[g] = domain.signed_distance(xm)
-        speed_m = b_speed[g] = _speeds(um)
+        speed_m = b_speed[g] = row_norm(um)
         right[r * W + lv + 1] = False
         kept[f] = np.where(classify(f, sd_m, speed_m, hl), kept[f - 1], t)
         push(r, g, t + 1, classify(g, a_sd[r], a_speed[r], hl))
@@ -392,42 +382,38 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
         xa, xb = ax[r], bx[f]
         frac = _bisect(domain, xa, xb, params.eps_hit)
         s = frac if d == 1 else frac[:, None]
-        x_at = xa + s * (xb - xa)
         u_at = au[r] + s * (bu[f] - au[r])
-        speed_at = _speeds(u_at)
-        again = []
+        location = domain.project(xa + s * (xb - xa))
+        normal = domain.outward_normal(location)
+        # a tangential graze, or an interpolated velocity pointing back
+        # inside at the located crossing, keeps its velocity: no hit
+        jump = ~(normal_velocity(u_at, normal) <= EPS_TAN * np.maximum(row_norm(u_at), 1e-300))
+        u_new = np.where(jump if d == 1 else jump[:, None], reflect(u_at, normal), u_at)
+        t_rel = np.empty(r.size)
         for j, i in enumerate(r.tolist()):
             # fold the time up from the leaf, as the recursion returns it
             hl, level = float(h_left[i]), int(lv[j])
-            t_rel = float(frac[j]) * math.ldexp(hl, -level)
+            tau = float(frac[j]) * math.ldexp(hl, -level)
             for up in range(level, 0, -1):
                 if right[i * W + up]:
-                    t_rel = math.ldexp(hl, -up) + t_rel
-            location = domain.project(x_at[j])
-            u_pre = float(u_at[j]) if d == 1 else u_at[j]
-            normal = domain.outward_normal(location)
-            if normal_velocity(u_pre, normal) <= EPS_TAN * max(float(speed_at[j]), 1e-300):
-                # tangential graze, or an interpolated velocity pointing
-                # back inside at the located crossing: no jump
-                u_new = u_pre
-            else:
-                u_new = reflect(u_pre, normal)
-                hits[i].append(HitEvent(int(stream_ids[i]), time_offset + float(t_done[i] + t_rel),
-                                        location, u_pre, u_new))
-            contacts[i] += 1
-            if contacts[i] > params.max_hits:
-                raise WatchdogExceeded(
-                    f"more than max_hits={params.max_hits} wall contacts in one step"
-                )
-            t_done[i] += t_rel
-            h_left[i] -= t_rel
-            ax[i], au[i] = location, u_new
-            if h_left[i] > 0.0:
-                again.append(i)
-            else:
-                top[i] = 0
-        if again:
-            fly(np.array(again))
+                    tau = math.ldexp(hl, -up) + tau
+            t_rel[j] = tau
+        contacts[r] += 1
+        if contacts[r].max() > params.max_hits:
+            raise WatchdogExceeded(f"more than max_hits={params.max_hits} wall contacts in one step")
+        t_done[r] += t_rel
+        h_left[r] -= t_rel
+        ax[r], au[r] = location, u_new
+        jumped = r[jump]
+        fields = [A[jump] for A in (location, u_at, u_new)]
+        if d == 1:  # HitEvent fields are floats in d=1
+            fields = [A.tolist() for A in fields]
+        for i, when, *state in zip(jumped.tolist(), (time_offset + t_done[jumped]).tolist(), *fields):
+            hits[i].append(HitEvent(int(stream_ids[i]), when, *state))
+        left = h_left[r] > 0.0
+        top[r[~left]] = 0
+        if left.any():
+            fly(r[left])
 
 
 def confined_step(
@@ -476,12 +462,12 @@ def snapshot_step(t: float, T: float, h: float) -> int:
 
 
 def _check_start(domain: Domain, initial: PhaseState, eps_hit: float):
-    sd = float(domain.signed_distance(initial.x))
+    X, U = _as_rows(initial)
+    sd = float(domain.signed_distance(X)[0])
     if sd > eps_hit:
         raise InvalidStart(f"initial position outside the domain: sd={sd}")
     if sd >= -eps_hit:
-        n = domain.outward_normal(domain.project(initial.x))
-        if normal_velocity(initial.u, n) >= 0.0:
+        if normal_velocity(U, domain.outward_normal(domain.project(X)))[0] >= 0.0:
             raise InvalidStart(
                 "boundary start must have strictly incoming velocity; "
                 "reflect it before calling"
@@ -551,7 +537,7 @@ def ensemble_confined_step(
         stream_ids = np.asarray(stream_ids, dtype=np.uint64)
     Z = normals_at(seed, stream_ids, base, 2 * d)
     Xf, Uf = ensemble_free_flight(X, U, dt, sigma, Z)
-    reach = _reach(params, np.maximum(_speeds(U), _speeds(Uf)), dt, sigma)
+    reach = _reach(params, np.maximum(row_norm(U), row_norm(Uf)), dt, sigma)
     far = (domain.signed_distance(X) <= -reach) & (domain.signed_distance(Xf) <= -reach)
     near = np.flatnonzero(~far)
     if not near.size:

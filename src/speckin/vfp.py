@@ -327,15 +327,14 @@ def _clamp(values: np.ndarray, scale: float, log: list):
 
 
 def _as_values(rho0) -> np.ndarray:
-    if isinstance(rho0, DensityField):
-        return np.array(rho0.values, dtype=float)
-    return np.array(rho0, dtype=float)
+    """The float array of a DensityField or array-like, not copied."""
+    return np.asarray(rho0.values if isinstance(rho0, DensityField) else rho0, dtype=float)
 
 
 def _initial_values(grid: PhaseGrid, rho0, sigma: float) -> np.ndarray:
     """A copy of a solver's initial data, checked against the grid and sigma."""
     grid.check_diffusion(sigma)
-    f = _as_values(rho0)
+    f = np.array(_as_values(rho0))
     if f.shape != (grid.n_x, grid.n_u):
         raise ValueError(f"initial data must have shape {(grid.n_x, grid.n_u)}")
     if float(f.min()) < 0:

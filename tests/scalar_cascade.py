@@ -115,7 +115,7 @@ def confined_step(domain, state, params, sigma, rng, h=None) -> ConfinedStepResu
         if dot <= EPS_TAN * max(_speed(u_pre), 1e-300):
             cur = PhaseState(location, u_pre)
         else:
-            u_post = reflect(u_pre, n)
+            u_post = reflect(np.asarray(u_pre)[None], np.asarray(n)[None])[0]
             hits.append(HitEvent(path_id=rng.stream_id, time=t_done + t_rel, location=location,
                                  pre_velocity=u_pre, post_velocity=u_post))
             if len(hits) > params.max_hits:

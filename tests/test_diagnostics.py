@@ -19,7 +19,7 @@ from speckin.diagnostics import (
     shell_flux_estimate,
 )
 from speckin.errors import BoxMismatch, DegenerateTrace
-from speckin.geometry import Interval
+from speckin.geometry import Annulus, Ball, Interval
 from speckin.langevin import StepParams, run_ensemble
 from speckin.maxwellian import envelope_for_gaussian, heat_kernel, maxwellian_eval
 from speckin.vfp import DensityField, PhaseGrid, TraceField, solve_specular_linear
@@ -75,7 +75,43 @@ def hit_log(seed=3, n=400, steps=5):
     return domain, hits
 
 
+CURVED = {
+    "ball": Ball(center=(0.2, -0.1), radius=1.0),
+    "annulus": Annulus(center=(0.0, 0.0), inner_radius=0.5, radius=1.0),
+}
+
+
+def curved_hit_log(name, n=300, steps=4):
+    domain = CURVED[name]
+    X = domain.sample_uniform(n, np.random.default_rng(5))
+    U = 2.0 * np.random.default_rng(6).standard_normal(X.shape)
+    hits = []
+    run_ensemble(domain, X, U, T=steps * 0.05, params=StepParams(h=0.05), sigma=1.5,
+                 seed=9, hit_sink=hits)
+    return domain, hits
+
+
+def flux_reference(hits, domain):
+    """(worst |pre + post|, signed sum) of u.n, one hit at a time."""
+    flux = []
+    for h in hits:
+        n = domain.outward_normal(h.location)
+        flux.append(float(np.dot(h.pre_velocity, n)) + float(np.dot(h.post_velocity, n)))
+    return max(abs(v) for v in flux), sum(flux)
+
+
 class TestFluxBalance:
+    @pytest.mark.parametrize("name", sorted(CURVED))
+    def test_curved_walls_match_row_loop(self, name):
+        domain, hits = curved_hit_log(name)
+        assert len(hits) > 50
+        fb = flux_balance_particles(hits, domain)
+        worst, total = flux_reference(hits, domain)
+        assert fb.antisymmetry_residual == worst
+        assert fb.antisymmetry_residual <= 1e-12
+        assert fb.signed_flux_sum == pytest.approx(total, abs=1e-12)
+        assert fb.count == len(hits) and not fb.skipped
+
     def test_reflection_algebra_exact(self):
         domain, hits = hit_log()
         assert len(hits) > 50
@@ -102,6 +138,20 @@ class TestFluxBalance:
 
 
 class TestShellFlux:
+    @pytest.mark.parametrize("name", sorted(CURVED))
+    def test_curved_walls_match_row_loop(self, name):
+        domain = CURVED[name]
+        rng = np.random.default_rng(12)
+        snaps = [(domain.sample_uniform(3000, rng), rng.normal(0, 1, (3000, 2)))
+                 for _ in range(3)]
+        est = shell_flux_estimate(domain, snaps)
+        values = [float(np.dot(U[i], domain.outward_normal(X[i])))
+                  for X, U in snaps for i in np.flatnonzero(domain.signed_distance(X) >= -0.02)]
+        assert est.count == len(values) > 100
+        assert est.mean == np.mean(values)
+        assert est.stderr == np.std(values, ddof=1) / np.sqrt(len(values))
+        assert abs(est.mean) <= 4.0 * est.stderr
+
     def test_symmetric_cloud_within_band(self):
         domain = Interval(length=1.0)
         rng = np.random.default_rng(11)

@@ -49,7 +49,7 @@ def test_reflection_invariance_2d():
         theta = rng.uniform(0, 2 * np.pi)
         n = np.array([np.cos(theta), np.sin(theta)])
         u = rng.uniform(-3, 3, 2)
-        assert maxwellian_eval(params, 0.3, reflect(u, n)) == pytest.approx(
+        assert maxwellian_eval(params, 0.3, reflect(u[None], n[None])[0]) == pytest.approx(
             maxwellian_eval(params, 0.3, u), rel=1e-12
         )
 

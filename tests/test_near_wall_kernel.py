@@ -171,6 +171,12 @@ def test_kernel_matches_scalar_cascade_bitwise(case):
         assert counters[i] == counter
         _assert_same_hits(hits[i], res.hits)
     assert sum(len(r.hits) for r, _ in ref) > 0
+    for event in (e for path in hits for e in path):
+        fields = (event.location, event.pre_velocity, event.post_velocity)
+        if X.ndim == 1:
+            assert all(type(v) is float for v in fields)
+        else:  # no hit shares memory with the kernel's state arrays
+            assert not any(np.shares_memory(v, A) for v in fields for A in (Xk, Uk))
     if name in ("interval-many-hits", "annulus-2d-boundary-fast"):
         # some path drew past its prefetched window
         assert max(c for _, c in ref) - base > WINDOW * (1 if X.ndim == 1 else X.shape[1])

@@ -26,6 +26,7 @@ from speckin.maxwellian import (
 )
 from speckin.mckean import KineticModel
 from speckin.vfp import (
+    DensityField,
     PhaseGrid,
     _advect_u,
     _diffuse,
@@ -565,6 +566,21 @@ class TestDriftFromDensity:
         B = drift_from_density(rho, g, model)
         assert B[2] == pytest.approx(2.5)
         assert np.all(B[np.arange(8) != 2] == 0.0)
+
+    def test_reads_the_field_without_copying_it(self):
+        # one field-sized temporary, the b(u)-weighted product; the field
+        # itself, bare or in a DensityField, is read in place
+        g = PhaseGrid(length=1.0, n_x=128, v_max=4.0, n_u=256, dt=1e-3, horizon=0.01)
+        model = KineticModel(sigma=1.0, b="tanh(1)")
+        rho = np.random.default_rng(3).random((g.n_x, g.n_u))
+        expected = (rho * np.tanh(g.u)[None, :]).sum(axis=1) / rho.sum(axis=1)
+        for field in (rho, DensityField(rho, 0.0)):
+            tracemalloc.start()
+            B = drift_from_density(field, g, model)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 1.5 * rho.nbytes
+            np.testing.assert_array_equal(B, expected)
 
 
 # ------------------------------------------------------------ norms
