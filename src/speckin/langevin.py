@@ -110,12 +110,13 @@ class SemigroupEstimate:
     std_error: float
 
 
-def _reach(params: StepParams, speed, dt, sigma: float):
-    """Near-wall trigger: a segment whose endpoints both lie deeper inside
-    than this distance cannot touch the wall and is pruned."""
-    if params.delta_near is not None:
-        return params.delta_near
-    return speed * dt + 3.0 * sigma * dt * np.sqrt(dt)
+def _pruned(params: StepParams, sigma: float, sd_a, sd_b, speed_a, speed_b, dt):
+    """Near-wall trigger (see StepParams): True where both ends of a segment
+    of length dt lie deeper inside than its reach, so it cannot touch the wall."""
+    reach = params.delta_near
+    if reach is None:
+        reach = np.maximum(speed_a, speed_b) * dt + 3.0 * sigma * dt * np.sqrt(dt)
+    return np.maximum(sd_a, sd_b) <= -reach
 
 
 def _free_update(x, u, h, sigma, xi1, xi2):
@@ -126,10 +127,11 @@ def _free_update(x, u, h, sigma, xi1, xi2):
     return x_new, u_new
 
 
-def _bridge_scales(sigma: float, h: float):
-    """Standard deviations of the bridge midpoint, in Python floats: numpy's
-    array h**3 can differ from the float's in the last bit."""
-    return sigma * math.sqrt(h**3 / 192.0), sigma * math.sqrt(h / 16.0)
+def _bridge_scales(sigma: float, dt: np.ndarray):
+    """Standard deviations of the bridge midpoint over each step in dt, with
+    Python float cubes: numpy's array dt**3 can differ in the last bit."""
+    cube = np.array([v**3 for v in dt.tolist()])
+    return sigma * np.sqrt(cube / 192.0), sigma * np.sqrt(dt / 16.0)
 
 
 def _bridge_update(xa, ua, xb, ub, h, scale_x, scale_u, xi1, xi2):
@@ -181,7 +183,8 @@ def bridge_midpoint(
         raise ValueError(f"h must be positive, got {h}")
     (xa, ua), (xb, ub) = _as_rows(a), _as_rows(b)
     Z = rng.normals(2 * ua[0].size)[None]
-    x_mid, u_mid = _bridge_update(xa, ua, xb, ub, h, *_bridge_scales(sigma, h), *_pairs(Z, xa))
+    scales = _bridge_scales(sigma, np.array([h], dtype=float))
+    x_mid, u_mid = _bridge_update(xa, ua, xb, ub, h, *scales, *_pairs(Z, xa))
     return _row_state(x_mid, u_mid)
 
 
@@ -191,22 +194,24 @@ def _bisect(domain: Domain, xa, xb, eps_hit: float):
 
     Convergence is judged by bracket width, not |sd| alone: a chord that
     starts on the wall and dives back inside before exiting elsewhere must
-    not report its start as the contact.
+    not report its start as the contact.  Each row's round count is known
+    up front: a bracket is 2^-k wide after k halvings until a midpoint
+    rounds to one of its ends, and from then on its start does not move.
     """
     chord = xb - xa
     length = row_norm(chord)
+    rounds = (~(np.ldexp(length, -np.arange(80)[:, None]) <= eps_hit)).sum(axis=0)
     lo = np.zeros(length.shape)
     hi = np.ones(length.shape)
-    for _ in range(80):
-        go = ~((hi - lo) * length <= eps_hit)
-        if not go.any():
-            break
+    start = lo.copy()
+    for k in range(1, rounds.max(initial=0) + 1):
         mid = 0.5 * (lo + hi)
         s = mid if xa.ndim == 1 else mid[:, None]
         out = domain.signed_distance(xa + s * chord) > 0.0
-        hi = np.where(go & out, mid, hi)
-        lo = np.where(go & ~out, mid, lo)
-    return lo
+        hi = np.where(out, mid, hi)
+        lo = np.where(out, lo, mid)
+        np.copyto(start, lo, where=rounds == k)
+    return start
 
 
 def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, limit=None,
@@ -230,10 +235,10 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
     (split or crossing), so the segments that need no more work are popped
     in one step, and every pass splits or locates the top segment of each
     active path under vectorized masks.  The wall contacts of a pass are
-    projected, given their normals and reflected together; only the fold of
-    each contact's time runs one at a time.  Draws come from one window of
-    normals per path, refilled for the paths that run past it, so each
-    keeps its (seed, stream_id, counter) address.
+    bisected, projected, given their normals and reflected together; only
+    the fold of each contact's time runs one at a time (a pass holds few).
+    Draws come from one window of normals per path, refilled for the paths
+    that run past it, so each keeps its (seed, stream_id, counter) address.
 
     Returns (X, U, counters, hits): end states, each path's counter after
     its last draw, and per path the list of its HitEvents in time order,
@@ -277,7 +282,6 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
     while dt > params.h_min:
         dt *= 0.5
         depth += 1
-    level_scales = np.array([_bridge_scales(sigma, math.ldexp(h, -lv)) for lv in range(depth)])
     # Row i's stack lives in slots i*W .. i*W + W - 1 of flat arrays; slot 0
     # is a sentinel and entries start at slot 1.  An entry holds a right
     # endpoint, its signed distance and speed, the level of the segment it
@@ -308,8 +312,7 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
         need no more work (pruned, or a leaf that stays inside)."""
         dt = np.ldexp(hl, -b_lev[f])
         sd_b = b_sd[f]
-        reach = _reach(params, np.maximum(speed_a, b_speed[f]), dt, sigma)
-        prune = np.maximum(sd_a, sd_b) <= -reach
+        prune = _pruned(params, sigma, sd_a, sd_b, speed_a, b_speed[f], dt)
         leaf = ~prune & (dt <= params.h_min)
         cross[f] = out = leaf & (sd_b > 0.0)
         return prune | (leaf & ~out)
@@ -348,10 +351,7 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
         hl = h_left[r]
         dt = np.ldexp(hl, -lv)
         xi1, xi2 = draw(r)
-        scales = level_scales[lv]
-        for j in np.flatnonzero(hl != h).tolist():  # paths past a wall contact
-            scales[j] = _bridge_scales(sigma, float(dt[j]))
-        sx, su = scales[:, 0], scales[:, 1]
+        sx, su = _bridge_scales(sigma, dt)
         if d > 1:
             dt, sx, su = dt[:, None], sx[:, None], su[:, None]
         xm, um = _bridge_update(ax[r], au[r], bx[f], bu[f], dt, sx, su, xi1, xi2)
@@ -466,12 +466,10 @@ def _check_start(domain: Domain, initial: PhaseState, eps_hit: float):
     sd = float(domain.signed_distance(X)[0])
     if sd > eps_hit:
         raise InvalidStart(f"initial position outside the domain: sd={sd}")
-    if sd >= -eps_hit:
-        if normal_velocity(U, domain.outward_normal(domain.project(X)))[0] >= 0.0:
-            raise InvalidStart(
-                "boundary start must have strictly incoming velocity; "
-                "reflect it before calling"
-            )
+    if sd >= -eps_hit and normal_velocity(U, domain.outward_normal(domain.project(X)))[0] >= 0.0:
+        raise InvalidStart(
+            "boundary start must have strictly incoming velocity; reflect it before calling"
+        )
 
 
 def simulate_path(
@@ -531,14 +529,12 @@ def ensemble_confined_step(
     dt = params.h if h is None else float(h)
     d = 1 if X.ndim == 1 else X.shape[1]
     base = step_index * STEP_COUNTER_STRIDE
-    if stream_ids is None:
-        stream_ids = np.arange(X.shape[0], dtype=np.uint64)
-    else:
-        stream_ids = np.asarray(stream_ids, dtype=np.uint64)
+    stream_ids = np.asarray(np.arange(X.shape[0]) if stream_ids is None else stream_ids,
+                            dtype=np.uint64)
     Z = normals_at(seed, stream_ids, base, 2 * d)
     Xf, Uf = ensemble_free_flight(X, U, dt, sigma, Z)
-    reach = _reach(params, np.maximum(row_norm(U), row_norm(Uf)), dt, sigma)
-    far = (domain.signed_distance(X) <= -reach) & (domain.signed_distance(Xf) <= -reach)
+    far = _pruned(params, sigma, domain.signed_distance(X), domain.signed_distance(Xf),
+                  row_norm(U), row_norm(Uf), dt)
     near = np.flatnonzero(~far)
     if not near.size:
         return Xf, Uf

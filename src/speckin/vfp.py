@@ -38,6 +38,8 @@ __all__ = [
     "DensityField",
     "TraceField",
     "PicardReport",
+    "PicardResult",
+    "SpecularResult",
     "WeightedNorms",
     "auto_vmax",
     "solve_specular_linear",
@@ -46,6 +48,7 @@ __all__ = [
     "picard_nonlinear",
     "weighted_norms",
     "trace_extract",
+    "trace_functionals",
 ]
 
 NEGATIVE_TOL = 1e-12  # clamp threshold; anything below signals a scheme bug

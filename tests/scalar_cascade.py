@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from speckin.errors import InvalidStart, WatchdogExceeded
-from speckin.geometry import reflect
+from speckin.geometry import reflect, row_norm
 from speckin.langevin import (
     EPS_TAN,
     ConfinedStepResult,
@@ -64,6 +64,26 @@ def locate_on_segment(domain, a: PhaseState, b: PhaseState, params: StepParams):
             s_lo = s_mid
     location = domain.project(_interp(a.x, b.x, s_lo))
     return s_lo, location, _interp(a.u, b.u, s_lo)
+
+
+def reference_bisect(domain, xa, xb, eps_hit: float):
+    """The batched bisection as the kernel first ran it: every row is halved
+    under a mask while its bracket is wider than eps_hit, for at most 80
+    rounds.  `langevin._bisect` must return the same starts bit for bit."""
+    chord = xb - xa
+    length = row_norm(chord)
+    lo = np.zeros(length.shape)
+    hi = np.ones(length.shape)
+    for _ in range(80):
+        go = ~((hi - lo) * length <= eps_hit)
+        if not go.any():
+            break
+        mid = 0.5 * (lo + hi)
+        s = mid if xa.ndim == 1 else mid[:, None]
+        out = domain.signed_distance(xa + s * chord) > 0.0
+        hi = np.where(go & out, mid, hi)
+        lo = np.where(go & ~out, mid, lo)
+    return lo
 
 
 def first_hit(domain, a, b, dt, params, sigma, rng):

@@ -5,6 +5,8 @@ reference.  The kernel must reproduce it bit for bit: end states, every hit
 (time, location, velocities) and the stream counter after the last draw.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from speckin.langevin import (
     WINDOW,
     PhaseState,
     StepParams,
+    _bisect,
+    _bridge_scales,
     _near_wall_kernel,
     confined_step,
     ensemble_confined_step,
@@ -105,6 +109,12 @@ def _case(name):
         X, U = _on_sphere(gen, 16, 2, 0.5, inward=False, speed=(0.5, 2.0))
         dom = Annulus((0.0, 0.0), inner_radius=0.5, radius=1.0)
         return dom, X, 15.0 * U, StepParams(h=0.1), 0.5
+    if name == "ball-2d-eps-hit-1e-22":
+        # leaf chords of ~1e-4 bisected to 1e-22 take ~60 halvings, past the
+        # 52 after which a bracket's midpoint rounds to one of its ends
+        X = _shell(gen, 40, 2, 0.85, 1.0)
+        params = StepParams(h=0.05, eps_hit=1e-22)
+        return Ball((0.0, 0.0), 1.0), X, 2.0 * gen.standard_normal((40, 2)), params, 1.0
     raise KeyError(name)
 
 
@@ -122,6 +132,7 @@ CASES = [
     "interval-h-min-is-h",
     "interval-prune-nothing",
     "interval-short-last-step",
+    "ball-2d-eps-hit-1e-22",
 ]
 SHORT_STEP = {"interval-short-last-step": 0.013}  # step lengths other than params.h
 
@@ -230,3 +241,55 @@ def test_ensemble_watchdog_on_noise_budget(levels, raises):
     else:
         X1, _ = ensemble_confined_step(domain, X, U, 5, params, 1e-6, seed=3)
         assert np.all(np.linalg.norm(X1, axis=1) < 1.0)
+
+
+BISECT_DOMAINS = {
+    "interval": Interval(1.0),
+    "ball-2d": Ball((0.0, 0.0), 1.0),
+    "annulus-3d": Annulus((0.0, 0.0, 0.0), inner_radius=0.5, radius=1.0),
+}
+
+
+def _chords(domain, gen, n):
+    """n chords from points near the walls (one in ten on a wall) in uniform
+    directions, their lengths log-uniform in [1e-9, 1]: some stay inside,
+    some cross a wall, and some leave a wall inwards before crossing one."""
+    length = 10.0 ** gen.uniform(-9.0, 0.0, n)
+    if isinstance(domain, Interval):
+        xa = np.r_[gen.uniform(0.0, 0.05, n // 2), gen.uniform(0.95, 1.0, n - n // 2)]
+        xa[::10] = np.round(xa[::10])
+        return xa, xa + gen.choice([-1.0, 1.0], n) * length
+    d = len(domain.center)
+    inner = getattr(domain, "inner_radius", 0.8)
+    xa = _shell(gen, n, d, inner, domain.radius)
+    xa[::10] = _shell(gen, xa[::10].shape[0], d, domain.radius, domain.radius)
+    direction = _shell(gen, n, d, 1.0, 1.0)
+    return xa, xa + length[:, None] * direction
+
+
+@pytest.mark.parametrize("name", list(BISECT_DOMAINS))
+def test_bisect_matches_masked_reference_bitwise(name):
+    # eps_hit 1e-17 and below take some rows past 52 halvings, and 1e-300
+    # takes every row to the 80-round cap
+    domain = BISECT_DOMAINS[name]
+    xa, xb = _chords(domain, np.random.default_rng(list(BISECT_DOMAINS).index(name)), 100_000)
+    for eps_hit in (1e-10, 1e-17, 1e-19, 1e-300):
+        np.testing.assert_array_equal(
+            _bisect(domain, xa, xb, eps_hit),
+            scalar_cascade.reference_bisect(domain, xa, xb, eps_hit),
+            err_msg=f"eps_hit={eps_hit}",
+        )
+
+
+def test_bridge_scales_match_float_formulas_bitwise():
+    gen = np.random.default_rng(5)
+    dt = 10.0 ** gen.uniform(-8.0, 0.0, 200_000)
+    # where the platform's array power rounds a cube differently from the
+    # Python float power (about 5% of these values on AVX-512 machines),
+    # take those values first
+    cube = np.array([v**3 for v in dt.tolist()])
+    dt = np.r_[dt[dt**3 != cube][:500], dt[:500]]
+    for sigma in (1.0, 0.37):
+        sx, su = _bridge_scales(sigma, dt)
+        np.testing.assert_array_equal(sx, [sigma * math.sqrt(v**3 / 192.0) for v in dt.tolist()])
+        np.testing.assert_array_equal(su, [sigma * math.sqrt(v / 16.0) for v in dt.tolist()])
