@@ -93,18 +93,20 @@ class OutputBundle:
 # --- deterministic writers ---------------------------------------------------
 
 
-def _write_csv(path: Path, header, rows):
-    """Write tuples whose cells keep one type per column: strings as they
-    are, numbers as %.17g, which reads back to the same double."""
-    rows = iter(rows)
-    first = next(rows, None)
+CSV_CHUNK_ROWS = 4096  # rows formatted per write, so memory does not grow with N
+
+
+def _write_csv(path: Path, header, blocks):
+    """Write the rows of 2-d float blocks under header, each row from one
+    template: every cell as %.17g, which reads back to the same double and
+    writes an integer below 1e17, such as a path id, without a fraction."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        if first is None:
-            return
-        line = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in first) + "\n"
-        handle.write(line % first)
-        handle.writelines(line % row for row in rows)
+        for block in blocks:
+            for lo in range(0, block.shape[0], CSV_CHUNK_ROWS):
+                chunk = block[lo : lo + CSV_CHUNK_ROWS]
+                handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _write_json(path: Path, payload):
@@ -113,16 +115,11 @@ def _write_json(path: Path, payload):
         handle.write("\n")
 
 
-def _vector_columns(name: str, dimension: int):
+def _columns(dimension: int, *names):
+    """The columns of vectors named names: x in d = 1, x0, x1, ... otherwise."""
     if dimension == 1:
-        return [name]
-    return [f"{name}{i}" for i in range(dimension)]
-
-
-def _components(value, dimension: int):
-    if dimension == 1:
-        return (float(value),)
-    return tuple(float(v) for v in np.asarray(value))
+        return list(names)
+    return [f"{name}{i}" for name in names for i in range(dimension)]
 
 
 def _output_steps(cfg: ScenarioConfig, T: float, h: float) -> list:
@@ -138,64 +135,34 @@ def _particle_times(cfg: ScenarioConfig) -> tuple:
     return tuple(step_time(k, T, h) for k in _output_steps(cfg, T, h))
 
 
-def _write_paths_csv(path: Path, snapshots: dict, dimension: int):
-    header = ["path_id", "t"] + _vector_columns("x", dimension) + _vector_columns(
-        "u", dimension
+def _write_particles(out_dir: Path, snapshots: dict, hits, dimension: int):
+    """paths.csv, a row per particle of each snapshot, and hits.csv, a row
+    per wall contact (the header alone when there is none)."""
+    _write_csv(
+        out_dir / "paths.csv",
+        ["path_id", "t", *_columns(dimension, "x", "u")],
+        (np.column_stack((np.arange(len(X)), np.full(len(X), t), X, U))
+         for t, (X, U) in sorted(snapshots.items())),
     )
-
-    def rows():
-        for t in sorted(snapshots):
-            X, U = snapshots[t]
-            for i in range(X.shape[0]):
-                yield (str(i), t, *_components(X[i], dimension), *_components(U[i], dimension))
-
-    _write_csv(path, header, rows())
-
-
-def _write_hits_csv(path: Path, hits, dimension: int):
-    header = (
-        ["path_id", "tau"]
-        + _vector_columns("x", dimension)
-        + _vector_columns("u_pre", dimension)
-        + _vector_columns("u_post", dimension)
-    )
-
-    def rows():
-        for rec in hits:
-            yield (
-                str(rec.path_id),
-                rec.time,
-                *_components(rec.location, dimension),
-                *_components(rec.pre_velocity, dimension),
-                *_components(rec.post_velocity, dimension),
-            )
-
-    _write_csv(path, header, rows())
+    log = []
+    if hits:
+        log.append(np.column_stack([
+            np.reshape([getattr(e, f) for e in hits], (len(hits), -1))
+            for f in ("path_id", "time", "location", "pre_velocity", "post_velocity")
+        ]))
+    _write_csv(out_dir / "hits.csv",
+               ["path_id", "tau", *_columns(dimension, "x", "u_pre", "u_post")], log)
 
 
-def _write_slices_csv(path: Path, header, solution, history, labels, steps):
-    """One row (t, label, u, value) per node of the history slice of each
-    step, t being the step's grid time; labels name the rows of a slice."""
-    us = solution.grid.u.tolist()
-
-    def rows():
-        for k in steps:
-            t_k = float(solution.times[k])
-            for label, row in zip(labels, history[k].tolist()):
-                for u, value in zip(us, row):
-                    yield (t_k, label, u, value)
-
-    _write_csv(path, header, rows())
-
-
-def _write_drift_csv(path: Path, drift_fields: dict):
-    def rows():
-        for t in sorted(drift_fields):
-            xs, values = drift_fields[t]
-            for x, b in zip(xs, values):
-                yield (t, x, b)
-
-    _write_csv(path, ["t", "x", "B"], rows())
+def _slice_blocks(solution, history, labels, steps):
+    """Per step, a block (t, label, u, value) with a row per node of the
+    step's history slice, t being its grid time; labels name the slice's rows."""
+    u = solution.grid.u
+    for k in steps:
+        values = history[k]
+        yield np.column_stack((np.full(values.size, solution.times[k]),
+                               np.repeat(labels, u.size), np.tile(u, len(labels)),
+                               values.ravel()))
 
 
 def _sha256(path: Path) -> str:
@@ -248,9 +215,7 @@ def _march_linear(cfg: ScenarioConfig):
 
 
 def _run_simulate_linear(cfg: ScenarioConfig, out_dir: Path):
-    snapshots, hits, dimension = _march_linear(cfg)
-    _write_paths_csv(out_dir / "paths.csv", snapshots, dimension)
-    _write_hits_csv(out_dir / "hits.csv", hits, dimension)
+    _write_particles(out_dir, *_march_linear(cfg))
     return True, None
 
 
@@ -274,11 +239,11 @@ def _run_simulate_mckean(cfg: ScenarioConfig, out_dir: Path):
     snapshots = {
         t: (ens.positions, ens.velocities) for t, ens in result.snapshots.items()
     }
-    dimension = cfg.domain.dimension
-    _write_paths_csv(out_dir / "paths.csv", snapshots, dimension)
-    _write_hits_csv(out_dir / "hits.csv", result.hits, dimension)
+    _write_particles(out_dir, snapshots, result.hits, cfg.domain.dimension)
     if result.drift_fields:
-        _write_drift_csv(out_dir / "drift.csv", result.drift_fields)
+        _write_csv(out_dir / "drift.csv", ["t", "x", "B"], (
+            np.column_stack((np.full(len(xs), t), xs, values))
+            for t, (xs, values) in sorted(result.drift_fields.items())))
     return True, None
 
 
@@ -304,10 +269,10 @@ def _solve_picard(cfg: ScenarioConfig):
 def _run_solve_vfp(cfg: ScenarioConfig, out_dir: Path):
     solution, report, grid, lower, upper = _solve_picard(cfg)
     steps = _output_steps(cfg, grid.horizon, grid.dt)
-    _write_slices_csv(out_dir / "field.csv", ["t", "x", "u", "rho"],
-                      solution, solution.fields, solution.grid.x.tolist(), steps)
-    _write_slices_csv(out_dir / "traces.csv", ["t", "wall", "u", "gamma"],
-                      solution, solution.traces, ("0", "1"), steps)
+    _write_csv(out_dir / "field.csv", ["t", "x", "u", "rho"],
+               _slice_blocks(solution, solution.fields, solution.grid.x, steps))
+    _write_csv(out_dir / "traces.csv", ["t", "wall", "u", "gamma"],
+               _slice_blocks(solution, solution.traces, (0, 1), steps))
     payload = report.to_dict()
     payload["grid"] = {
         "n_x": grid.n_x,

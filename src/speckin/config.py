@@ -463,26 +463,21 @@ def sample_initial(cfg: ScenarioConfig, n: int, seed: int):
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     init = cfg.initial
-    if cfg.domain.kind == "interval":
+    amp = init.x_amplitude
+    if amp == 0.0:
+        X = build_domain(cfg).sample_uniform(n, rng)
+    else:  # an interval: the configuration refuses modulation elsewhere
         length = cfg.domain.length
-        amp = init.x_amplitude
-        if amp == 0.0:
-            X = length * rng.uniform(size=n)
-        else:
-            kept = []
-            need = n
-            while need > 0:
-                block = max(2 * need, 1024)
-                x = length * rng.uniform(size=block)
-                bar = rng.uniform(0.0, 1.0 + abs(amp), size=block)
-                x = x[bar < 1.0 + amp * np.cos(2.0 * math.pi * init.x_mode * x / length)]
-                kept.append(x[:need])
-                need -= kept[-1].size
-            X = np.concatenate(kept)
-        U = init.u_mean + math.sqrt(init.s) * rng.standard_normal(size=n)
-        return X, U
-    domain = build_domain(cfg)
-    X = domain.sample_uniform(n, rng)
+        kept = []
+        need = n
+        while need > 0:
+            block = max(2 * need, 1024)
+            x = length * rng.uniform(size=block)
+            bar = rng.uniform(0.0, 1.0 + abs(amp), size=block)
+            x = x[bar < 1.0 + amp * np.cos(2.0 * math.pi * init.x_mode * x / length)]
+            kept.append(x[:need])
+            need -= kept[-1].size
+        X = np.concatenate(kept)
     U = math.sqrt(init.s) * rng.standard_normal(size=X.shape)
-    U[:, 0] += init.u_mean
+    U.reshape(n, -1)[:, 0] += init.u_mean
     return X, U

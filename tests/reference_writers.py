@@ -1,0 +1,99 @@
+"""Reference oracle: the bundle CSV writers as they were before rows came
+from whole arrays.
+
+Every row is a tuple of per-cell Python values, and the writer picks each
+column's format from the first row: strings as they are, numbers as %.17g.
+`speckin.cli` must write the same bytes for every table.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+
+def write_csv(path: Path, header, rows):
+    """Write tuples whose cells keep one type per column: strings as they
+    are, numbers as %.17g, which reads back to the same double."""
+    rows = iter(rows)
+    first = next(rows, None)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        if first is None:
+            return
+        line = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in first) + "\n"
+        handle.write(line % first)
+        handle.writelines(line % row for row in rows)
+
+
+def _vector_columns(name: str, dimension: int):
+    if dimension == 1:
+        return [name]
+    return [f"{name}{i}" for i in range(dimension)]
+
+
+def _components(value, dimension: int):
+    if dimension == 1:
+        return (float(value),)
+    return tuple(float(v) for v in np.asarray(value))
+
+
+def write_paths_csv(path: Path, snapshots: dict, dimension: int):
+    header = ["path_id", "t"] + _vector_columns("x", dimension) + _vector_columns(
+        "u", dimension
+    )
+
+    def rows():
+        for t in sorted(snapshots):
+            X, U = snapshots[t]
+            for i in range(X.shape[0]):
+                yield (str(i), t, *_components(X[i], dimension), *_components(U[i], dimension))
+
+    write_csv(path, header, rows())
+
+
+def write_hits_csv(path: Path, hits, dimension: int):
+    header = (
+        ["path_id", "tau"]
+        + _vector_columns("x", dimension)
+        + _vector_columns("u_pre", dimension)
+        + _vector_columns("u_post", dimension)
+    )
+
+    def rows():
+        for rec in hits:
+            yield (
+                str(rec.path_id),
+                rec.time,
+                *_components(rec.location, dimension),
+                *_components(rec.pre_velocity, dimension),
+                *_components(rec.post_velocity, dimension),
+            )
+
+    write_csv(path, header, rows())
+
+
+def write_slices_csv(path: Path, header, solution, history, labels, steps):
+    """One row (t, label, u, value) per node of the history slice of each
+    step, t being the step's grid time; labels name the rows of a slice."""
+    us = solution.grid.u.tolist()
+
+    def rows():
+        for k in steps:
+            t_k = float(solution.times[k])
+            for label, row in zip(labels, history[k].tolist()):
+                for u, value in zip(us, row):
+                    yield (t_k, label, u, value)
+
+    write_csv(path, header, rows())
+
+
+def write_drift_csv(path: Path, drift_fields: dict):
+    def rows():
+        for t in sorted(drift_fields):
+            xs, values = drift_fields[t]
+            for x, b in zip(xs, values):
+                yield (t, x, b)
+
+    write_csv(path, ["t", "x", "B"], rows())

@@ -7,6 +7,11 @@ segment is pruned by the near-wall trigger or is short enough (dt <= h_min)
 to locate its wall crossing by bisection on the straight chord.  Every draw
 comes from `rng.normals`, so the order of draws, and with it each draw's
 (seed, stream_id, counter) address, is the order of this recursion.
+
+The free flight and the bridge midpoint are written out here, per component
+in Python floats, rather than taken from `speckin.langevin`: a fault in the
+kernel's own flow arithmetic then shows as a mismatch.  Each formula keeps
+the kernel's order of operations, which IEEE arithmetic makes bitwise.
 """
 
 from __future__ import annotations
@@ -23,14 +28,53 @@ from speckin.langevin import (
     HitEvent,
     PhaseState,
     StepParams,
-    bridge_midpoint,
-    free_step,
 )
 
 
 def _speed(u):
     u = np.asarray(u, dtype=float)
     return float(np.abs(u)) if u.ndim == 0 else float(np.linalg.norm(u))
+
+
+def _parts(v):
+    """The components of a position or velocity as Python floats."""
+    return [float(v)] if np.ndim(v) == 0 else [float(c) for c in v]
+
+
+def _state(x, u):
+    """A PhaseState from component lists: floats in d=1, arrays otherwise."""
+    if len(x) == 1:
+        return PhaseState(x[0], u[0])
+    return PhaseState(np.array(x), np.array(u))
+
+
+def free_step(state, h, sigma, rng):
+    """Exact unconfined step over h > 0: per component, with normals z1, z2,
+    u + sigma sqrt(h) z1 and x + h u + sigma h sqrt(h) (z1/2 + z2/(2 sqrt 3))."""
+    xs, us = _parts(state.x), _parts(state.u)
+    z = rng.normals(2 * len(xs)).tolist()
+    root_h = math.sqrt(h)
+    c = 0.5 / math.sqrt(3.0)
+    x_new = [x + h * u + (sigma * h * root_h) * (0.5 * z[2 * j] + c * z[2 * j + 1])
+             for j, (x, u) in enumerate(zip(xs, us))]
+    u_new = [u + (sigma * root_h) * z[2 * j] for j, u in enumerate(us)]
+    return _state(x_new, u_new)
+
+
+def bridge_midpoint(a, b, h, sigma, rng):
+    """The mid-time state of a free-flight step of length h pinned at a and
+    b: per component, independent Gaussians with
+      mean x = (x_a + x_b)/2 - h (u_b - u_a)/8,   sd sigma sqrt(h^3 / 192),
+      mean u = 3 (x_b - x_a)/(2h) - (u_a + u_b)/4, sd sigma sqrt(h / 16)."""
+    xa, ua, xb, ub = _parts(a.x), _parts(a.u), _parts(b.x), _parts(b.u)
+    z = rng.normals(2 * len(xa)).tolist()
+    scale_x = sigma * math.sqrt(h**3 / 192.0)
+    scale_u = sigma * math.sqrt(h / 16.0)
+    x_mid, u_mid = [], []
+    for j in range(len(xa)):
+        x_mid.append(0.5 * (xa[j] + xb[j]) - (h / 8.0) * (ub[j] - ua[j]) + scale_x * z[2 * j])
+        u_mid.append(1.5 * (xb[j] - xa[j]) / h - 0.25 * (ua[j] + ub[j]) + scale_u * z[2 * j + 1])
+    return _state(x_mid, u_mid)
 
 
 def _near_trigger(params: StepParams, speed: float, dt: float, sigma: float) -> float:

@@ -588,13 +588,15 @@ class TestReproducibility:
         )
         values = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0, 3, np.float32(0.1)]
         values += bits.view(np.float64).tolist() + list(gen.standard_normal(10))
-        rows = [(str(i), v, np.float64(v) * 0.5, "w") for i, v in enumerate(values)]
+        rows = [(str(i), v, np.float64(v) * 0.5) for i, v in enumerate(values)]
+        a = np.array(values, dtype=float)
+        block = np.column_stack((np.arange(len(values)), a, a * 0.5))
         path = tmp_path / "cells.csv"
-        speckin.cli._write_csv(path, ["id", "a", "b", "tag"], iter(rows))
-        want = "id,a,b,tag\n" + "".join(
+        speckin.cli._write_csv(path, ["path_id", "a", "b"], [block[:1000], block[1000:]])
+        want = "path_id,a,b\n" + "".join(
             ",".join(c if isinstance(c, str) else format(float(c), ".17g") for c in row) + "\n"
             for row in rows
         )
         assert path.read_bytes() == want.encode("utf-8")
-        speckin.cli._write_csv(path, ["t"], iter(()))
+        speckin.cli._write_csv(path, ["t"], [])
         assert path.read_bytes() == b"t\n"

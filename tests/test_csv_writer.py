@@ -1,0 +1,124 @@
+"""Bundle CSV tables against the per-cell reference writers.
+
+`reference_writers` keeps the writers that turned every cell into a Python
+value; `speckin.cli` writes each table from whole arrays through one
+writer.  The bytes must be the same: on synthetic tables in d = 1, 2 and 3
+(several snapshots, row counts on both sides of a format chunk, an empty
+hit log), and on the tables of real subcommand runs.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import reference_writers as ref
+from test_cli import small_scenario
+from speckin import cli
+from speckin.config import config_from_dict
+from speckin.langevin import HitEvent
+
+
+def _values(gen, shape):
+    """Normals with the special values mixed in."""
+    v = gen.standard_normal(shape)
+    flat = v.reshape(-1)
+    specials = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0]
+    flat[: len(specials)] = specials[: flat.size]
+    return v
+
+
+def _tables(gen, d, n_rows, times):
+    """Snapshots of n_rows particles at each time, and n_rows hit events
+    (floats in d = 1, length-d arrays otherwise, as the kernel makes them)."""
+    shape = (n_rows,) if d == 1 else (n_rows, d)
+    snapshots = {t: (_values(gen, shape), _values(gen, shape)) for t in times}
+    ids = np.sort(gen.integers(0, n_rows, n_rows))
+    hits = []
+    for i, tau in zip(ids.tolist(), gen.uniform(0.0, 1.0, n_rows).tolist()):
+        state = [gen.standard_normal(d) for _ in range(3)]
+        if d == 1:
+            state = [float(v[0]) for v in state]
+        hits.append(HitEvent(i, tau, *state))
+    return snapshots, hits
+
+
+def _assert_particles_match(tmp_path, snapshots, hits, d):
+    mine, want = tmp_path / "mine", tmp_path / "want"
+    mine.mkdir()
+    want.mkdir()
+    cli._write_particles(mine, snapshots, hits, d)
+    ref.write_paths_csv(want / "paths.csv", snapshots, d)
+    ref.write_hits_csv(want / "hits.csv", hits, d)
+    for name in ("paths.csv", "hits.csv"):
+        assert (mine / name).read_bytes() == (want / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_particle_tables_match_reference(tmp_path, d):
+    gen = np.random.default_rng(d)
+    snapshots, hits = _tables(gen, d, 300, (0.5, 0.0, 0.25, 1.0 / 3.0))
+    _assert_particles_match(tmp_path, snapshots, hits, d)
+
+
+@pytest.mark.parametrize("n_rows", [cli.CSV_CHUNK_ROWS - 1, cli.CSV_CHUNK_ROWS,
+                                    cli.CSV_CHUNK_ROWS + 1])
+def test_row_counts_around_a_chunk_match_reference(tmp_path, n_rows):
+    gen = np.random.default_rng(n_rows)
+    snapshots, hits = _tables(gen, 2, n_rows, (0.0, 0.1))
+    _assert_particles_match(tmp_path, snapshots, hits, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_empty_hit_log_writes_the_header_alone(tmp_path, d):
+    snapshots, _ = _tables(np.random.default_rng(0), d, 5, (0.0,))
+    _assert_particles_match(tmp_path, snapshots, [], d)
+    want = "path_id,tau," + ",".join(cli._columns(d, "x", "u_pre", "u_post")) + "\n"
+    assert (tmp_path / "mine" / "hits.csv").read_text() == want
+
+
+def _scenario(tmp_path, **overrides):
+    return config_from_dict(small_scenario(tmp_path, run={"snapshot_times": [0.04]}, **overrides))
+
+
+def _same_file(tmp_path, bundle, name, write):
+    path = tmp_path / f"want-{name}"
+    write(path)
+    assert (bundle.path / name).read_bytes() == path.read_bytes(), name
+
+
+def test_simulate_mckean_tables_match_reference(tmp_path):
+    cfg = _scenario(tmp_path)
+    result = cli._march_mckean(cfg, cli._particle_times(cfg))
+    snapshots = {t: (e.positions, e.velocities) for t, e in result.snapshots.items()}
+    assert result.hits and result.drift_fields
+    bundle = cli.run_scenario(cfg, "simulate-mckean", out_dir=tmp_path / "b")
+    _same_file(tmp_path, bundle, "paths.csv", lambda p: ref.write_paths_csv(p, snapshots, 1))
+    _same_file(tmp_path, bundle, "hits.csv", lambda p: ref.write_hits_csv(p, result.hits, 1))
+    _same_file(tmp_path, bundle, "drift.csv",
+               lambda p: ref.write_drift_csv(p, result.drift_fields))
+
+
+def test_simulate_linear_tables_in_an_annulus_match_reference(tmp_path):
+    cfg = _scenario(
+        tmp_path,
+        domain={"kind": "annulus", "center": [0.0, 0.0], "radius": 1.0, "inner_radius": 0.5},
+        model={"drift": "zero"},
+        initial={"x_amplitude": 0.0},
+    )
+    snapshots, hits, d = cli._march_linear(cfg)
+    assert hits and d == 2
+    bundle = cli.run_scenario(cfg, "simulate-linear", out_dir=tmp_path / "b")
+    _same_file(tmp_path, bundle, "paths.csv", lambda p: ref.write_paths_csv(p, snapshots, d))
+    _same_file(tmp_path, bundle, "hits.csv", lambda p: ref.write_hits_csv(p, hits, d))
+
+
+def test_solve_vfp_tables_match_reference(tmp_path):
+    cfg = _scenario(tmp_path)
+    solution, _, grid, _, _ = cli._solve_picard(cfg)
+    steps = cli._output_steps(cfg, grid.horizon, grid.dt)
+    bundle = cli.run_scenario(cfg, "solve-vfp", out_dir=tmp_path / "b")
+    _same_file(tmp_path, bundle, "field.csv", lambda p: ref.write_slices_csv(
+        p, ["t", "x", "u", "rho"], solution, solution.fields, solution.grid.x.tolist(), steps))
+    _same_file(tmp_path, bundle, "traces.csv", lambda p: ref.write_slices_csv(
+        p, ["t", "wall", "u", "gamma"], solution, solution.traces, ("0", "1"), steps))

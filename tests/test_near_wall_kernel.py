@@ -6,6 +6,7 @@ reference.  The kernel must reproduce it bit for bit: end states, every hit
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def _on_sphere(gen, n, d, radius, inward, speed):
 
 def _case(name):
     """(domain, X, U, params, sigma) for one scenario."""
-    gen = np.random.default_rng(CASES.index(name))
+    gen = np.random.default_rng(list(CASES).index(name))
     if name == "interval-near":
         X = np.r_[gen.uniform(0.0, 0.05, 40), gen.uniform(0.95, 1.0, 40)]
         return Interval(1.0), X, gen.standard_normal(80), StepParams(h=0.02), 1.0
@@ -118,22 +119,25 @@ def _case(name):
     raise KeyError(name)
 
 
-CASES = [
-    "interval-near",
-    "interval-many-hits",
-    "interval-fast",
-    "interval-boundary",
-    "interval-delta-near",
-    "ball-2d",
-    "ball-2d-boundary",
-    "ball-3d-delta-near",
-    "annulus-2d",
-    "annulus-2d-boundary-fast",
-    "interval-h-min-is-h",
-    "interval-prune-nothing",
-    "interval-short-last-step",
-    "ball-2d-eps-hit-1e-22",
-]
+# each scenario with its max_hits: about 10 times the most wall contacts
+# one of its paths makes, so a fault that keeps paths on the wall raises
+# WatchdogExceeded within seconds, not after the default 10,000 contacts
+CASES = {
+    "interval-near": 10,  # at most 1 contact per path
+    "interval-many-hits": 160,  # 16
+    "interval-fast": 190,  # 19
+    "interval-boundary": 20,  # 2
+    "interval-delta-near": 10,  # 1
+    "ball-2d": 10,  # 1
+    "ball-2d-boundary": 30,  # 3
+    "ball-3d-delta-near": 10,  # 1
+    "annulus-2d": 30,  # 3
+    "annulus-2d-boundary-fast": 70,  # 7
+    "interval-h-min-is-h": 10,  # 1
+    "interval-prune-nothing": 10,  # 1
+    "interval-short-last-step": 50,  # 5
+    "ball-2d-eps-hit-1e-22": 10,  # 1
+}
 SHORT_STEP = {"interval-short-last-step": 0.013}  # step lengths other than params.h
 
 
@@ -162,10 +166,11 @@ def _assert_same_hits(mine, ref):
         np.testing.assert_array_equal(a.post_velocity, b.post_velocity)
 
 
-@pytest.fixture(scope="module", params=CASES)
+@pytest.fixture(scope="module", params=list(CASES))
 def case(request):
     """One scenario with its scalar reference, shared by the tests below."""
     domain, X, U, params, sigma = _case(request.param)
+    params = replace(params, max_hits=CASES[request.param])
     h = SHORT_STEP.get(request.param, params.h)
     return (request.param, domain, X, U, params, sigma, h,
             _reference(domain, X, U, params, sigma, h))
