@@ -502,7 +502,3 @@ def main(argv=None) -> int:
         print("diagnostics failed", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

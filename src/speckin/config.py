@@ -287,12 +287,12 @@ def _check(cfg):
     _require(env.pad > 0, "numerics.envelope.pad", "must be positive")
     _require(env.rate_margin >= 0, "numerics.envelope.rate_margin", "must be nonnegative")
 
-    floor = max(DomainSpec.dimension.fget(domain), 2)
-    _require(
-        cfg.numerics.weight.alpha > floor,
-        "numerics.weight.alpha",
-        f"weight exponent must satisfy alpha > max(d, 2) = {floor}",
-    )
+    if domain.kind == "interval":  # only the grid builds a weight, on intervals alone
+        _require(
+            cfg.numerics.weight.alpha > 2,
+            "numerics.weight.alpha",
+            "weight exponent must satisfy alpha > max(d, 2) = 2",
+        )
 
     run = cfg.run
     _require(run.T > 0, "run.T", "must be positive")

@@ -162,7 +162,8 @@ def semigroup_l2_check(psi, grid: PhaseGrid, sigma: float) -> SemigroupCheck:
     """
     psi = np.asarray(psi, dtype=float)
     flipped = psi[:, ::-1].copy()
-    res, steps = _specular_march(grid, flipped, None, sigma)
+    no_drift = np.broadcast_to(0.0, (grid.n_steps, grid.n_x))
+    res, steps = _specular_march(grid, flipped, no_drift, sigma)
     for _, last in steps:
         pass
     quad = grid.dx * grid.du

@@ -452,6 +452,12 @@ def step_time(k: int, T: float, h: float) -> float:
     return T if k >= step_count(T, h) else k * h
 
 
+def step_length(k: int, T: float, h: float) -> float:
+    """Length of step k of step_count(T, h): h, or what is left of T after
+    k*h when that is shorter, which only the last step can be."""
+    return min(h, T - k * h)
+
+
 def snapshot_step(t: float, T: float, h: float) -> int:
     """Steps done at the grid time (see step_time) nearest t."""
     n = step_count(T, h)
@@ -587,8 +593,7 @@ def run_ensemble(
 
     take(0)
     for k in range(step_count(T, params.h)):
-        t0 = k * params.h
-        dt = min(params.h, T - t0)
+        dt = step_length(k, T, params.h)
         if kick is not None:
             U = U + dt * kick(X, U)
         X, U = ensemble_confined_step(
@@ -600,7 +605,7 @@ def run_ensemble(
             sigma,
             seed,
             h=dt,
-            time_offset=t0,
+            time_offset=step_time(k, T, params.h),
             hit_sink=hit_sink,
             stream_ids=stream_ids,
         )

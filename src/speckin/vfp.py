@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .errors import CFLViolated, NegativeDensity, NotConverged
-from .langevin import step_count
+from .langevin import step_count, step_length
 from .maxwellian import MaxwellianParams, maxwellian_eval
 from .mckean import KineticModel
 from .weights import WeightParams, default_weight, weight_eval
@@ -110,7 +110,9 @@ class PhaseGrid:
 
     @property
     def times(self) -> np.ndarray:
-        return np.minimum(np.arange(self.n_steps + 1) * self.dt, self.horizon)
+        """The particle march's clock, step_time(k, horizon, dt) for k = 0..n_steps:
+        k*dt before the last step, then T."""
+        return np.append(np.arange(self.n_steps) * self.dt, self.horizon)
 
     def check_diffusion(self, sigma: float):
         lam = sigma**2 * self.dt / (2.0 * self.du**2)
@@ -442,24 +444,13 @@ def _u_gradient(f: np.ndarray, du: float) -> np.ndarray:
     return g
 
 
-def _resolve_drift(B, grid: PhaseGrid):
-    """Normalize drift input to a callable (t, x-array) -> array."""
-    if B is None:
-        return lambda t, x: np.zeros_like(x)
-    if callable(B):
-        return B
-    arr = np.asarray(B, dtype=float)
-    if arr.ndim == 0:
-        return lambda t, x: np.full_like(x, float(arr))
-    if arr.shape == (grid.n_x,):
-        return lambda t, x: arr
-    raise ValueError("drift must be None, scalar, callable, or (n_x,) array")
-
-
-def _specular_march(grid: PhaseGrid, rho0, B, sigma: float,
+def _specular_march(grid: PhaseGrid, rho0, drifts: np.ndarray, sigma: float,
                     weight: WeightParams | None = None):
     """The one copy of the specular Strang step, marching rho0 to the horizon.
 
+    Row k of `drifts`, an (n_steps, n_x) table, is the frozen drift of step
+    k, which runs from grid.times[k] for step_length(k, horizon, dt). The
+    whole table is checked against the drift CFL limit before the march.
     Returns (result, steps). `steps` yields (k, slice k) for k = 0..n_steps,
     slice 0 being the initial density, and fills the per-step ledgers of
     `result` (traces, mass, gradient and bracket terms, clamps) as it goes.
@@ -470,7 +461,7 @@ def _specular_march(grid: PhaseGrid, rho0, B, sigma: float,
     into slice-sized work arrays made once per march.
     """
     f = _initial_values(grid, rho0, sigma)
-    drift_fn = _resolve_drift(B, grid)
+    grid.check_drift(max(float(drifts.max()), -float(drifts.min())))
     n_steps = grid.n_steps
     result = SpecularResult(
         grid=grid,
@@ -490,17 +481,14 @@ def _specular_march(grid: PhaseGrid, rho0, B, sigma: float,
         _, w_face, wgrad, wlap = _weight_tables(grid, weight)
         diffusion_bracket = 0.5 * sigma**2 * wlap
         quad = grid.dx * grid.du
-        x = grid.x
         scale = float(f.max())
         per_dt = {}
         a, b, c = (np.empty_like(f) for _ in range(3))
         faces = np.empty((grid.n_x, grid.n_u + 1))
-        t = 0.0
         yield 0, f
         for k in range(n_steps):
-            dt = min(grid.dt, grid.horizon - t)
-            drift = np.asarray(drift_fn(t, x), dtype=float)
-            grid.check_drift(float(np.abs(drift).max()) if drift.size else 0.0)
+            dt = step_length(k, grid.horizon, grid.dt)
+            drift = drifts[k]
             if dt not in per_dt:
                 per_dt[dt] = (*_diffusion_matrix(grid, sigma, dt),
                               _transport_weights(_transport_shifts(grid, 0.5 * dt), grid.n_x),
@@ -513,7 +501,6 @@ def _specular_march(grid: PhaseGrid, rho0, B, sigma: float,
             mid *= 0.5
             result.grad_sq_weighted[k] = dt * _face_grad_sq(mid, grid, w_face, faces)
             f = _clamp(_transport_specular(post, weights), scale, result.clamped)
-            t += dt
             result.traces[k + 1] = _specular_trace(f)
             result.mass[k + 1] = grid.cell_mass(f)
             bracket = np.multiply(drift[:, None], wgrad, out=a)
@@ -534,11 +521,22 @@ def solve_specular_linear(
 ) -> SpecularResult:
     """March the specular problem with frozen drift B(t, x) to the horizon.
 
-    B may be None, a scalar, an (n_x,) array, or a callable (t, x) -> array;
-    it is evaluated at the start of each step. The returned traces are the
-    wall values averaged over each +-u pair, identical for u and -u.
+    B may be None, a scalar, an (n_x,) row, a callable (t, x) -> (n_x,) row
+    evaluated at the start of each step, grid.times[k], or the (n_steps,
+    n_x) table of every step's row, such as `PicardResult.drift_history`.
+    The returned traces are the wall values averaged over each +-u pair,
+    identical for u and -u.
     """
-    result, steps = _specular_march(grid, rho0, B, sigma, weight)
+    table = (grid.n_steps, grid.n_x)
+    if callable(B):
+        B = np.array([B(t, grid.x) for t in grid.times[:-1].tolist()], dtype=float)
+        if B.shape != table:
+            raise ValueError("a drift callable must return one value per x node")
+    drifts = np.asarray(0.0 if B is None else B, dtype=float)
+    if drifts.shape not in ((), table[1:], table):
+        raise ValueError("drift must be None, a scalar, a callable, an (n_x,) row "
+                         "or an (n_steps, n_x) table")
+    result, steps = _specular_march(grid, rho0, np.broadcast_to(drifts, table), sigma, weight)
     fields = np.empty((grid.n_steps + 1, grid.n_x, grid.n_u))
     for k, f in steps:
         fields[k] = f
@@ -654,37 +652,34 @@ def solve_linear_inflow(
     # per slice: sigma^2 ||grad_u f||^2, ||gamma^-||^2 and ||q||^2, each
     # integrated in time by the trapezoid rule once every slice is in
     terms = np.empty((3, n_steps + 1))
-    dts = np.empty(n_steps)
+    times = grid.times.tolist()
+    dts = np.array([step_length(k, grid.horizon, grid.dt) for k in range(n_steps)])
     clamped: list = []
     quad = grid.dx * grid.du
     abs_u = np.abs(u)
     scale = float(f.max()) + 1.0
 
-    def record(k, t, f):
+    def record(k, f):
         fields[k] = f
         gamma[k] = _inflow_trace(f, grid)
         mass[k] = grid.cell_mass(f)
         g = _u_gradient(f, grid.du)
         terms[:, k] = (sigma**2 * float(np.square(g, out=g).sum()) * quad,
                        float((abs_u * gamma[k]**2).sum()) * grid.du,
-                       float((abs_u * q_at(t)**2).sum()) * grid.du)
+                       float((abs_u * q_at(times[k])**2).sum()) * grid.du)
 
-    t = 0.0
-    record(0, t, f)
+    record(0, f)
     per_dt = {}
-    for k in range(n_steps):
-        dt = min(grid.dt, grid.horizon - t)
+    for k, dt in enumerate(dts.tolist()):
         if dt not in per_dt:
             per_dt[dt] = _diffusion_matrix(grid, sigma, dt)
         lam, ab = per_dt[dt]
-        f, in1 = _transport_inflow(f, grid, 0.5 * dt, q_at(t + 0.25 * dt))
+        f, in1 = _transport_inflow(f, grid, 0.5 * dt, q_at(times[k] + 0.25 * dt))
         f = _diffuse(f, lam, ab)
-        f, in2 = _transport_inflow(f, grid, 0.5 * dt, q_at(t + 0.75 * dt))
+        f, in2 = _transport_inflow(f, grid, 0.5 * dt, q_at(times[k] + 0.75 * dt))
         f = _clamp(f, scale, clamped)
-        t += dt
-        dts[k] = dt
         mass_in[k] = in1 + in2
-        record(k + 1, t, f)
+        record(k + 1, f)
     grad_sq, trace_sq, data_sq = 0.5 * dts * (terms[:, :-1] + terms[:, 1:])
     return InflowResult(
         grid=grid,
@@ -727,12 +722,8 @@ class WeightedNorms:
     grad_l2w_sq: float
 
     @property
-    def v1_sq(self) -> float:
-        return self.sup_l2w_sq + self.grad_l2w_sq
-
-    @property
     def v1(self) -> float:
-        return math.sqrt(self.v1_sq)
+        return math.sqrt(self.sup_l2w_sq + self.grad_l2w_sq)
 
 
 def weighted_norms(fields: np.ndarray, grid: PhaseGrid,
@@ -745,42 +736,29 @@ def weighted_norms(fields: np.ndarray, grid: PhaseGrid,
     arr = np.asarray(fields, dtype=float)
     if arr.ndim == 2:
         arr = arr[None]
-    terms = _SliceNorms(len(arr), grid, weight)
-    for k, f in enumerate(arr):
-        terms.add(k, f)
-    return terms.norms()
+    w = weight_eval(weight, grid.u).value
+    return _norms_from_terms(np.array([_slice_terms(f, grid, w) for f in arr]), grid)
 
 
-class _SliceNorms:
-    """Per-slice terms of `weighted_norms`, kept one number per slice.
+def _slice_terms(f: np.ndarray, grid: PhaseGrid, w: np.ndarray) -> tuple:
+    """One time slice's terms of `weighted_norms`, the L2(w) squares of f
+    and of its u-gradient, from slice-sized temporaries only."""
+    quad = grid.dx * grid.du
+    sq = np.square(f)
+    sq *= w
+    g = _u_gradient(f, grid.du)
+    np.square(g, out=g)
+    g *= w
+    return sq.sum() * quad, g.sum() * quad
 
-    Only slice-sized temporaries are built; the per-slice sums are reduced
-    over time as whole arrays once every slice is in.
-    """
 
-    def __init__(self, n_t: int, grid: PhaseGrid, weight: WeightParams):
-        self.grid = grid
-        self.w = weight_eval(weight, grid.u).value
-        self.quad = grid.dx * grid.du
-        self.sq = np.empty(n_t)
-        self.gsq = np.empty(n_t)
-
-    def add(self, k: int, f: np.ndarray):
-        sq = np.square(f)
-        sq *= self.w
-        self.sq[k] = sq.sum() * self.quad
-        g = _u_gradient(f, self.grid.du)
-        np.square(g, out=g)
-        g *= self.w
-        self.gsq[k] = g.sum() * self.quad
-
-    def norms(self) -> WeightedNorms:
-        step = self.grid.dt
-        gsq = self.gsq
-        return WeightedNorms(
-            sup_l2w_sq=float(self.sq.max()),
-            grad_l2w_sq=float(gsq[1:].sum()) * step if len(gsq) > 1 else float(gsq[0]) * step,
-        )
+def _norms_from_terms(terms: np.ndarray, grid: PhaseGrid) -> WeightedNorms:
+    """`weighted_norms` from the (n_t, 2) per-slice terms of a history."""
+    sq, gsq = terms.T
+    return WeightedNorms(
+        sup_l2w_sq=float(sq.max()),
+        grad_l2w_sq=float(gsq[1:].sum() if len(gsq) > 1 else gsq[0]) * grid.dt,
+    )
 
 
 def trace_extract(field, order: int = 2) -> TraceField:
@@ -826,7 +804,7 @@ class PicardReport:
 class PicardResult:
     solution: SpecularResult
     report: PicardReport
-    drift_history: np.ndarray  # (n_steps, n_x) of the final frozen drift
+    drift_history: np.ndarray  # (n_steps, n_x): the final sweep's drift rows
 
 
 def _envelope_table(params: MaxwellianParams | None,
@@ -854,38 +832,32 @@ def picard_nonlinear(
     previous iterate's history, step by step. Stops when the discrete
     weighted V1 distance between consecutive histories drops below tol.
 
-    A sweep holds one field history. Each new time slice is checked against
-    the previous iterate's slice at the same time (its terms of the V1
-    distance and its envelope excursions, against envelope tables evaluated
-    once per call) and gives the next sweep its drift row; then it is
-    written over that slice. Only the first sweep allocates the history.
+    A sweep holds one field history. Each new time slice k is checked against
+    the previous iterate's slice k (its V1 distance terms, row k of `terms`,
+    and its envelope excursions, against tables evaluated once per call) and
+    gives the next sweep its drift row k; then it is written over that
+    slice. Only the first sweep allocates the history.
     """
     if weight is None:
         weight = default_weight(1)
     rho_init = _as_values(rho0)
     n_steps = grid.n_steps
+    w = weight_eval(weight, grid.u).value
     lower_table = _envelope_table(lower, grid)
     upper_table = _envelope_table(upper, grid)
     report = PicardReport(iterates=0)
     result = None
-    drifts = None
-    # iterate 0 is constant in time: a read-only view, and one drift row
+    # iterate 0 is constant in time: read-only views of it and of its one drift row
     prev = np.broadcast_to(rho_init, (n_steps + 1, grid.n_x, grid.n_u))
-    row = drift_from_density(rho_init, grid, model)
-    next_drifts = np.repeat(row[None, :], n_steps, axis=0)
+    drifts = np.broadcast_to(drift_from_density(rho_init, grid, model), (n_steps, grid.n_x))
     history = np.empty(prev.shape)
+    terms = np.empty((n_steps + 1, 2))
     for n in range(1, max_iter + 1):
-        drifts, next_drifts = next_drifts, np.empty_like(next_drifts)
-
-        def frozen(t, x, _table=drifts):
-            k = min(int(round(t / grid.dt)), n_steps - 1)
-            return _table[k]
-
-        result, steps = _specular_march(grid, rho_init, frozen, model.sigma, weight=weight)
-        distance = _SliceNorms(n_steps + 1, grid, weight)
+        next_drifts = np.empty(drifts.shape)
+        result, steps = _specular_march(grid, rho_init, drifts, model.sigma, weight=weight)
         lo_v = up_v = 0.0
         for k, f in steps:
-            distance.add(k, f - prev[k])
+            terms[k] = _slice_terms(f - prev[k], grid, w)
             # rounding is monotone, so the largest excursion of a column is
             # the one of its smallest (largest) value, bit for bit
             if lower_table is not None:
@@ -896,7 +868,7 @@ def picard_nonlinear(
                 next_drifts[k] = drift_from_density(f, grid, model)
             history[k] = f
         result.fields = prev = history
-        dist = distance.norms().v1
+        dist = _norms_from_terms(terms, grid).v1
         report.iterates = n
         report.distances.append(dist)
         report.lower_violation.append(lo_v)
@@ -904,10 +876,13 @@ def picard_nonlinear(
         if dist < tol:
             report.converged = True
             break
+        drifts = next_drifts
     if not report.converged:
         raise NotConverged(
             f"Picard did not reach tol={tol} in {max_iter} iterations",
             report=report,
             history=result,
         )
-    return PicardResult(solution=result, report=report, drift_history=drifts)
+    # a writable table, also when the first sweep converged on iterate 0's view
+    return PicardResult(solution=result, report=report,
+                        drift_history=np.require(drifts, requirements="W"))

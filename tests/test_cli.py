@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,14 +126,7 @@ class TestParsing:
         "raw, key, needle",
         [
             ({"numerics": {"weight": {"alpha": 1.0}}}, "numerics.weight.alpha", "max(d, 2) = 2"),
-            (
-                {
-                    "domain": {"kind": "ball", "center": [0.0, 0.0, 0.0]},
-                    "numerics": {"weight": {"alpha": 2.5}},
-                },
-                "numerics.weight.alpha",
-                "max(d, 2) = 3",
-            ),
+            ({"numerics": {"weight": {"alpha": 2.0}}}, "numerics.weight.alpha", "max(d, 2) = 2"),
             ({"numerics": {"envelope": {"mu_upper": 1.0}}}, "numerics.envelope.mu_upper", "(1/2, 1)"),
             ({"numerics": {"envelope": {"mu_lower": 1.0}}}, "numerics.envelope.mu_lower", "exceed 1"),
             ({"model": {"sigma": 0.0}}, "model.sigma", "positive"),
@@ -314,6 +311,13 @@ class TestBundles:
         assert manifest["subcommand"] == "simulate-linear"
         assert manifest["seed"] == cfg.run.seed
         assert set(manifest["files"]) == names - {"manifest.json"}
+
+    def test_default_solve_vfp_ends_at_horizon(self, tmp_path):
+        bundle = run_scenario(default_config(), "solve-vfp", out_dir=tmp_path / "b")
+        for name in ("field.csv", "traces.csv"):
+            rows = (bundle.path / name).read_text().splitlines()[1:]
+            assert {row.split(",")[0] for row in rows} == {"0", "0.5"}
+            assert rows[-1].split(",")[0] == "0.5"
 
     def test_manifest_hashes_files(self, tmp_path):
         import hashlib
@@ -531,6 +535,34 @@ class TestMain:
         assert code == 0
         assert json.loads((out / "manifest.json").read_text())["seed"] == 77
         assert json.loads((out / "config.json").read_text())["run"]["seed"] == 77
+
+
+    @pytest.mark.parametrize("kind", ["ball", "annulus"])
+    def test_3d_radial_domain_runs_on_defaults(self, tmp_path, kind, capsys):
+        domain = {"kind": kind, "center": [0.0, 0.0, 0.0]}
+        assert config_from_dict({"domain": domain}).domain.dimension == 3
+        path = write_config(tmp_path, {"domain": domain, "run": {"N": 50, "T": 0.05}})
+        out = tmp_path / "bundle"
+        assert main(["simulate-linear", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
+        # the grid, the one user of the weight, still refuses the domain
+        capsys.readouterr()
+        assert main(["solve-vfp", "--config", str(path), "--out", str(tmp_path / "g")]) == 1
+        assert "domain.kind" in capsys.readouterr().err
+
+    def test_python_dash_m_speckin_runs_the_command_line_once(self, tmp_path):
+        path = write_config(tmp_path, small_scenario(tmp_path, run={"N": 40}))
+        out = tmp_path / "bundle"
+        src = str(Path(speckin.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "speckin",
+             "simulate-linear", "--config", str(path), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=100,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (out / "manifest.json").exists()
 
 
 class TestReproducibility:

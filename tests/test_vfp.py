@@ -17,6 +17,7 @@ from speckin.config import (
     initial_density,
 )
 from speckin.errors import CFLViolated, NegativeDensity, NotConverged
+from speckin.langevin import step_time
 from speckin.maxwellian import (
     GaussianCore,
     MaxwellianParams,
@@ -32,7 +33,8 @@ from speckin.vfp import (
     _diffuse,
     _diffusion_matrix,
     _envelope_table,
-    _SliceNorms,
+    _norms_from_terms,
+    _slice_terms,
     _specular_trace,
     _transport_inflow,
     _transport_shifts,
@@ -48,7 +50,23 @@ from speckin.vfp import (
     trace_functionals,
     weighted_norms,
 )
-from speckin.weights import WeightParams
+from speckin.weights import WeightParams, weight_eval
+
+
+def cross_validation(n_x, n_u):
+    """The acceptance cross-validation scenario on an n_x x n_u grid."""
+    return {
+        "domain": {"kind": "interval", "length": 1.0},
+        "model": {"sigma": 1.0, "drift": "tanh(1.0)"},
+        "initial": {"s": 1.0, "u_mean": 0.8},
+        "numerics": {"grid": {"n_x": n_x, "n_u": n_u}, "step": {"h": 0.005}},
+        "run": {"T": 0.5, "N": 10_000},
+    }
+
+
+def configured_grid(raw):
+    cfg = config_from_dict(raw)
+    return build_grid(cfg, build_envelopes(cfg)[1])
 
 
 def uniform_gaussian(grid, variance, shift=0.0):
@@ -140,12 +158,8 @@ def reference_transport_inflow(values, grid, dt, q):
 
 
 def _v1_distance(a, b, grid, weight):
-    """Reference: `weighted_norms(a - b, ...).v1`, one time slice of the
-    difference at a time."""
-    terms = _SliceNorms(len(a), grid, weight)
-    for k in range(len(a)):
-        terms.add(k, a[k] - b[k])
-    return terms.norms().v1
+    """Reference: the V1 norm of the difference of two histories."""
+    return weighted_norms(a - b, grid, weight).v1
 
 
 def _envelope_violations(fields, lower, upper):
@@ -178,6 +192,19 @@ class TestPhaseGrid:
         g = PhaseGrid(length=1.0, n_x=8, v_max=2.0, n_u=16, dt=0.03, horizon=0.1)
         assert g.n_steps == 4
         assert g.times[-1] == pytest.approx(0.1, abs=0)
+
+    @pytest.mark.parametrize("grid", [
+        pytest.param(lambda: configured_grid({}), id="default"),
+        pytest.param(lambda: configured_grid(cross_validation(64, 128)), id="cross-validate"),
+        pytest.param(lambda: configured_grid(cross_validation(96, 192)), id="grid-fine"),
+        pytest.param(lambda: PhaseGrid(length=1.0, n_x=8, v_max=2.0, n_u=16, dt=0.03,
+                                       horizon=0.1), id="horizon-not-a-multiple"),
+    ])
+    def test_times_are_the_particle_clock(self, grid):
+        g = grid()
+        T = g.horizon
+        assert g.times.tolist() == [step_time(k, T, g.dt) for k in range(g.n_steps + 1)]
+        assert g.times[-1] == T
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):
@@ -314,8 +341,34 @@ class TestSpecularLinear:
         g = PhaseGrid(length=1.0, n_x=8, v_max=4.0, n_u=16, dt=2e-3, horizon=0.02)
         rho0 = uniform_gaussian(g, 0.8)
         a = solve_specular_linear(g, rho0, 0.3, sigma=1.0)
-        b = solve_specular_linear(g, rho0, np.full(8, 0.3), sigma=1.0)
-        assert np.array_equal(a.fields, b.fields)
+        for B in (np.full(8, 0.3), np.full((g.n_steps, 8), 0.3),
+                  lambda t, x: np.full_like(x, 0.3)):
+            b = solve_specular_linear(g, rho0, B, sigma=1.0)
+            assert np.array_equal(a.fields, b.fields)
+
+    def test_drift_of_another_shape_is_refused(self):
+        g = PhaseGrid(length=1.0, n_x=8, v_max=4.0, n_u=16, dt=2e-3, horizon=0.02)
+        rho0 = uniform_gaussian(g, 0.8)
+        for B in (np.zeros(7), np.zeros((g.n_steps + 1, 8)), np.zeros((g.n_steps, 1)),
+                  lambda t, x: 0.3):
+            with pytest.raises(ValueError, match="drift"):
+                solve_specular_linear(g, rho0, B, sigma=1.0)
+
+    def test_callable_drift_is_read_at_each_step_start(self):
+        # ten steps of 0.01: a running sum of dt reads 0.060000000000000005
+        # at step 6, the clock 6 * 0.01 = 0.06
+        g = PhaseGrid(length=1.0, n_x=8, v_max=4.0, n_u=16, dt=0.01, horizon=0.1)
+        calls = []
+
+        def B(t, x):
+            calls.append(t)
+            assert np.array_equal(x, g.x)
+            return 0.3 * np.cos(2 * np.pi * x) * (1.0 - t)
+
+        res = solve_specular_linear(g, uniform_gaussian(g, 0.8), B, sigma=1.0)
+        assert calls == g.times[:-1].tolist()
+        assert calls == [step_time(k, g.horizon, g.dt) for k in range(g.n_steps)]
+        assert calls[6] == 0.06 and res.times[-1] == 0.1
 
     def test_short_last_step_marches_its_own_length(self):
         # 0.1 is no multiple of 0.03: three full steps, then one of ~0.01
@@ -633,10 +686,17 @@ class TestWeightedNorms:
         rng = np.random.default_rng(n_t)
         a = rng.random((n_t, 9, 16))
         b = a + 1e-6 * rng.standard_normal((n_t, 9, 16))
-        assert _v1_distance(a, b, g, w) == weighted_norms(a - b, g, w).v1
+        values = weight_eval(w, g.u).value
+
+        def sweep_distance(prev):
+            # as a Picard sweep takes it: one slice of the difference at a time
+            terms = np.array([_slice_terms(a[k] - prev[k], g, values) for k in range(n_t)])
+            return _norms_from_terms(terms, g).v1
+
+        assert sweep_distance(b) == weighted_norms(a - b, g, w).v1
         # the constant history Picard starts from is a broadcast view
         c = np.broadcast_to(b[0], b.shape)
-        assert _v1_distance(a, c, g, w) == weighted_norms(a - c, g, w).v1
+        assert sweep_distance(c) == weighted_norms(a - c, g, w).v1
 
 
 class TestTraceExtract:
@@ -710,6 +770,21 @@ class TestPicard:
         linear = solve_specular_linear(grid, rho0, None, model.sigma,
                                        weight=res.solution.weight)
         assert np.array_equal(res.solution.fields, linear.fields)
+
+    @pytest.mark.parametrize("tol, sweeps", [(1e-6, None), (np.inf, 1)])
+    def test_drift_history_replays_the_final_sweep(self, tol, sweeps):
+        grid, rho0, model, _, _ = picard_scenario()
+        weight = WeightParams(alpha=3.0, dimension=1)
+        res = picard_nonlinear(grid, rho0, model, tol=tol, weight=weight)
+        if sweeps is not None:
+            assert res.report.iterates == sweeps
+        history = res.drift_history
+        assert history.shape == (grid.n_steps, grid.n_x)
+        assert history.flags.writeable
+        again = solve_specular_linear(grid, rho0, history, model.sigma, weight=weight)
+        assert np.array_equal(again.fields, res.solution.fields)
+        assert np.array_equal(again.traces, res.solution.traces)
+        assert np.array_equal(again.mass, res.solution.mass)
 
     def test_tanh_drift_converges_with_sandwich(self):
         grid, rho0, model, lower, upper = picard_scenario()
