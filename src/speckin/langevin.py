@@ -135,7 +135,8 @@ def _bridge_scales(sigma: float, dt: np.ndarray):
 
 
 def _bridge_update(xa, ua, xb, ub, h, scale_x, scale_u, xi1, xi2):
-    """Shared bridge arithmetic; identical expression for scalars and batches."""
+    """Mid-time states of free-flight segments of length h pinned at both ends:
+    per component, independent Gaussians with these means and sds scale_x, scale_u."""
     mean_x = 0.5 * (xa + xb) - (h / 8.0) * (ub - ua)
     mean_u = 1.5 * (xb - xa) / h - 0.25 * (ua + ub)
     return mean_x + scale_x * xi1, mean_u + scale_u * xi2
@@ -167,25 +168,6 @@ def free_step(state: PhaseState, h: float, sigma: float, rng: RngStream) -> Phas
         return state
     X, U = _as_rows(state)
     return _row_state(*ensemble_free_flight(X, U, h, sigma, rng.normals(2 * U[0].size)[None]))
-
-
-def bridge_midpoint(
-    a: PhaseState, b: PhaseState, h: float, sigma: float, rng: RngStream
-) -> PhaseState:
-    """Sample the mid-time state given both endpoints of a free-flight step.
-
-    Conditioning the per-component 4-vector (x_mid, u_mid, x_b, u_b) of the
-    exact flow on the endpoint leaves independent Gaussians:
-      E[x_mid] = (x_a + x_b)/2 - h (u_b - u_a)/8,   Var = sigma^2 h^3 / 192,
-      E[u_mid] = 3 (x_b - x_a)/(2h) - (u_a + u_b)/4, Var = sigma^2 h / 16.
-    """
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    (xa, ua), (xb, ub) = _as_rows(a), _as_rows(b)
-    Z = rng.normals(2 * ua[0].size)[None]
-    scales = _bridge_scales(sigma, np.array([h], dtype=float))
-    x_mid, u_mid = _bridge_update(xa, ua, xb, ub, h, *scales, *_pairs(Z, xa))
-    return _row_state(x_mid, u_mid)
 
 
 def _bisect(domain: Domain, xa, xb, eps_hit: float):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-import speckin
+import speckin.cli  # what bench/run.py imports; it loads every traced module
 from speckin import config
 from speckin.langevin import ensemble_confined_step, step_count
 

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from scalar_cascade import bridge_midpoint
 from speckin.errors import InvalidStart, WatchdogExceeded
 from speckin.geometry import Ball, Interval
 from speckin.langevin import (
     STEP_COUNTER_STRIDE,
     PhaseState,
     StepParams,
-    bridge_midpoint,
     confined_step,
     ensemble_confined_step,
     free_step,
@@ -91,6 +91,8 @@ def test_free_step_components_independent():
     assert c[0, 2] > 0.8
 
 
+# The bridge law is checked on the scalar oracle's sampler, which the
+# kernel-vs-oracle tests tie bit for bit to the kernel's bridge midpoints.
 def test_bridge_deterministic_when_sigma_zero():
     h = 0.4
     a = PhaseState(0.1, 0.9)

@@ -227,15 +227,6 @@ class TestPhaseGrid:
             g.check_drift(5.0)
 
 
-def test_package_reexports_are_public_in_vfp():
-    import speckin
-    from speckin import vfp
-
-    taken = [name for name in speckin.__all__
-             if getattr(getattr(speckin, name), "__module__", None) == vfp.__name__]
-    assert taken and set(taken) <= set(vfp.__all__)
-
-
 def test_auto_vmax_certifies_tail():
     env = MaxwellianParams(a=0.5, mu=0.75,
                            core=GaussianCore(kappa=1.3, s=1.5), sigma=1.0)
