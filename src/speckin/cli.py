@@ -221,16 +221,10 @@ def _run_simulate_linear(cfg: ScenarioConfig, out_dir: Path):
 
 def _march_mckean(cfg: ScenarioConfig, snapshot_times: tuple = ()):
     """The interacting ensemble; the mean-field drift kicks each velocity."""
+    X, U = sample_initial(cfg, cfg.run.N, cfg.run.seed)
     return run_mckean(
-        build_domain(cfg),
-        lambda n, seed: sample_initial(cfg, n, seed),
-        build_model(cfg),
-        cfg.numerics.estimator,
-        cfg.run.T,
-        build_step_params(cfg),
-        cfg.run.N,
-        cfg.run.seed,
-        snapshot_times=snapshot_times,
+        build_domain(cfg), X, U, build_model(cfg), cfg.numerics.estimator, cfg.run.T,
+        build_step_params(cfg), cfg.run.seed, snapshot_times=snapshot_times,
     )
 
 
@@ -502,3 +496,11 @@ def main(argv=None) -> int:
         print("diagnostics failed", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     return EXIT_OK
+
+
+if __name__ == "__main__":
+    # `python -m speckin.cli` runs no subcommand; fail loudly rather than
+    # exit 0 with no bundle
+    print("usage error: the command line is `python -m speckin` (or `speckin`)",
+          file=sys.stderr)
+    sys.exit(EXIT_USAGE)

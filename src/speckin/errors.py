@@ -17,10 +17,6 @@ class InvalidStart(SpeckinError):
     """Path started outside the domain or outgoing on the boundary."""
 
 
-class InvalidInitial(SpeckinError):
-    """Initial sampler produced states outside the domain."""
-
-
 class WatchdogExceeded(SpeckinError):
     """More reflections inside one macro step than max_hits allows."""
 

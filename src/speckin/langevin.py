@@ -21,7 +21,9 @@ so a path is a pure function of its stream and the results are bit for bit
 the same however paths are batched.
 
 One marching loop, run_ensemble, serves every particle run; simulate_path is
-that march on one row.  Before each confined step it kicks the velocities by
+that march on one row.  It checks its starting rows once: the process lives
+in the closed domain, so a row may start on the wall only with a velocity
+pointing inside.  Before each confined step it kicks the velocities by
 h times a field: none for the linear process, b(U) for independent drifted
 paths, and the mean-field estimate of E[b(U) | X] for the McKean system
 (mckean.run_mckean).  Every wall contact is one HitEvent, built once by the
@@ -104,12 +106,6 @@ class PathResult:
     events: tuple
 
 
-@dataclass(frozen=True)
-class SemigroupEstimate:
-    mean: float
-    std_error: float
-
-
 def _pruned(params: StepParams, sigma: float, sd_a, sd_b, speed_a, speed_b, dt):
     """Near-wall trigger (see StepParams): True where both ends of a segment
     of length dt lie deeper inside than its reach, so it cannot touch the wall."""
@@ -142,9 +138,9 @@ def _bridge_update(xa, ua, xb, ub, h, scale_x, scale_u, xi1, xi2):
     return mean_x + scale_x * xi1, mean_u + scale_u * xi2
 
 
-def _as_rows(state: PhaseState, n: int = 1):
-    """(X, U) holding state in each of n rows: shape (n,) in d=1, (n, d) otherwise."""
-    return tuple(np.repeat(np.asarray(v, float)[None], n, axis=0) for v in (state.x, state.u))
+def _as_rows(state: PhaseState):
+    """(X, U) holding state as one row: shape (1,) in d=1, (1, d) otherwise."""
+    return tuple(np.asarray(v, float)[None] for v in (state.x, state.u))
 
 
 def _row_state(X, U, i: int = 0) -> PhaseState:
@@ -157,17 +153,6 @@ def _row_state(X, U, i: int = 0) -> PhaseState:
 def _pairs(Z, X):
     """(xi1, xi2) per row of Z, which holds 2 normals per component of X's rows."""
     return (Z[:, 0], Z[:, 1]) if X.ndim == 1 else (Z[:, 0::2], Z[:, 1::2])
-
-
-def free_step(state: PhaseState, h: float, sigma: float, rng: RngStream) -> PhaseState:
-    """Exact unconfined step: per component the increment pair is Gaussian with
-    mean (h*u, 0) and covariance [[s^2 h^3/3, s^2 h^2/2], [s^2 h^2/2, s^2 h]]."""
-    if h < 0:
-        raise ValueError(f"h must be nonnegative, got {h}")
-    if h == 0:
-        return state
-    X, U = _as_rows(state)
-    return _row_state(*ensemble_free_flight(X, U, h, sigma, rng.normals(2 * U[0].size)[None]))
 
 
 def _bisect(domain: Domain, xa, xb, eps_hit: float):
@@ -411,7 +396,9 @@ def confined_step(
     Draws from rng's stream from its counter on and leaves the counter after
     the last draw.  Hit times in the returned events are relative to the
     start of this step, and their path_id is rng.stream_id.  Far from the
-    wall this is exactly free_step on the same draws.
+    wall this is exactly ensemble_free_flight on the same draws.  Only a
+    start outside the domain is refused: a step may begin on the wall, where
+    the previous one grazed it.
     """
     if float(domain.signed_distance(state.x)) > params.eps_hit:
         raise InvalidStart(f"state outside the domain: sd={domain.signed_distance(state.x)}")
@@ -449,17 +436,6 @@ def snapshot_step(t: float, T: float, h: float) -> int:
     return k
 
 
-def _check_start(domain: Domain, initial: PhaseState, eps_hit: float):
-    X, U = _as_rows(initial)
-    sd = float(domain.signed_distance(X)[0])
-    if sd > eps_hit:
-        raise InvalidStart(f"initial position outside the domain: sd={sd}")
-    if sd >= -eps_hit and normal_velocity(U, domain.outward_normal(domain.project(X)))[0] >= 0.0:
-        raise InvalidStart(
-            "boundary start must have strictly incoming velocity; reflect it before calling"
-        )
-
-
 def simulate_path(
     domain: Domain,
     initial: PhaseState,
@@ -473,9 +449,9 @@ def simulate_path(
     The path is run_ensemble on one row with stream rng.stream_id: macro
     step k always draws from counter k * 2^16 of that stream, so the
     realized path depends only on (seed, stream_id).  rng.counter is
-    neither read nor advanced.
+    neither read nor advanced.  A start run_ensemble refuses raises
+    InvalidStart.
     """
-    _check_start(domain, initial, params.eps_hit)
     h = params.h
     times = [step_time(k, T, h) for k in range(step_count(T, h) + 1)]
     events = []
@@ -561,9 +537,23 @@ def run_ensemble(
     to a copy of (X, U) after snapshot_step(t, T, h) steps.  Hit times are
     k*h plus the time within step k.  Ordering and values are independent of
     how callers batch the work because every draw is counter-addressed.
+
+    Raises InvalidStart when a starting row lies more than eps_hit outside
+    the domain, or within eps_hit of the wall with u.n >= 0 at its
+    projection: a path starts on the wall only moving inside.
     """
     X = np.array(X0, dtype=float)
     U = np.array(U0, dtype=float)
+    sd = domain.signed_distance(X)
+    if np.any(sd > params.eps_hit):
+        raise InvalidStart(f"initial position outside the domain: sd={sd.max()}")
+    wall = sd >= -params.eps_hit
+    if wall.any() and np.any(
+        normal_velocity(U[wall], domain.outward_normal(domain.project(X[wall]))) >= 0.0
+    ):
+        raise InvalidStart(
+            "boundary start must have strictly incoming velocity; reflect it before calling"
+        )
     wanted = {}
     for t in snapshot_times:
         wanted.setdefault(snapshot_step(t, T, params.h), []).append(t)
@@ -593,28 +583,3 @@ def run_ensemble(
         )
         take(k + 1)
     return X, U, snapshots
-
-
-def semigroup_estimate(
-    domain: Domain,
-    psi,
-    t: float,
-    initial: PhaseState,
-    N: int,
-    params: StepParams,
-    sigma: float,
-    seed: int,
-) -> SemigroupEstimate:
-    """Monte Carlo value of E[psi(X_t, U_t)] from N paths started at `initial`.
-
-    psi takes (x, u) arrays batched along the first axis and returns a batch
-    of scalars.
-    """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    _check_start(domain, initial, params.eps_hit)
-    X, U, _ = run_ensemble(domain, *_as_rows(initial, N), t, params, sigma, seed)
-    vals = np.asarray(psi(X, U), dtype=float)
-    mean = float(np.mean(vals))
-    std_error = float(np.std(vals, ddof=1) / math.sqrt(N)) if N > 1 else 0.0
-    return SemigroupEstimate(mean=mean, std_error=std_error)

@@ -149,34 +149,24 @@ def envelope_for_gaussian(
     c = float(u_mean)
     log_amp = np.log(amplitude) - 0.5 * np.log(2.0 * np.pi * s0)
 
-    s_up = spread * mu_upper * s0
-    a_coef = 0.5 / s0 - 0.5 * mu_upper / s_up
-    vertex = (c / s0) ** 2 / (4.0 * a_coef)
-    log_kappa_up = (
-        np.log1p(pad) - c**2 / (2.0 * s0) + vertex + log_amp
-        + 0.5 * mu_upper * np.log(2.0 * np.pi * s_up)
-    ) / mu_upper
-    upper = MaxwellianParams(
-        a=super_sub_thresholds(mu_upper, sigma, b_norm) + spec.rate_margin,
-        mu=mu_upper,
-        core=GaussianCore(kappa=float(np.exp(log_kappa_up)), s=s_up),
-        sigma=sigma,
-    )
+    def member(mu, s_m, sign):
+        """The member with exponent mu and core variance s_m; sign +1 gives
+        the upper one, -1 the lower one, whose formulas mirror its signs."""
+        a_coef = sign * (0.5 / s0 - 0.5 * mu / s_m)
+        vertex = (c / s0) ** 2 / (4.0 * a_coef)
+        log_kappa = (
+            sign * np.log1p(pad) - c**2 / (2.0 * s0) + sign * vertex + log_amp
+            + 0.5 * mu * np.log(2.0 * np.pi * s_m)
+        ) / mu
+        return MaxwellianParams(
+            a=super_sub_thresholds(mu, sigma, b_norm) + sign * spec.rate_margin,
+            mu=mu,
+            core=GaussianCore(kappa=float(np.exp(log_kappa)), s=s_m),
+            sigma=sigma,
+        )
 
-    s_lo = mu_lower * s0 / spread
-    a_coef = 0.5 * mu_lower / s_lo - 0.5 / s0
-    vertex = (c / s0) ** 2 / (4.0 * a_coef)
-    log_kappa_lo = (
-        -np.log1p(pad) - c**2 / (2.0 * s0) - vertex + log_amp
-        + 0.5 * mu_lower * np.log(2.0 * np.pi * s_lo)
-    ) / mu_lower
-    lower = MaxwellianParams(
-        a=super_sub_thresholds(mu_lower, sigma, b_norm) - spec.rate_margin,
-        mu=mu_lower,
-        core=GaussianCore(kappa=float(np.exp(log_kappa_lo)), s=s_lo),
-        sigma=sigma,
-    )
-    return lower, upper
+    return (member(mu_lower, mu_lower * s0 / spread, -1.0),
+            member(mu_upper, spread * mu_upper * s0, 1.0))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ the data are; where the local kernel mass is negligible the drift is zero.
 
 run_mckean is the one particle march, langevin.run_ensemble, with this
 mean-field kick; the linear process is the same march with no kick or the
-local b(U).
+local b(U).  The march checks the starting states, so a start outside the
+domain, or on the wall moving out, raises InvalidStart here too.
 
 On a one-dimensional interval the field is estimated on a probe grid and
 interpolated to the particles. There the particles are first binned linearly
@@ -27,7 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInitial
 from .geometry import Domain, Interval
 from .langevin import StepParams, run_ensemble, snapshot_step, step_time
 
@@ -292,37 +292,24 @@ class McKeanRun:
 
 def run_mckean(
     domain: Domain,
-    initial,
+    X0: np.ndarray,
+    U0: np.ndarray,
     model: KineticModel,
     cfg: DriftEstimatorConfig,
     T: float,
     params: StepParams,
-    N: int,
     seed: int,
     snapshot_times: tuple = (),
     stream_ids: np.ndarray | None = None,
 ) -> McKeanRun:
-    """March the N-particle system to time T.
+    """March the len(X0)-particle system from (X0, U0) to time T.
 
-    initial is either a pair of arrays (X0, U0) or a callable (n, seed) ->
-    (X0, U0); every sampled position must lie in the closed domain. The run
-    is a pure function of (initial, seed): snapshots land on the step grid
-    at the requested times, hit events carry absolute times and path ids.
-    The march is langevin.run_ensemble with the mean-field kick, so a zero
-    drift gives exactly the linear ensemble.
+    The run is a pure function of (X0, U0, seed): snapshots land on the step
+    grid at the requested times, hit events carry absolute times and path
+    ids.  The march is langevin.run_ensemble with the mean-field kick, so a
+    zero drift gives exactly the linear ensemble, and a start it refuses
+    raises InvalidStart.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    X0, U0 = initial(N, seed) if callable(initial) else initial
-    X0 = np.array(X0, dtype=float)
-    U0 = np.array(U0, dtype=float)
-    if X0.shape[0] != N:
-        raise InvalidInitial(f"sampler returned {X0.shape[0]} states, wanted {N}")
-    sd = np.asarray(domain.signed_distance(X0), dtype=float)
-    if np.any(sd > params.eps_hit):
-        worst = float(sd.max())
-        raise InvalidInitial(f"initial positions leave the domain by {worst:.3e}")
-
     hits: list = []
     X, U, states = run_ensemble(
         domain, X0, U0, T, params, model.sigma, seed,

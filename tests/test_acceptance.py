@@ -101,12 +101,11 @@ def _particle_state():
         st["domain"] = build_domain(cfg)
         st["mckean"] = run_mckean(
             st["domain"],
-            lambda n, s: sample_initial(cfg, n, s),
+            *sample_initial(cfg, cfg.run.N, cfg.run.seed),
             st["model"],
             cfg.numerics.estimator,
             cfg.run.T,
             build_step_params(cfg),
-            cfg.run.N,
             cfg.run.seed,
         )
     return st

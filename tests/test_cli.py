@@ -550,19 +550,31 @@ class TestMain:
         assert main(["solve-vfp", "--config", str(path), "--out", str(tmp_path / "g")]) == 1
         assert "domain.kind" in capsys.readouterr().err
 
-    def test_python_dash_m_speckin_runs_the_command_line_once(self, tmp_path):
-        path = write_config(tmp_path, small_scenario(tmp_path, run={"N": 40}))
-        out = tmp_path / "bundle"
+    @staticmethod
+    def _python_m(module, *args, cwd=None):
+        """`python -W error::RuntimeWarning -m module args` in a fresh interpreter."""
         src = str(Path(speckin.cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "speckin",
-             "simulate-linear", "--config", str(path), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=100,
+        return subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module, *args],
+            env=env, cwd=cwd, capture_output=True, text=True, timeout=100,
         )
+
+    def test_python_dash_m_speckin_runs_the_command_line_once(self, tmp_path):
+        path = write_config(tmp_path, small_scenario(tmp_path, run={"N": 40}))
+        out = tmp_path / "bundle"
+        done = self._python_m("speckin", "simulate-linear", "--config", str(path),
+                              "--out", str(out))
         assert done.returncode == 0, done.stderr
         assert (out / "manifest.json").exists()
+
+    def test_python_dash_m_speckin_cli_is_a_usage_error(self, tmp_path):
+        # the library module runs no subcommand, and must not exit 0 as if it had
+        done = self._python_m("speckin.cli", "simulate-linear", "--out", "D", cwd=tmp_path)
+        assert done.returncode == 64, (done.stdout, done.stderr)
+        assert not (tmp_path / "D").exists()
+        assert "python -m speckin" in done.stderr
 
 
 class TestReproducibility:

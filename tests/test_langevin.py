@@ -14,9 +14,8 @@ from speckin.langevin import (
     StepParams,
     confined_step,
     ensemble_confined_step,
-    free_step,
+    ensemble_free_flight,
     run_ensemble,
-    semigroup_estimate,
     simulate_path,
     step_count,
 )
@@ -39,23 +38,23 @@ def cov_standard_errors(cov, n):
 
 
 def test_free_step_degenerate_and_transport():
-    rng = RngStream(seed=1)
-    s = PhaseState(0.3, -0.7)
-    assert free_step(s, 0.0, 1.0, rng) is s
-    assert rng.counter == 0
-    out = free_step(s, 0.5, 0.0, rng)
-    assert out.x == pytest.approx(0.3 - 0.35, abs=1e-15) and out.u == -0.7
-    assert rng.counter == 2  # draws consumed even when sigma = 0
+    # free flight of one d = 1 row; a zero-length flight moves nothing
+    X, U = np.array([0.3]), np.array([-0.7])
+    Xz, Uz = ensemble_free_flight(X, U, 0.0, 1.0, RngStream(seed=1).normals(2)[None])
+    assert Xz[0] == 0.3 and Uz[0] == -0.7
+    Xo, Uo = ensemble_free_flight(X, U, 0.5, 0.0, RngStream(seed=1).normals(2)[None])
+    assert Xo[0] == pytest.approx(0.3 - 0.35, abs=1e-15) and Uo[0] == -0.7
 
 
 @pytest.mark.parametrize("sigma,h", [(1.0, 0.1), (0.5, 0.01)])
 def test_free_step_increment_covariance(sigma, h):
+    # one row of n components, each with its own pair of draws
     n = 200_000
     rng = RngStream(seed=123)
-    z = rng.normals(2 * n).reshape(n, 2)
     u0 = 0.4
-    u1 = u0 + sigma * math.sqrt(h) * z[:, 0]
-    x_inc = h * u0 + sigma * h ** 1.5 * (0.5 * z[:, 0] + 0.5 / math.sqrt(3) * z[:, 1])
+    X1, U1 = ensemble_free_flight(np.zeros((1, n)), np.full((1, n), u0), h, sigma,
+                                  rng.normals(2 * n)[None])
+    x_inc, u1 = X1[0], U1[0]
     emp = np.cov(np.c_[x_inc - h * u0, u1 - u0].T)
     target = analytic_free_cov(sigma, h)
     assert np.all(np.abs(emp - target) <= 4 * cov_standard_errors(target, n))
@@ -80,9 +79,9 @@ def test_free_step_components_independent():
     # interleaving; adjacent component pairs play the role of d=2 replicates
     rng = RngStream(seed=5)
     n = 50_000
-    state = PhaseState(np.zeros(2 * n), np.zeros(2 * n))
-    res = free_step(state, 0.2, 1.0, rng)
-    outs = np.c_[res.x.reshape(n, 2), res.u.reshape(n, 2)]
+    X, U = ensemble_free_flight(np.zeros((1, 2 * n)), np.zeros((1, 2 * n)), 0.2, 1.0,
+                                rng.normals(4 * n)[None])
+    outs = np.c_[X[0].reshape(n, 2), U[0].reshape(n, 2)]
     c = np.corrcoef(outs.T)
     # cross-component correlations vanish; within-component ones do not
     assert abs(c[0, 1]) < 4 / math.sqrt(n) * 1.5
@@ -156,7 +155,8 @@ def test_bridge_chaining_preserves_joint_law():
     rng = RngStream(seed=17)
     n = 300_000
     a = PhaseState(np.zeros(n), np.zeros(n))
-    b = free_step(a, h, sigma, rng)
+    Xb, Ub = ensemble_free_flight(a.x[None], a.u[None], h, sigma, rng.normals(2 * n)[None])
+    b = PhaseState(Xb[0], Ub[0])
     m = bridge_midpoint(a, b, h, sigma, rng)
     data = np.c_[m.x, m.u, b.x, b.u]
     s, t = h / 2.0, h
@@ -179,10 +179,10 @@ def test_far_from_wall_is_exactly_free():
     params = StepParams(h=0.1)
     rng_a = RngStream(seed=99, stream_id=3)
     rng_b = RngStream(seed=99, stream_id=3)
-    free = free_step(state, 0.1, 0.5, rng_a)
+    Xf, Uf = ensemble_free_flight(state.x[None], state.u[None], 0.1, 0.5, rng_a.normals(4)[None])
     res = confined_step(domain, state, params, 0.5, rng_b)
     assert res.hits == ()
-    assert np.array_equal(res.state.x, free.x) and np.array_equal(res.state.u, free.u)
+    assert np.array_equal(res.state.x, Xf[0]) and np.array_equal(res.state.u, Uf[0])
     assert rng_a.counter == rng_b.counter
 
 
@@ -306,6 +306,48 @@ def test_invalid_starts():
     assert path.states[-1].x == pytest.approx(0.9, abs=1e-12)
 
 
+# rows the march refuses: outside, or on the wall (within eps_hit) with u.n >= 0
+BAD_STARTS = {
+    "outside-interval": (Interval(1.0), [0.5, 1.5], [0.0, 0.5]),
+    "outside-ball": (Ball((0.0, 0.0), 1.0), [[0.0, 0.0], [0.0, 1.2]],
+                     [[0.0, 0.0], [0.0, -1.0]]),
+    "wall-outward-interval": (Interval(1.0), [0.5, 1.0], [0.0, 0.5]),
+    "wall-tangential-interval": (Interval(1.0), [0.5, 0.0], [0.0, 0.0]),
+    "near-wall-outward-interval": (Interval(1.0), [0.5, 5e-11], [0.0, -0.5]),
+    "wall-outward-ball": (Ball((0.0, 0.0), 1.0), [[0.0, 0.0], [0.6, 0.8]],
+                          [[0.0, 0.0], [0.3, 0.4]]),
+    "wall-tangential-ball": (Ball((0.0, 0.0), 1.0), [[0.0, 0.0], [1.0, 0.0]],
+                             [[0.0, 0.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STARTS))
+def test_run_ensemble_refuses_bad_starts(case):
+    # one check, in the march: simulate_path on the bad row trips the same one
+    domain, X0, U0 = BAD_STARTS[case]
+    X0, U0 = np.array(X0), np.array(U0)
+    params = StepParams(h=0.05)
+    with pytest.raises(InvalidStart) as info:
+        run_ensemble(domain, X0, U0, 0.1, params, 1.0, 1)
+    assert info.traceback[-1].name == "run_ensemble"
+    with pytest.raises(InvalidStart) as info:
+        simulate_path(domain, PhaseState(X0[1], U0[1]), 0.1, params, 1.0, RngStream(seed=1))
+    assert info.traceback[-1].name == "run_ensemble"
+
+
+def test_run_ensemble_admits_inward_wall_starts():
+    # on either wall moving in, and just beyond eps_hit inside moving out
+    domain = Interval(1.0)
+    X0 = np.array([0.0, 1.0, 1.0 - 1e-9, 0.5])
+    U0 = np.array([0.5, -0.5, 0.5, 0.0])
+    X, _, _ = run_ensemble(domain, X0, U0, 0.1, StepParams(h=0.05), 1.0, 1)
+    assert np.all(domain.signed_distance(X) <= 1e-10)
+    ball = Ball((0.0, 0.0), 1.0)
+    X, _, _ = run_ensemble(ball, np.array([[0.6, 0.8]]), np.array([[-0.3, -0.4]]), 0.1,
+                           StepParams(h=0.05), 1.0, 1)
+    assert np.all(ball.signed_distance(X) <= 1e-10)
+
+
 def test_ensemble_statistics_ball():
     domain = Ball(center=(0.0, 0.0), radius=1.0)
     n = 10_000
@@ -401,17 +443,24 @@ def test_snapshots_keep_every_time_and_end_at_T():
         assert np.array_equal(snaps[t][0], X20) and np.array_equal(snaps[t][1], U20)
 
 
+def semigroup_mean(domain, psi, t, x0, u0, n, params, sigma, seed):
+    """Monte Carlo E[psi(X_t, U_t)] over n paths of run_ensemble started at
+    (x0, u0), and its standard error."""
+    X, U, _ = run_ensemble(domain, np.full(n, x0), np.full(n, u0), t, params, sigma, seed)
+    vals = np.asarray(psi(X, U), dtype=float)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
+
+
 def test_semigroup_constant_and_zero_time():
     domain = Interval(length=1.0)
     params = StepParams(h=0.05)
-    one = semigroup_estimate(
-        domain, lambda x, u: np.ones_like(x), 0.4, PhaseState(0.5, 0.1), 500, params, 1.0, 7
-    )
-    assert one.mean == 1.0 and one.std_error == 0.0
+    mean, err = semigroup_mean(domain, lambda x, u: np.ones_like(x), 0.4, 0.5, 0.1, 500,
+                               params, 1.0, 7)
+    assert mean == 1.0 and err == 0.0
     psi = lambda x, u: np.cos(x) * np.exp(-(u**2))
-    zero = semigroup_estimate(domain, psi, 0.0, PhaseState(0.3, -0.2), 100, params, 1.0, 7)
-    assert zero.mean == pytest.approx(math.cos(0.3) * math.exp(-0.04), abs=1e-14)
-    assert zero.std_error <= 1e-15  # identical values up to mean-subtraction dust
+    mean, err = semigroup_mean(domain, psi, 0.0, 0.3, -0.2, 100, params, 1.0, 7)
+    assert mean == pytest.approx(math.cos(0.3) * math.exp(-0.04), abs=1e-14)
+    assert err <= 1e-15  # identical values up to mean-subtraction dust
 
 
 def test_semigroup_matches_free_gaussian_quadrature():
@@ -422,7 +471,7 @@ def test_semigroup_matches_free_gaussian_quadrature():
     x0, u0 = 0.5, 0.0
     psi = lambda x, u: np.exp(-((x - 0.5) ** 2) - u**2)
     params = StepParams(h=0.05)
-    est = semigroup_estimate(domain, psi, t, PhaseState(x0, u0), 20_000, params, sigma, 21)
+    mean, err = semigroup_mean(domain, psi, t, x0, u0, 20_000, params, sigma, 21)
 
     cov = analytic_free_cov(sigma, t)
     L = np.linalg.cholesky(cov)
@@ -433,7 +482,7 @@ def test_semigroup_matches_free_gaussian_quadrature():
     xq = x0 + t * u0 + L[0, 0] * z1
     uq = u0 + L[1, 0] * z1 + L[1, 1] * z2
     exact = float(np.sum(w1 * w2 * psi(xq, uq)) / np.pi)
-    assert abs(est.mean - exact) <= 4 * est.std_error
+    assert abs(mean - exact) <= 4 * err
 
 
 def test_step_params_validation():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from speckin.errors import InvalidInitial
+from speckin.errors import InvalidStart
 from speckin.geometry import Ball, Interval
 from speckin.langevin import (
     STEP_COUNTER_STRIDE,
@@ -350,7 +350,7 @@ def test_zero_drift_step_is_bitwise_linear():
     params = StepParams(h=0.05)
     model = KineticModel(sigma=1.0, b="zero")
     hits_b = []
-    out = run_mckean(dom, (X, U), model, DriftEstimatorConfig(), 0.05, params, 200, seed=11)
+    out = run_mckean(dom, X, U, model, DriftEstimatorConfig(), 0.05, params, seed=11)
     Xl, Ul = ensemble_confined_step(dom, X, U, 0, params, 1.0, 11, hit_sink=hits_b)
     assert np.array_equal(out.final.positions, Xl)
     assert np.array_equal(out.final.velocities, Ul)
@@ -364,8 +364,8 @@ def test_step_preserves_count_and_confinement():
     model = KineticModel(sigma=1.0, b="sign")
     params = StepParams(h=0.05)
     out = run_mckean(
-        dom, (r.uniform(0, 1, 300), r.normal(size=300)), model, DriftEstimatorConfig(),
-        0.05, params, 300, seed=13,
+        dom, r.uniform(0, 1, 300), r.normal(size=300), model, DriftEstimatorConfig(),
+        0.05, params, seed=13,
     ).final
     assert len(out) == 300
     assert np.all(dom.signed_distance(out.positions) <= params.eps_hit)
@@ -379,7 +379,7 @@ def test_drift_kick_bounded():
     U = r.normal(size=200)
     model = KineticModel(sigma=1e-12, b="clipped_linear(5, 0.6)")
     params = StepParams(h=0.01, delta_near=1e-6)
-    out = run_mckean(dom, (X, U), model, DriftEstimatorConfig(), 0.01, params, 200, seed=17)
+    out = run_mckean(dom, X, U, model, DriftEstimatorConfig(), 0.01, params, seed=17)
     kick = out.final.velocities - U
     assert np.abs(kick).max() <= params.h * model.b_norm + 1e-9
 
@@ -409,12 +409,12 @@ def test_single_zero_drift_particle_reduces_to_simulate_path():
     model = KineticModel(sigma=1.0, b="zero")
     run = run_mckean(
         dom,
-        (np.array([0.3]), np.array([0.5])),
+        np.array([0.3]),
+        np.array([0.5]),
         model,
         DriftEstimatorConfig(),
         0.35,
         params,
-        1,
         seed=21,
     )
     # the path alone, one confined_step per macro step k from counter k * 2^16
@@ -435,9 +435,9 @@ def test_snapshot_times_name_the_steps_they_follow():
     # T = 0.502 takes 101 steps of h = 0.005, the last one 0.002 long
     r = np.random.default_rng(14)
     run = run_mckean(
-        Interval(1.0), (r.uniform(0, 1, 100), r.normal(size=100)),
+        Interval(1.0), r.uniform(0, 1, 100), r.normal(size=100),
         KineticModel(sigma=1.0, b="tanh(1)"), DriftEstimatorConfig(probes=17),
-        0.502, StepParams(h=0.005), 100, seed=5, snapshot_times=(0.1, 0.1001, 0.502),
+        0.502, StepParams(h=0.005), seed=5, snapshot_times=(0.1, 0.1001, 0.502),
     )
     assert sorted(run.snapshots) == sorted(run.drift_fields) == [0.1, 0.1001, 0.502]
     end = run.snapshots[0.502]
@@ -458,8 +458,8 @@ def test_zero_drift_run_is_the_linear_ensemble():
     params = StepParams(h=0.02)
     times = (0.0, 0.1, 0.3, 0.5)
     run = run_mckean(
-        dom, (X0, U0), KineticModel(sigma=1.0, b="zero"), DriftEstimatorConfig(),
-        0.5, params, 200, seed=37, snapshot_times=times,
+        dom, X0, U0, KineticModel(sigma=1.0, b="zero"), DriftEstimatorConfig(),
+        0.5, params, seed=37, snapshot_times=times,
     )
     ref_hits = []
     X, U, snaps = run_ensemble(
@@ -480,12 +480,12 @@ def test_run_snapshots_and_fields():
     dom = Interval(1.0)
     run = run_mckean(
         dom,
-        (r.uniform(0, 1, 150), r.normal(size=150)),
+        r.uniform(0, 1, 150),
+        r.normal(size=150),
         KineticModel(sigma=1.0, b="tanh(1)"),
         DriftEstimatorConfig(),
         0.2,
         StepParams(h=0.05),
-        150,
         seed=23,
         snapshot_times=(0.0, 0.1, 0.2),
     )
@@ -508,39 +508,38 @@ def test_run_is_deterministic_given_seed():
         cfg=DriftEstimatorConfig(),
         T=0.1,
         params=StepParams(h=0.05),
-        N=120,
         seed=29,
     )
-    a = run_mckean(dom, sampler, kw["model"], kw["cfg"], kw["T"], kw["params"], kw["N"], kw["seed"])
-    b = run_mckean(dom, sampler, kw["model"], kw["cfg"], kw["T"], kw["params"], kw["N"], kw["seed"])
+    a = run_mckean(dom, *sampler(120, 29), **kw)
+    b = run_mckean(dom, *sampler(120, 29), **kw)
     assert np.array_equal(a.final.positions, b.final.positions)
     assert np.array_equal(a.final.velocities, b.final.velocities)
 
 
 def test_exterior_initial_rejected():
-    dom = Interval(1.0)
-    with pytest.raises(InvalidInitial):
-        run_mckean(
-            dom,
-            (np.array([0.3, 1.5]), np.zeros(2)),
-            KineticModel(sigma=1.0),
-            DriftEstimatorConfig(),
-            0.1,
-            StepParams(h=0.05),
-            2,
-            seed=1,
-        )
-    with pytest.raises(InvalidInitial):
-        run_mckean(
-            dom,
-            lambda n, seed: (np.full(n + 1, 0.5), np.zeros(n + 1)),
-            KineticModel(sigma=1.0),
-            DriftEstimatorConfig(),
-            0.1,
-            StepParams(h=0.05),
-            3,
-            seed=1,
-        )
+    # the march's one start check: outside, or on the wall not moving in
+    ball = Ball((0.0, 0.0), 1.0)
+    cases = [
+        (Interval(1.0), [0.3, 1.5], [0.0, 0.0]),
+        (Interval(1.0), [0.3, 1.0], [0.0, 0.5]),
+        (Interval(1.0), [0.3, 0.0], [0.0, 0.0]),
+        (ball, [[0.0, 0.0], [1.2, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]),
+        (ball, [[0.0, 0.0], [0.6, 0.8]], [[0.0, 0.0], [0.3, 0.4]]),
+        (ball, [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]),
+    ]
+    for dom, X0, U0 in cases:
+        with pytest.raises(InvalidStart) as info:
+            run_mckean(
+                dom,
+                np.array(X0),
+                np.array(U0),
+                KineticModel(sigma=1.0),
+                DriftEstimatorConfig(),
+                0.1,
+                StepParams(h=0.05),
+                seed=1,
+            )
+        assert info.traceback[-1].name == "run_ensemble"
 
 
 def test_ball_ensemble_runs_with_vector_drift():
@@ -552,12 +551,12 @@ def test_ball_ensemble_runs_with_vector_drift():
     U = r.normal(size=(120, 2))
     run = run_mckean(
         dom,
-        (X, U),
+        X,
+        U,
         KineticModel(sigma=1.0, b="tanh(1)"),
         DriftEstimatorConfig(probes=0),
         0.1,
         StepParams(h=0.05),
-        120,
         seed=31,
     )
     assert np.all(dom.signed_distance(run.final.positions) <= 1e-10)
@@ -569,12 +568,12 @@ def test_wall_side_hit_symmetry():
     dom = Interval(1.0)
     run = run_mckean(
         dom,
-        (r.uniform(0, 1, 1200), r.normal(size=1200)),
+        r.uniform(0, 1, 1200),
+        r.normal(size=1200),
         KineticModel(sigma=1.0, b="tanh(1)"),
         DriftEstimatorConfig(),
         0.4,
         StepParams(h=0.02),
-        1200,
         seed=5,
     )
     left = sum(1 for h in run.hits if h.location == 0.0)
