@@ -96,7 +96,7 @@ class OutputBundle:
 CSV_CHUNK_ROWS = 4096  # rows formatted per write, so memory does not grow with N
 
 
-def _write_csv(path: Path, header, blocks):
+def _write_csv(path: Path, header, blocks) -> Path:
     """Write the rows of 2-d float blocks under header, each row from one
     template: every cell as %.17g, which reads back to the same double and
     writes an integer below 1e17, such as a path id, without a fraction."""
@@ -107,12 +107,14 @@ def _write_csv(path: Path, header, blocks):
             for lo in range(0, block.shape[0], CSV_CHUNK_ROWS):
                 chunk = block[lo : lo + CSV_CHUNK_ROWS]
                 handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+    return path
 
 
-def _write_json(path: Path, payload):
+def _write_json(path: Path, payload) -> Path:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
+    return path
 
 
 def _columns(dimension: int, *names):
@@ -135,23 +137,20 @@ def _particle_times(cfg: ScenarioConfig) -> tuple:
     return tuple(step_time(k, T, h) for k in _output_steps(cfg, T, h))
 
 
-def _write_particles(out_dir: Path, snapshots: dict, hits, dimension: int):
+def _write_particles(out_dir: Path, snapshots: dict, hits, dimension: int) -> list:
     """paths.csv, a row per particle of each snapshot, and hits.csv, a row
-    per wall contact (the header alone when there is none)."""
-    _write_csv(
+    per contact of the HitLog hits (the header alone if none); returns both paths."""
+    return [_write_csv(
         out_dir / "paths.csv",
         ["path_id", "t", *_columns(dimension, "x", "u")],
         (np.column_stack((np.arange(len(X)), np.full(len(X), t), X, U))
          for t, (X, U) in sorted(snapshots.items())),
-    )
-    log = []
-    if hits:
-        log.append(np.column_stack([
-            np.reshape([getattr(e, f) for e in hits], (len(hits), -1))
-            for f in ("path_id", "time", "location", "pre_velocity", "post_velocity")
-        ]))
-    _write_csv(out_dir / "hits.csv",
-               ["path_id", "tau", *_columns(dimension, "x", "u_pre", "u_post")], log)
+    ), _write_csv(
+        out_dir / "hits.csv",
+        ["path_id", "tau", *_columns(dimension, "x", "u_pre", "u_post")],
+        [np.column_stack((hits.path_id, hits.time, hits.location, hits.pre_velocity,
+                          hits.post_velocity))],
+    )]
 
 
 def _slice_blocks(solution, history, labels, steps):
@@ -169,15 +168,10 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _finalize_bundle(out_dir: Path, cfg: ScenarioConfig, subcommand: str,
+def _finalize_bundle(out_dir: Path, cfg: ScenarioConfig, subcommand: str, files: list,
                      passed: bool, report=None) -> OutputBundle:
-    """Hash every data file and write the manifest last."""
+    """Hash the files this run wrote and write the manifest last."""
     config_bytes = serialize_config(cfg).encode("utf-8")
-    files = {
-        p.name: _sha256(p)
-        for p in sorted(out_dir.iterdir())
-        if p.is_file() and p.name != "manifest.json"
-    }
     manifest = {
         "subcommand": subcommand,
         "scenario": cfg.scenario,
@@ -189,7 +183,7 @@ def _finalize_bundle(out_dir: Path, cfg: ScenarioConfig, subcommand: str,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "files": files,
+        "files": {p.name: _sha256(p) for p in files},
     }
     _write_json(out_dir / "manifest.json", manifest)
     return OutputBundle(path=out_dir, manifest=manifest, passed=passed, report=report)
@@ -204,10 +198,8 @@ def _march_linear(cfg: ScenarioConfig):
     model = build_model(cfg)
     X, U = sample_initial(cfg, cfg.run.N, cfg.run.seed)
     drift = model.drift
-    hits: list = []
-    _, _, snapshots = run_ensemble(
+    _, _, snapshots, hits = run_ensemble(
         domain, X, U, cfg.run.T, build_step_params(cfg), model.sigma, cfg.run.seed,
-        hit_sink=hits,
         snapshot_times=_particle_times(cfg),
         kick=(lambda X, U: drift(U)) if model.b_norm > 0 else None,
     )
@@ -215,8 +207,7 @@ def _march_linear(cfg: ScenarioConfig):
 
 
 def _run_simulate_linear(cfg: ScenarioConfig, out_dir: Path):
-    _write_particles(out_dir, *_march_linear(cfg))
-    return True, None
+    return True, None, _write_particles(out_dir, *_march_linear(cfg))
 
 
 def _march_mckean(cfg: ScenarioConfig, snapshot_times: tuple = ()):
@@ -233,12 +224,12 @@ def _run_simulate_mckean(cfg: ScenarioConfig, out_dir: Path):
     snapshots = {
         t: (ens.positions, ens.velocities) for t, ens in result.snapshots.items()
     }
-    _write_particles(out_dir, snapshots, result.hits, cfg.domain.dimension)
+    files = _write_particles(out_dir, snapshots, result.hits, cfg.domain.dimension)
     if result.drift_fields:
-        _write_csv(out_dir / "drift.csv", ["t", "x", "B"], (
+        files.append(_write_csv(out_dir / "drift.csv", ["t", "x", "B"], (
             np.column_stack((np.full(len(xs), t), xs, values))
-            for t, (xs, values) in sorted(result.drift_fields.items())))
-    return True, None
+            for t, (xs, values) in sorted(result.drift_fields.items()))))
+    return True, None, files
 
 
 def _solve_picard(cfg: ScenarioConfig):
@@ -263,10 +254,12 @@ def _solve_picard(cfg: ScenarioConfig):
 def _run_solve_vfp(cfg: ScenarioConfig, out_dir: Path):
     solution, report, grid, lower, upper = _solve_picard(cfg)
     steps = _output_steps(cfg, grid.horizon, grid.dt)
-    _write_csv(out_dir / "field.csv", ["t", "x", "u", "rho"],
-               _slice_blocks(solution, solution.fields, solution.grid.x, steps))
-    _write_csv(out_dir / "traces.csv", ["t", "wall", "u", "gamma"],
-               _slice_blocks(solution, solution.traces, (0, 1), steps))
+    files = [
+        _write_csv(out_dir / "field.csv", ["t", "x", "u", "rho"],
+                   _slice_blocks(solution, solution.fields, solution.grid.x, steps)),
+        _write_csv(out_dir / "traces.csv", ["t", "wall", "u", "gamma"],
+                   _slice_blocks(solution, solution.traces, (0, 1), steps)),
+    ]
     payload = report.to_dict()
     payload["grid"] = {
         "n_x": grid.n_x,
@@ -275,8 +268,8 @@ def _run_solve_vfp(cfg: ScenarioConfig, out_dir: Path):
         "dt": grid.dt,
         "n_steps": grid.n_steps,
     }
-    _write_json(out_dir / "picard.json", payload)
-    return bool(report.converged), report
+    files.append(_write_json(out_dir / "picard.json", payload))
+    return bool(report.converged), report, files
 
 
 def _grid_tolerance(grid, upper) -> float:
@@ -399,9 +392,9 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
         detail=detail,
     )
 
-    _write_json(out_dir / "diagnostics.json", report.to_dict())
+    files = [_write_json(out_dir / "diagnostics.json", report.to_dict())]
     print(report.table())
-    return report.passed, report
+    return report.passed, report, files
 
 
 _RUNNERS = {
@@ -415,15 +408,17 @@ _RUNNERS = {
 def run_scenario(cfg: ScenarioConfig, subcommand: str, out_dir=None) -> OutputBundle:
     """Run one subcommand and write its output bundle.
 
-    Bundle bytes depend only on (canonical config, seed, subcommand).
+    Bundle bytes depend only on (canonical config, seed, subcommand); the
+    manifest lists config.json and the files this run wrote.
     """
     if subcommand not in _RUNNERS:
         raise ValueError(f"unknown subcommand: {subcommand!r}")
     out = Path(out_dir) if out_dir is not None else Path(cfg.run.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(serialize_config(cfg), encoding="utf-8")
-    passed, report = _RUNNERS[subcommand](cfg, out)
-    return _finalize_bundle(out, cfg, subcommand, passed, report)
+    config = out / "config.json"
+    config.write_text(serialize_config(cfg), encoding="utf-8")
+    passed, report, files = _RUNNERS[subcommand](cfg, out)
+    return _finalize_bundle(out, cfg, subcommand, [config, *files], passed, report)
 
 
 # --- argument handling ---------------------------------------------------------

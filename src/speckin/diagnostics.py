@@ -71,29 +71,26 @@ class FluxBalance:
 
 
 def flux_balance_particles(hits, domain: Domain, window=None) -> FluxBalance:
-    """Per-event check that the post-hit normal velocity is the exact
-    negation of the pre-hit one, plus the windowed signed-flux sum.
+    """Per-contact check over a langevin.HitLog that the post-hit normal
+    velocity is the exact negation of the pre-hit one, plus the windowed
+    signed-flux sum.
 
     window is an optional (t0, t1) filter on hit times. Both statistics are
     zero by construction of the reflection; any nonzero value is a bug. An
     empty log is a caller error, but a window that selects nothing only
     marks the result skipped.
     """
-    hits = list(hits)
-    if not hits:
+    if not len(hits):
         raise ValueError("empty hit log")
-    selected = [
-        h for h in hits
-        if window is None or window[0] <= h.time <= window[1]
-    ]
-    if not selected:
+    keep = slice(None) if window is None else (window[0] <= hits.time) & (hits.time <= window[1])
+    location = hits.location[keep]
+    if not len(location):
         return FluxBalance(0.0, 0.0, 0, skipped=True)
-    normals = domain.outward_normal(np.array([h.location for h in selected]))
-    pre, post = (normal_velocity(np.array([getattr(h, side) for h in selected]), normals)
-                 for side in ("pre_velocity", "post_velocity"))
-    flux = pre + post
+    normals = domain.outward_normal(location)
+    flux = (normal_velocity(hits.pre_velocity[keep], normals)
+            + normal_velocity(hits.post_velocity[keep], normals))
     return FluxBalance(antisymmetry_residual=float(np.abs(flux).max()),
-                       signed_flux_sum=float(flux.sum()), count=len(selected))
+                       signed_flux_sum=float(flux.sum()), count=len(flux))
 
 
 @dataclass

@@ -26,14 +26,14 @@ in the closed domain, so a row may start on the wall only with a velocity
 pointing inside.  Before each confined step it kicks the velocities by
 h times a field: none for the linear process, b(U) for independent drifted
 paths, and the mean-field estimate of E[b(U) | X] for the McKean system
-(mckean.run_mckean).  Every wall contact is one HitEvent, built once by the
-kernel with its path id and its time.
+(mckean.run_mckean).  Wall contacts travel as one HitLog, a table of
+columns the kernel fills a pass at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,15 +55,31 @@ class PhaseState:
 
 
 @dataclass(frozen=True)
-class HitEvent:
-    """One wall contact of path path_id: time, location, velocities just
-    before and after."""
+class HitLog:
+    """Wall contacts as columns, a row per contact: the path id (uint64), the
+    time, and the location and the velocities just before and after, each of
+    shape (n,) in d=1 and (n, d) otherwise.  Rows run by step, then by path
+    in ensemble order, then by time."""
 
-    path_id: int
-    time: float
-    location: object
-    pre_velocity: object
-    post_velocity: object
+    path_id: np.ndarray
+    time: np.ndarray
+    location: np.ndarray
+    pre_velocity: np.ndarray
+    post_velocity: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    @classmethod
+    def _join(cls, parts, shape, rows=None) -> HitLog:
+        """The rows of the logs in parts, in turn, or stable-sorted by rows
+        (one array per part) when given; shape is a state's, () in d=1."""
+        if not parts:
+            empty = np.empty((0,) + shape)
+            return cls(np.empty(0, dtype=np.uint64), np.empty(0), empty, empty, empty)
+        order = slice(None) if rows is None else np.argsort(np.concatenate(rows), kind="stable")
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])[order]
+                     for f in fields(cls)))
 
 
 @dataclass(frozen=True)
@@ -96,14 +112,14 @@ class StepParams:
 @dataclass(frozen=True)
 class ConfinedStepResult:
     state: PhaseState
-    hits: tuple
+    hits: HitLog
 
 
 @dataclass(frozen=True)
 class PathResult:
     times: np.ndarray
     states: tuple
-    events: tuple
+    events: HitLog
 
 
 def _pruned(params: StepParams, sigma: float, sd_a, sd_b, speed_a, speed_b, dt):
@@ -208,9 +224,9 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
     that run past it, so each keeps its (seed, stream_id, counter) address.
 
     Returns (X, U, counters, hits): end states, each path's counter after
-    its last draw, and per path the list of its HitEvents in time order,
-    each with path_id stream_ids[i] and time time_offset plus the time
-    within the step.
+    its last draw, and the step's HitLog, stable-sorted by row (a path has
+    at most one contact per pass, so its contacts stay in time order), with
+    path_id stream_ids[i] and time time_offset plus the time within the step.
     Raises WatchdogExceeded when a path has more than params.max_hits wall
     contacts, or draws past counter `limit`.
     """
@@ -218,9 +234,9 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
     ax = np.array(X, dtype=float)  # left end of each path's current segment
     au = np.array(U, dtype=float)
     ctr = np.full(n, start, dtype=np.int64)
-    hits = [[] for _ in range(n)]
+    found, found_rows = [], []  # each pass's reflected contacts and their rows
     if h <= 0.0:
-        return ax, au, ctr, hits
+        return ax, au, ctr, HitLog._join(found, ax.shape[1:])
     d = 1 if ax.ndim == 1 else ax.shape[1]
     width = WINDOW * d
     window = normals_at(seed, stream_ids, start, width)
@@ -335,7 +351,7 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
     while True:
         rows = np.flatnonzero(top)
         if not rows.size:
-            return ax, au, ctr, hits
+            return ax, au, ctr, HitLog._join(found, ax.shape[1:], found_rows)
         t = top[rows]
         f = rows * W + t
         hit = cross[f]
@@ -372,11 +388,9 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
         h_left[r] -= t_rel
         ax[r], au[r] = location, u_new
         jumped = r[jump]
-        fields = [A[jump] for A in (location, u_at, u_new)]
-        if d == 1:  # HitEvent fields are floats in d=1
-            fields = [A.tolist() for A in fields]
-        for i, when, *state in zip(jumped.tolist(), (time_offset + t_done[jumped]).tolist(), *fields):
-            hits[i].append(HitEvent(int(stream_ids[i]), when, *state))
+        found.append(HitLog(stream_ids[jumped], time_offset + t_done[jumped],
+                            location[jump], u_at[jump], u_new[jump]))
+        found_rows.append(jumped)
         left = h_left[r] > 0.0
         top[r[~left]] = 0
         if left.any():
@@ -394,7 +408,7 @@ def confined_step(
     """Advance one macro step inside the domain, reflecting at every wall hit.
 
     Draws from rng's stream from its counter on and leaves the counter after
-    the last draw.  Hit times in the returned events are relative to the
+    the last draw.  Hit times in the returned log are relative to the
     start of this step, and their path_id is rng.stream_id.  Far from the
     wall this is exactly ensemble_free_flight on the same draws.  Only a
     start outside the domain is refused: a step may begin on the wall, where
@@ -407,7 +421,7 @@ def confined_step(
         rng.seed, np.array([rng.stream_id], dtype=np.uint64), rng.counter,
     )
     rng.jump_to(counters[0])
-    return ConfinedStepResult(_row_state(X, U), tuple(hits[0]))
+    return ConfinedStepResult(_row_state(X, U), hits)
 
 
 def step_count(T: float, h: float) -> int:
@@ -454,13 +468,12 @@ def simulate_path(
     """
     h = params.h
     times = [step_time(k, T, h) for k in range(step_count(T, h) + 1)]
-    events = []
-    _, _, snapshots = run_ensemble(
+    _, _, snapshots, events = run_ensemble(
         domain, *_as_rows(initial), T, params, sigma, rng.seed,
-        hit_sink=events, snapshot_times=tuple(times), stream_ids=[rng.stream_id],
+        snapshot_times=tuple(times), stream_ids=[rng.stream_id],
     )
     states = tuple(_row_state(*snapshots[t]) for t in times)
-    return PathResult(times=np.array(times), states=states, events=tuple(events))
+    return PathResult(times=np.array(times), states=states, events=events)
 
 
 def ensemble_free_flight(X, U, h, sigma, Z):
@@ -478,7 +491,6 @@ def ensemble_confined_step(
     seed: int,
     h: float | None = None,
     time_offset: float = 0.0,
-    hit_sink: list | None = None,
     stream_ids: np.ndarray | None = None,
 ):
     """One macro step for N independent paths, path i on stream stream_ids[i].
@@ -488,28 +500,28 @@ def ensemble_confined_step(
     their own streams from counter step_index * 2^16, which reproduces the
     per-path results of confined_step bit for bit.  stream_ids defaults to
     the array index; explicit ids let callers shard the ensemble (or permute
-    it) without changing any path.
+    it) without changing any path, and any shape but (N,) raises ValueError
+    before a draw.  Returns (X, U, hits), hits the step's HitLog.
     """
     dt = params.h if h is None else float(h)
     d = 1 if X.ndim == 1 else X.shape[1]
     base = step_index * STEP_COUNTER_STRIDE
-    stream_ids = np.asarray(np.arange(X.shape[0]) if stream_ids is None else stream_ids,
-                            dtype=np.uint64)
+    n = X.shape[0]
+    stream_ids = np.asarray(np.arange(n) if stream_ids is None else stream_ids, dtype=np.uint64)
+    if stream_ids.shape != (n,):
+        raise ValueError(f"stream_ids of shape {stream_ids.shape} for {n} rows: need one per row")
     Z = normals_at(seed, stream_ids, base, 2 * d)
     Xf, Uf = ensemble_free_flight(X, U, dt, sigma, Z)
     far = _pruned(params, sigma, domain.signed_distance(X), domain.signed_distance(Xf),
                   row_norm(U), row_norm(Uf), dt)
     near = np.flatnonzero(~far)
     if not near.size:
-        return Xf, Uf
+        return Xf, Uf, HitLog._join([], X.shape[1:])
     Xf[near], Uf[near], _, hits = _near_wall_kernel(
         domain, X[near], U[near], dt, params, sigma, seed, stream_ids[near], base,
         limit=base + STEP_COUNTER_STRIDE, time_offset=time_offset,
     )
-    if hit_sink is not None:
-        for events in hits:
-            hit_sink.extend(events)
-    return Xf, Uf
+    return Xf, Uf, hits
 
 
 def run_ensemble(
@@ -520,7 +532,6 @@ def run_ensemble(
     params: StepParams,
     sigma: float,
     seed: int,
-    hit_sink: list | None = None,
     snapshot_times: tuple = (),
     stream_ids: np.ndarray | None = None,
     kick=None,
@@ -533,9 +544,10 @@ def run_ensemble(
     local drift b(U) gives independent drifted paths, and a mean-field
     estimate on the current states gives the interacting system.
 
-    Returns (X, U, snapshots) where snapshots maps every requested time t
-    to a copy of (X, U) after snapshot_step(t, T, h) steps.  Hit times are
-    k*h plus the time within step k.  Ordering and values are independent of
+    Returns (X, U, snapshots, hits) where snapshots maps every requested
+    time t to a copy of (X, U) after snapshot_step(t, T, h) steps, and hits
+    is the HitLog of the run, step by step.  Hit times are k*h plus the
+    time within step k.  Ordering and values are independent of
     how callers batch the work because every draw is counter-addressed.
 
     Raises InvalidStart when a starting row lies more than eps_hit outside
@@ -558,6 +570,7 @@ def run_ensemble(
     for t in snapshot_times:
         wanted.setdefault(snapshot_step(t, T, params.h), []).append(t)
     snapshots = {}
+    logs = []
 
     def take(k):
         for t in wanted.get(k, ()):
@@ -568,18 +581,9 @@ def run_ensemble(
         dt = step_length(k, T, params.h)
         if kick is not None:
             U = U + dt * kick(X, U)
-        X, U = ensemble_confined_step(
-            domain,
-            X,
-            U,
-            k,
-            params,
-            sigma,
-            seed,
-            h=dt,
-            time_offset=step_time(k, T, params.h),
-            hit_sink=hit_sink,
-            stream_ids=stream_ids,
-        )
+        X, U, hits = ensemble_confined_step(domain, X, U, k, params, sigma, seed, h=dt,
+                                            time_offset=step_time(k, T, params.h),
+                                            stream_ids=stream_ids)
+        logs.append(hits)
         take(k + 1)
-    return X, U, snapshots
+    return X, U, snapshots, HitLog._join(logs, X.shape[1:])

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Domain, Interval
-from .langevin import StepParams, run_ensemble, snapshot_step, step_time
+from .langevin import HitLog, StepParams, run_ensemble, snapshot_step, step_time
 
 BIN_REFINE = 4  # binning centres per probe interval of the binned estimate
 
@@ -285,9 +285,9 @@ class McKeanRun:
     """Bundle of outputs from run_mckean."""
 
     final: Ensemble
+    hits: HitLog
     snapshots: dict = field(default_factory=dict)
     drift_fields: dict = field(default_factory=dict)
-    hits: list = field(default_factory=list)
 
 
 def run_mckean(
@@ -305,15 +305,13 @@ def run_mckean(
     """March the len(X0)-particle system from (X0, U0) to time T.
 
     The run is a pure function of (X0, U0, seed): snapshots land on the step
-    grid at the requested times, hit events carry absolute times and path
-    ids.  The march is langevin.run_ensemble with the mean-field kick, so a
-    zero drift gives exactly the linear ensemble, and a start it refuses
-    raises InvalidStart.
+    grid at the requested times, and the HitLog carries absolute times and
+    path ids.  The march is langevin.run_ensemble with the mean-field kick,
+    so a zero drift gives exactly the linear ensemble, and a start it
+    refuses raises InvalidStart.
     """
-    hits: list = []
-    X, U, states = run_ensemble(
+    X, U, states, hits = run_ensemble(
         domain, X0, U0, T, params, model.sigma, seed,
-        hit_sink=hits,
         snapshot_times=snapshot_times,
         stream_ids=stream_ids,
         kick=lambda X, U: _drift_at_particles(domain, Ensemble(X, U), model, cfg),

@@ -62,13 +62,13 @@ def write_hits_csv(path: Path, hits, dimension: int):
     )
 
     def rows():
-        for rec in hits:
+        for i in range(len(hits)):
             yield (
-                str(rec.path_id),
-                rec.time,
-                *_components(rec.location, dimension),
-                *_components(rec.pre_velocity, dimension),
-                *_components(rec.post_velocity, dimension),
+                str(int(hits.path_id[i])),
+                float(hits.time[i]),
+                *_components(hits.location[i], dimension),
+                *_components(hits.pre_velocity[i], dimension),
+                *_components(hits.post_velocity[i], dimension),
             )
 
     write_csv(path, header, rows())

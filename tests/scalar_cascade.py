@@ -11,24 +11,53 @@ comes from `rng.normals`, so the order of draws, and with it each draw's
 The free flight and the bridge midpoint are written out here, per component
 in Python floats, rather than taken from `speckin.langevin`: a fault in the
 kernel's own flow arithmetic then shows as a mismatch.  Each formula keeps
-the kernel's order of operations, which IEEE arithmetic makes bitwise.
+the kernel's order of operations, which IEEE arithmetic makes bitwise.  A
+contact is one `Hit` record here, and `assert_same_hits` compares a list of
+them with the columns of the program's hit table.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from speckin.errors import InvalidStart, WatchdogExceeded
 from speckin.geometry import reflect, row_norm
-from speckin.langevin import (
-    EPS_TAN,
-    ConfinedStepResult,
-    HitEvent,
-    PhaseState,
-    StepParams,
-)
+from speckin.langevin import EPS_TAN, PhaseState, StepParams
+
+HIT_COLUMNS = ("path_id", "time", "location", "pre_velocity", "post_velocity")
+
+
+@dataclass(frozen=True)
+class Hit:
+    """One wall contact of path path_id: time, location, velocities just
+    before and after."""
+
+    path_id: int
+    time: float
+    location: object
+    pre_velocity: object
+    post_velocity: object
+
+
+@dataclass(frozen=True)
+class StepResult:
+    """The state after one confined step, and its contacts in time order."""
+
+    state: PhaseState
+    hits: tuple
+
+
+def assert_same_hits(log, hits):
+    """The hit table `log` holds exactly the contacts `hits`, row by row, in
+    every column, bit for bit."""
+    assert len(log) == len(hits)
+    for name in HIT_COLUMNS:
+        column = getattr(log, name)
+        want = np.array([getattr(h, name) for h in hits]).reshape(column.shape)
+        np.testing.assert_array_equal(column, want, err_msg=name)
 
 
 def _speed(u):
@@ -158,7 +187,7 @@ def first_hit(domain, a, b, dt, params, sigma, rng):
     return 0.5 * dt + t_rel, location, u_pre
 
 
-def confined_step(domain, state, params, sigma, rng, h=None) -> ConfinedStepResult:
+def confined_step(domain, state, params, sigma, rng, h=None) -> StepResult:
     """One macro step of one path, reflecting at every wall hit."""
     if float(domain.signed_distance(state.x)) > params.eps_hit:
         raise InvalidStart(f"state outside the domain: sd={domain.signed_distance(state.x)}")
@@ -168,11 +197,11 @@ def confined_step(domain, state, params, sigma, rng, h=None) -> ConfinedStepResu
     hits = []
     for _ in range(params.max_hits + 1):
         if h_left <= 0.0:
-            return ConfinedStepResult(cur, tuple(hits))
+            return StepResult(cur, tuple(hits))
         end = free_step(cur, h_left, sigma, rng)
         found = first_hit(domain, cur, end, h_left, params, sigma, rng)
         if found is None:
-            return ConfinedStepResult(end, tuple(hits))
+            return StepResult(end, tuple(hits))
         t_rel, location, u_pre = found
         n = domain.outward_normal(location)
         dot = float(np.dot(np.atleast_1d(u_pre), np.atleast_1d(n)))
@@ -180,8 +209,8 @@ def confined_step(domain, state, params, sigma, rng, h=None) -> ConfinedStepResu
             cur = PhaseState(location, u_pre)
         else:
             u_post = reflect(np.asarray(u_pre)[None], np.asarray(n)[None])[0]
-            hits.append(HitEvent(path_id=rng.stream_id, time=t_done + t_rel, location=location,
-                                 pre_velocity=u_pre, post_velocity=u_post))
+            hits.append(Hit(path_id=rng.stream_id, time=t_done + t_rel, location=location,
+                            pre_velocity=u_pre, post_velocity=u_post))
             if len(hits) > params.max_hits:
                 raise WatchdogExceeded(
                     f"more than max_hits={params.max_hits} reflections in one step"

@@ -199,12 +199,10 @@ def test_04_deterministic_billiard():
                          0.0, RngStream(seed=0))
     expect = [(0.7, 1.0, 1.0, -1.0), (1.7, 0.0, -1.0, 1.0), (2.7, 1.0, 1.0, -1.0)]
     worst = float("inf")
-    if len(path.events) == len(expect):
-        worst = max(
-            max(abs(ev.time - t), abs(ev.location - x),
-                abs(ev.pre_velocity - up), abs(ev.post_velocity - un))
-            for ev, (t, x, up, un) in zip(path.events, expect)
-        )
+    ev = path.events
+    if len(ev) == len(expect):
+        table = np.column_stack((ev.time, ev.location, ev.pre_velocity, ev.post_velocity))
+        worst = float(np.abs(table - np.array(expect)).max())
 
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     x0 = np.array([0.2, -0.1])
@@ -224,12 +222,11 @@ def test_04_deterministic_billiard():
         oracle.append((t_acc, x.copy(), u.copy(), u_post.copy()))
         x, u = x.copy(), u_post
     worst_b = float("inf")
-    if len(path_b.events) == len(oracle):
-        worst_b = max(
-            max(abs(ev.time - t), np.abs(ev.location - xh).max(),
-                np.abs(ev.pre_velocity - up).max(), np.abs(ev.post_velocity - un).max())
-            for ev, (t, xh, up, un) in zip(path_b.events, oracle)
-        )
+    ev = path_b.events
+    if len(ev) == len(oracle):
+        table = np.column_stack((ev.time, ev.location, ev.pre_velocity, ev.post_velocity))
+        worst_b = float(np.abs(table - np.array([np.r_[t, xh, up, un]
+                                                 for t, xh, up, un in oracle])).max())
     ok = worst <= 1e-10 and worst_b <= 1e-10
     _verdict(4, "deterministic billiard", ok,
              f"interval residual {worst:.1e} ({len(path.events)} hits), "

@@ -81,3 +81,7 @@ def test_traced_mckean_run_sees_every_step(tmp_path):
     replay = tracing.replay_particles(tracer, capture)
     assert replay["near"] > 0
     assert replay["mismatches"] == 0
+    # the per-step confined_step replay finds every row of the run's hit table
+    rows = (tmp_path / "b" / "hits.csv").read_text().splitlines()[1:]
+    assert len(rows) > 0
+    assert replay["hits"] == len(rows)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from speckin.config import (
 )
 from speckin.errors import ConstraintViolation, ParseError
 from speckin.geometry import Annulus, Ball, Interval
-from speckin.langevin import run_ensemble
+from speckin.langevin import HitLog, run_ensemble
 from speckin.maxwellian import maxwellian_eval
 from speckin.vfp import trace_functionals
 
@@ -341,14 +342,15 @@ class TestBundles:
         cfg = config_from_dict(raw)
         snapshots, hits, _ = _march_linear(cfg)
         X0, U0 = sample_initial(cfg, cfg.run.N, cfg.run.seed)
-        ref_hits = []
-        X, U, _ = run_ensemble(
+        X, U, _, ref_hits = run_ensemble(
             build_domain(cfg), X0, U0, cfg.run.T, build_step_params(cfg),
-            cfg.model.sigma, cfg.run.seed, hit_sink=ref_hits,
+            cfg.model.sigma, cfg.run.seed,
         )
         assert np.array_equal(snapshots[cfg.run.T][0], X)
         assert np.array_equal(snapshots[cfg.run.T][1], U)
-        assert hits == ref_hits
+        assert len(hits) > 0
+        for f in fields(HitLog):
+            assert np.array_equal(getattr(hits, f.name), getattr(ref_hits, f.name)), f.name
 
     def test_simulate_mckean_bundle(self, tmp_path):
         cfg = config_from_dict(small_scenario(tmp_path))
@@ -468,7 +470,7 @@ class TestBundles:
 
         def lossy(*args, **kwargs):
             run = real(*args, **kwargs)
-            run.hits = run.hits[::2]
+            run.hits = HitLog(*(getattr(run.hits, f.name)[::2] for f in fields(HitLog)))
             return run
 
         monkeypatch.setattr(speckin.cli, "run_mckean", lossy)
@@ -603,6 +605,18 @@ class TestReproducibility:
             assert code == 0
             trees[threads] = read_tree(out)
         assert trees[1] == trees[2] == trees[8]
+
+    def test_reused_out_directory_lists_only_this_runs_files(self, tmp_path):
+        # simulate-mckean leaves drift.csv behind; a simulate-linear bundle
+        # written over it must have the manifest of one in a fresh directory
+        path = write_config(tmp_path, small_scenario(tmp_path, run={"N": 80}))
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["simulate-mckean", "--config", str(path), "--out", str(reused)]) == 0
+        drift = (reused / "drift.csv").read_bytes()
+        for out in (reused, fresh):
+            assert main(["simulate-linear", "--config", str(path), "--out", str(out)]) == 0
+        assert (reused / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
+        assert (reused / "drift.csv").read_bytes() == drift  # left on disk, untouched
 
     def test_seed_changes_bytes(self, tmp_path):
         path = write_config(tmp_path, small_scenario(tmp_path, run={"N": 80}))

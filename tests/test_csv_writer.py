@@ -16,7 +16,7 @@ import reference_writers as ref
 from test_cli import small_scenario
 from speckin import cli
 from speckin.config import config_from_dict
-from speckin.langevin import HitEvent
+from speckin.langevin import HitLog
 
 
 def _values(gen, shape):
@@ -28,18 +28,17 @@ def _values(gen, shape):
     return v
 
 
-def _tables(gen, d, n_rows, times):
-    """Snapshots of n_rows particles at each time, and n_rows hit events
-    (floats in d = 1, length-d arrays otherwise, as the kernel makes them)."""
+def _tables(gen, d, n_rows, times, n_hits=None):
+    """Snapshots of n_rows particles at each time, and a hit table of n_hits
+    rows, n_rows by default (columns of shape (n,) in d = 1, (n, d)
+    otherwise, as the kernel makes them)."""
     shape = (n_rows,) if d == 1 else (n_rows, d)
     snapshots = {t: (_values(gen, shape), _values(gen, shape)) for t in times}
-    ids = np.sort(gen.integers(0, n_rows, n_rows))
-    hits = []
-    for i, tau in zip(ids.tolist(), gen.uniform(0.0, 1.0, n_rows).tolist()):
-        state = [gen.standard_normal(d) for _ in range(3)]
-        if d == 1:
-            state = [float(v[0]) for v in state]
-        hits.append(HitEvent(i, tau, *state))
+    n_hits = n_rows if n_hits is None else n_hits
+    ids = np.sort(gen.integers(0, n_rows, n_hits)).astype(np.uint64)
+    state = (n_hits,) if d == 1 else (n_hits, d)
+    hits = HitLog(ids, gen.uniform(0.0, 1.0, n_hits),
+                  *(gen.standard_normal(state) for _ in range(3)))
     return snapshots, hits
 
 
@@ -71,8 +70,8 @@ def test_row_counts_around_a_chunk_match_reference(tmp_path, n_rows):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_empty_hit_log_writes_the_header_alone(tmp_path, d):
-    snapshots, _ = _tables(np.random.default_rng(0), d, 5, (0.0,))
-    _assert_particles_match(tmp_path, snapshots, [], d)
+    snapshots, hits = _tables(np.random.default_rng(0), d, 5, (0.0,), n_hits=0)
+    _assert_particles_match(tmp_path, snapshots, hits, d)
     want = "path_id,tau," + ",".join(cli._columns(d, "x", "u_pre", "u_post")) + "\n"
     assert (tmp_path / "mine" / "hits.csv").read_text() == want
 

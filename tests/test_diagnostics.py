@@ -69,9 +69,7 @@ def hit_log(seed=3, n=400, steps=5):
     X = 0.25 * rng.uniform(0.2, 0.8, size=n)
     U = rng.normal(0, 1, size=n)
     params = StepParams(h=0.05)
-    hits = []
-    run_ensemble(domain, X, U, T=steps * 0.05, params=params, sigma=1.5,
-                 seed=seed, hit_sink=hits)
+    *_, hits = run_ensemble(domain, X, U, T=steps * 0.05, params=params, sigma=1.5, seed=seed)
     return domain, hits
 
 
@@ -85,18 +83,17 @@ def curved_hit_log(name, n=300, steps=4):
     domain = CURVED[name]
     X = domain.sample_uniform(n, np.random.default_rng(5))
     U = 2.0 * np.random.default_rng(6).standard_normal(X.shape)
-    hits = []
-    run_ensemble(domain, X, U, T=steps * 0.05, params=StepParams(h=0.05), sigma=1.5,
-                 seed=9, hit_sink=hits)
+    *_, hits = run_ensemble(domain, X, U, T=steps * 0.05, params=StepParams(h=0.05), sigma=1.5,
+                            seed=9)
     return domain, hits
 
 
 def flux_reference(hits, domain):
     """(worst |pre + post|, signed sum) of u.n, one hit at a time."""
     flux = []
-    for h in hits:
-        n = domain.outward_normal(h.location)
-        flux.append(float(np.dot(h.pre_velocity, n)) + float(np.dot(h.post_velocity, n)))
+    for location, pre, post in zip(hits.location, hits.pre_velocity, hits.post_velocity):
+        n = domain.outward_normal(location)
+        flux.append(float(np.dot(pre, n)) + float(np.dot(post, n)))
     return max(abs(v) for v in flux), sum(flux)
 
 
@@ -123,7 +120,7 @@ class TestFluxBalance:
 
     def test_window_filters_by_time(self):
         domain, hits = hit_log()
-        mid = np.median([h.time for h in hits])
+        mid = np.median(hits.time)
         fb = flux_balance_particles(hits, domain, window=(0.0, mid))
         assert 0 < fb.count < len(hits)
 

@@ -1,6 +1,8 @@
 """Exact free flow, bridge refinement, billiard hits, ensemble determinism."""
 
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from speckin.errors import InvalidStart, WatchdogExceeded
 from speckin.geometry import Ball, Interval
 from speckin.langevin import (
     STEP_COUNTER_STRIDE,
+    HitLog,
     PhaseState,
     StepParams,
+    _bridge_update,
     confined_step,
     ensemble_confined_step,
     ensemble_free_flight,
@@ -61,17 +65,20 @@ def test_free_step_increment_covariance(sigma, h):
 
 
 def test_free_step_matches_euler_oracle():
-    # crude-step Euler-Maruyama with 10^3 substeps as an independent sampler
+    # exact free-flight increments against crude-step Euler-Maruyama with
+    # 10^3 substeps, an independent sampler written out here
     sigma, h, n, m = 1.0, 0.1, 40_000, 1000
     gen = np.random.default_rng(77)
     dt = h / m
     xi = gen.standard_normal((n, m))
     u = sigma * math.sqrt(dt) * np.cumsum(xi, axis=1)
     x_inc = dt * (u.sum(axis=1) - u[:, -1] + 0.0)  # left-endpoint rule, u_0 = 0
-    emp = np.cov(np.c_[x_inc, u[:, -1]].T)
+    euler = np.cov(np.c_[x_inc, u[:, -1]].T)
+    X, U = ensemble_free_flight(np.zeros(n), np.zeros(n), h, sigma, gen.standard_normal((n, 2)))
+    exact = np.cov(np.c_[X, U].T)
     target = analytic_free_cov(sigma, h)
     se = cov_standard_errors(target, n)
-    assert np.all(np.abs(emp - target) <= 4 * se + np.abs(target) * 3.0 / m)
+    assert np.all(np.abs(exact - euler) <= 4 * se + np.abs(target) * 3.0 / m)
 
 
 def test_free_step_components_independent():
@@ -122,21 +129,19 @@ def test_bridge_conditional_moments_frozen():
 
 
 def test_bridge_mean_is_the_conditional_regression():
-    # forward two-half-step sampler written out independently here; the
-    # residual midpoint - E[midpoint | endpoints] must average to zero
+    # two exact free-flight half steps from (xa, ua); the residual midpoint
+    # - E[midpoint | endpoints], the kernel's bridge update with zero noise
+    # scales, must average to zero with the bridge variances
     h, sigma = 0.25, 1.3
     xa, ua = 0.15, 0.6
     gen = np.random.default_rng(8)
     n = 400_000
     g = gen.standard_normal((n, 4))
     hh = h / 2.0
-    um = ua + sigma * math.sqrt(hh) * g[:, 0]
-    xm = xa + hh * ua + sigma * hh**1.5 * (0.5 * g[:, 0] + 0.5 / math.sqrt(3) * g[:, 1])
-    ub = um + sigma * math.sqrt(hh) * g[:, 2]
-    xb = xm + hh * um + sigma * hh**1.5 * (0.5 * g[:, 2] + 0.5 / math.sqrt(3) * g[:, 3])
+    xm, um = ensemble_free_flight(np.full(n, xa), np.full(n, ua), hh, sigma, g[:, :2])
+    xb, ub = ensemble_free_flight(xm, um, hh, sigma, g[:, 2:])
 
-    mean_x = 0.5 * (xa + xb) - h * (ub - ua) / 8.0
-    mean_u = 1.5 * (xb - xa) / h - 0.25 * (ua + ub)
+    mean_x, mean_u = _bridge_update(xa, ua, xb, ub, h, 0.0, 0.0, 0.0, 0.0)
     rx = xm - mean_x
     ru = um - mean_u
     var_x = sigma**2 * h**3 / 192.0
@@ -181,7 +186,7 @@ def test_far_from_wall_is_exactly_free():
     rng_b = RngStream(seed=99, stream_id=3)
     Xf, Uf = ensemble_free_flight(state.x[None], state.u[None], 0.1, 0.5, rng_a.normals(4)[None])
     res = confined_step(domain, state, params, 0.5, rng_b)
-    assert res.hits == ()
+    assert len(res.hits) == 0
     assert np.array_equal(res.state.x, Xf[0]) and np.array_equal(res.state.u, Uf[0])
     assert rng_a.counter == rng_b.counter
 
@@ -192,11 +197,11 @@ def test_deterministic_billiard_interval():
         domain, PhaseState(0.5, 1.0), StepParams(h=1.0), 0.0, RngStream(seed=0)
     )
     assert len(res.hits) == 1
-    hit = res.hits[0]
-    assert hit.time == pytest.approx(0.5, abs=1e-10)
-    assert hit.location == pytest.approx(1.0, abs=1e-10)
-    assert hit.pre_velocity == pytest.approx(1.0, abs=1e-10)
-    assert hit.post_velocity == pytest.approx(-1.0, abs=1e-10)
+    hit = res.hits
+    assert hit.time[0] == pytest.approx(0.5, abs=1e-10)
+    assert hit.location[0] == pytest.approx(1.0, abs=1e-10)
+    assert hit.pre_velocity[0] == pytest.approx(1.0, abs=1e-10)
+    assert hit.post_velocity[0] == pytest.approx(-1.0, abs=1e-10)
     assert res.state.x == pytest.approx(0.5, abs=5e-10)
     assert res.state.u == -1.0
 
@@ -222,17 +227,17 @@ def test_deterministic_billiard_ball(x0, u0):
         domain, PhaseState(x0, u0), StepParams(h=h), 0.0, RngStream(seed=0)
     )
     assert len(res.hits) >= 1
-    hit = res.hits[0]
+    hits = res.hits
     wall = x0 + t_exit * u0
     n = wall / np.linalg.norm(wall)
     post = u0 - 2 * np.dot(u0, n) * n
-    assert hit.time == pytest.approx(t_exit, abs=1e-10)
-    np.testing.assert_allclose(hit.location, wall, atol=1e-10)
-    np.testing.assert_allclose(hit.post_velocity, post, atol=1e-10)
-    assert np.linalg.norm(hit.post_velocity) == pytest.approx(
-        np.linalg.norm(hit.pre_velocity), abs=1e-12
+    assert hits.time[0] == pytest.approx(t_exit, abs=1e-10)
+    np.testing.assert_allclose(hits.location[0], wall, atol=1e-10)
+    np.testing.assert_allclose(hits.post_velocity[0], post, atol=1e-10)
+    assert np.linalg.norm(hits.post_velocity[0]) == pytest.approx(
+        np.linalg.norm(hits.pre_velocity[0]), abs=1e-12
     )
-    assert np.dot(hit.pre_velocity, n) > 0
+    assert np.dot(hits.pre_velocity[0], n) > 0
 
 
 def test_many_reflections_fold_back():
@@ -243,8 +248,7 @@ def test_many_reflections_fold_back():
         domain, PhaseState(0.5, 1000.0), StepParams(h=1.0), 0.0, RngStream(seed=0)
     )
     assert len(res.hits) == 1000
-    times = [h.time for h in res.hits]
-    assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
+    assert np.all(np.diff(res.hits.time) > 0)
     assert res.state.u == pytest.approx(1000.0, rel=1e-9)
     assert res.state.x == pytest.approx(0.5, abs=1e-6)
 
@@ -287,8 +291,7 @@ def test_simulate_path_billiard_two_hits():
         rng=RngStream(seed=0),
     )
     assert len(path.events) == 2
-    assert path.events[0].time == pytest.approx(0.5, abs=1e-10)
-    assert path.events[1].time == pytest.approx(1.5, abs=1e-10)
+    np.testing.assert_allclose(path.events.time, [0.5, 1.5], rtol=0, atol=1e-10)
     assert path.states[-1].x == pytest.approx(0.5, abs=1e-9)
     np.testing.assert_allclose(path.times, [0.0, 1.0, 2.0])
 
@@ -340,12 +343,25 @@ def test_run_ensemble_admits_inward_wall_starts():
     domain = Interval(1.0)
     X0 = np.array([0.0, 1.0, 1.0 - 1e-9, 0.5])
     U0 = np.array([0.5, -0.5, 0.5, 0.0])
-    X, _, _ = run_ensemble(domain, X0, U0, 0.1, StepParams(h=0.05), 1.0, 1)
+    X, _, _, _ = run_ensemble(domain, X0, U0, 0.1, StepParams(h=0.05), 1.0, 1)
     assert np.all(domain.signed_distance(X) <= 1e-10)
     ball = Ball((0.0, 0.0), 1.0)
-    X, _, _ = run_ensemble(ball, np.array([[0.6, 0.8]]), np.array([[-0.3, -0.4]]), 0.1,
+    X, _, _, _ = run_ensemble(ball, np.array([[0.6, 0.8]]), np.array([[-0.3, -0.4]]), 0.1,
                            StepParams(h=0.05), 1.0, 1)
     assert np.all(ball.signed_distance(X) <= 1e-10)
+
+
+@pytest.mark.parametrize("ids", [[5], list(range(12)), [[i] for i in range(10)]])
+def test_march_refuses_stream_ids_of_the_wrong_shape(ids):
+    # one stream id would be shared by every row, and 12 would fail inside
+    # the free flight; the march names both lengths before it draws
+    X0, U0 = np.linspace(0.1, 0.9, 10), np.zeros(10)
+    params = StepParams(h=0.05)
+    shape = re.escape(str(np.shape(ids)))
+    with pytest.raises(ValueError, match=f"stream_ids of shape {shape} for 10 rows"):
+        ensemble_confined_step(Interval(1.0), X0, U0, 0, params, 1.0, 1, stream_ids=ids)
+    with pytest.raises(ValueError, match=f"stream_ids of shape {shape} for 10 rows"):
+        run_ensemble(Interval(1.0), X0, U0, 0.1, params, 1.0, 1, stream_ids=ids)
 
 
 def test_ensemble_statistics_ball():
@@ -357,19 +373,14 @@ def test_ensemble_statistics_ball():
     X0 = np.c_[r * np.cos(th), r * np.sin(th)]
     U0 = gen.standard_normal((n, 2))
     params = StepParams(h=0.1)
-    hits = []
-    X, U, _ = run_ensemble(domain, X0, U0, 1.0, params, 1.0, seed=2024, hit_sink=hits)
+    X, U, _, hits = run_ensemble(domain, X0, U0, 1.0, params, 1.0, seed=2024)
     assert np.all(domain.signed_distance(X) <= params.eps_hit)
-    counts = np.zeros(n)
-    for rec in hits:
-        counts[rec.path_id] += 1
+    counts = np.bincount(hits.path_id, minlength=n)
     assert np.quantile(counts, 0.999) < params.max_hits
-    for rec in hits[:2000]:
-        nrm = domain.outward_normal(rec.location)
-        assert abs(
-            np.linalg.norm(rec.post_velocity) - np.linalg.norm(rec.pre_velocity)
-        ) <= 1e-12 * max(1.0, np.linalg.norm(rec.pre_velocity))
-        assert np.dot(rec.pre_velocity, nrm) > 0
+    nrm = domain.outward_normal(hits.location[:2000])
+    pre, post = (np.linalg.norm(v[:2000], axis=1) for v in (hits.pre_velocity, hits.post_velocity))
+    assert np.all(np.abs(post - pre) <= 1e-12 * np.maximum(1.0, pre))
+    assert np.all(np.sum(hits.pre_velocity[:2000] * nrm, axis=1) > 0)
 
 
 def test_ensemble_matches_sequential_paths_bitwise():
@@ -382,26 +393,25 @@ def test_ensemble_matches_sequential_paths_bitwise():
     U0 = gen.standard_normal((n, 2))
     params = StepParams(h=0.2)
     seed = 555
-    hits = []
-    X, U, _ = run_ensemble(domain, X0, U0, 1.0, params, 1.0, seed=seed, hit_sink=hits)
+    X, U, _, hits = run_ensemble(domain, X0, U0, 1.0, params, 1.0, seed=seed)
     for i in range(n):
         # path i alone, one confined_step per macro step k from counter k * 2^16
         rng = RngStream(seed=seed, stream_id=i)
-        state, events = PhaseState(X0[i].copy(), U0[i].copy()), []
+        state, times, locations, posts = PhaseState(X0[i].copy(), U0[i].copy()), [], [], []
         for k in range(step_count(1.0, params.h)):
             t0 = k * params.h
             rng.jump_to(k * STEP_COUNTER_STRIDE)
             res = confined_step(domain, state, params, 1.0, rng, h=min(params.h, 1.0 - t0))
             state = res.state
-            events += [(t0 + ev.time, ev) for ev in res.hits]
+            times.append(t0 + res.hits.time)
+            locations.append(res.hits.location)
+            posts.append(res.hits.post_velocity)
         np.testing.assert_array_equal(state.x, X[i])
         np.testing.assert_array_equal(state.u, U[i])
-        mine = [h for h in hits if h.path_id == i]
-        assert len(mine) == len(events)
-        for rec, (t, ev) in zip(mine, events):
-            assert rec.time == t
-            np.testing.assert_array_equal(rec.location, ev.location)
-            np.testing.assert_array_equal(rec.post_velocity, ev.post_velocity)
+        mine = hits.path_id == i
+        np.testing.assert_array_equal(hits.time[mine], np.concatenate(times))
+        np.testing.assert_array_equal(hits.location[mine], np.concatenate(locations))
+        np.testing.assert_array_equal(hits.post_velocity[mine], np.concatenate(posts))
 
 
 def test_simulate_path_is_one_row_of_the_ensemble():
@@ -411,18 +421,19 @@ def test_simulate_path_is_one_row_of_the_ensemble():
     rng = RngStream(seed=8, stream_id=5, counter=123)
     path = simulate_path(domain, PhaseState(0.05, -2.0), 0.35, params, 1.0, rng)
     assert rng.counter == 123
-    hits = []
-    X, U, snaps = run_ensemble(
+    X, U, snaps, hits = run_ensemble(
         domain, np.array([0.05]), np.array([-2.0]), 0.35, params, 1.0, 8,
-        hit_sink=hits, snapshot_times=(0.1, 0.2), stream_ids=[5],
+        snapshot_times=(0.1, 0.2), stream_ids=[5],
     )
     np.testing.assert_allclose(path.times, [0.0, 0.1, 0.2, 0.3, 0.35], rtol=0, atol=1e-15)
     assert path.states[0] == PhaseState(0.05, -2.0)
     assert path.states[-1] == PhaseState(float(X[0]), float(U[0]))
     for k in (1, 2):
         assert path.states[k] == PhaseState(float(snaps[k / 10][0][0]), float(snaps[k / 10][1][0]))
-    assert path.events == tuple(hits) and hits
-    assert {ev.path_id for ev in hits} == {5}
+    assert len(hits) > 0
+    for f in fields(HitLog):
+        np.testing.assert_array_equal(getattr(path.events, f.name), getattr(hits, f.name))
+    assert set(hits.path_id.tolist()) == {5}
 
 
 def test_snapshots_keep_every_time_and_end_at_T():
@@ -433,12 +444,12 @@ def test_snapshots_keep_every_time_and_end_at_T():
     gen = np.random.default_rng(3)
     X0, U0 = gen.uniform(0.0, 1.0, 50), gen.standard_normal(50)
     params = StepParams(h=0.005)
-    X, U, snaps = run_ensemble(
+    X, U, snaps, _ = run_ensemble(
         domain, X0, U0, 0.502, params, 1.0, 9, snapshot_times=(0.1, 0.1001, 0.502)
     )
     assert sorted(snaps) == [0.1, 0.1001, 0.502]
     assert np.array_equal(snaps[0.502][0], X) and np.array_equal(snaps[0.502][1], U)
-    X20, U20, _ = run_ensemble(domain, X0, U0, 0.1, params, 1.0, 9)
+    X20, U20, _, _ = run_ensemble(domain, X0, U0, 0.1, params, 1.0, 9)
     for t in (0.1, 0.1001):
         assert np.array_equal(snaps[t][0], X20) and np.array_equal(snaps[t][1], U20)
 
@@ -446,7 +457,7 @@ def test_snapshots_keep_every_time_and_end_at_T():
 def semigroup_mean(domain, psi, t, x0, u0, n, params, sigma, seed):
     """Monte Carlo E[psi(X_t, U_t)] over n paths of run_ensemble started at
     (x0, u0), and its standard error."""
-    X, U, _ = run_ensemble(domain, np.full(n, x0), np.full(n, u0), t, params, sigma, seed)
+    X, U, _, _ = run_ensemble(domain, np.full(n, x0), np.full(n, u0), t, params, sigma, seed)
     vals = np.asarray(psi(X, U), dtype=float)
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
 

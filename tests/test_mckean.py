@@ -1,5 +1,7 @@
 """Conditional-drift estimation and the interacting particle stepper."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from speckin.errors import InvalidStart
 from speckin.geometry import Ball, Interval
 from speckin.langevin import (
     STEP_COUNTER_STRIDE,
+    HitLog,
     PhaseState,
     RngStream,
     StepParams,
@@ -349,13 +352,13 @@ def test_zero_drift_step_is_bitwise_linear():
     dom = Interval(1.0)
     params = StepParams(h=0.05)
     model = KineticModel(sigma=1.0, b="zero")
-    hits_b = []
     out = run_mckean(dom, X, U, model, DriftEstimatorConfig(), 0.05, params, seed=11)
-    Xl, Ul = ensemble_confined_step(dom, X, U, 0, params, 1.0, 11, hit_sink=hits_b)
+    Xl, Ul, hits_b = ensemble_confined_step(dom, X, U, 0, params, 1.0, 11)
     assert np.array_equal(out.final.positions, Xl)
     assert np.array_equal(out.final.velocities, Ul)
     assert out.final.time == pytest.approx(0.05)
-    assert [(h.path_id, h.time) for h in out.hits] == [(h.path_id, h.time) for h in hits_b]
+    assert np.array_equal(out.hits.path_id, hits_b.path_id)
+    assert np.array_equal(out.hits.time, hits_b.time)
 
 
 def test_step_preserves_count_and_confinement():
@@ -384,6 +387,14 @@ def test_drift_kick_bounded():
     assert np.abs(kick).max() <= params.h * model.b_norm + 1e-9
 
 
+def test_run_refuses_one_stream_id_for_many_rows():
+    r = np.random.default_rng(15)
+    with pytest.raises(ValueError, match=r"stream_ids of shape \(1,\) for 10 rows"):
+        run_mckean(Interval(1.0), r.uniform(0.1, 0.9, 10), r.normal(size=10),
+                   KineticModel(sigma=1.0, b="tanh(1)"), DriftEstimatorConfig(), 0.1,
+                   StepParams(h=0.05), seed=1, stream_ids=[5])
+
+
 def test_linear_step_permutation_equivariant_with_stream_ids():
     r = np.random.default_rng(10)
     n = 80
@@ -391,9 +402,9 @@ def test_linear_step_permutation_equivariant_with_stream_ids():
     U = r.normal(size=n)
     dom = Interval(1.0)
     params = StepParams(h=0.1)
-    Xa, Ua = ensemble_confined_step(dom, X, U, 2, params, 1.0, seed=19)
+    Xa, Ua, _ = ensemble_confined_step(dom, X, U, 2, params, 1.0, seed=19)
     perm = r.permutation(n)
-    Xb, Ub = ensemble_confined_step(
+    Xb, Ub, _ = ensemble_confined_step(
         dom, X[perm], U[perm], 2, params, 1.0, seed=19, stream_ids=perm
     )
     assert np.array_equal(Xb, Xa[perm])
@@ -424,10 +435,10 @@ def test_single_zero_drift_particle_reduces_to_simulate_path():
         rng.jump_to(k * STEP_COUNTER_STRIDE)
         res = confined_step(dom, state, params, 1.0, rng, h=min(params.h, 0.35 - t0))
         state = res.state
-        times += [t0 + e.time for e in res.hits]
+        times += (t0 + res.hits.time).tolist()
     assert run.final.positions[0] == state.x
     assert run.final.velocities[0] == state.u
-    assert [h.time for h in run.hits] == times
+    assert run.hits.time.tolist() == times
     assert run.final.time == pytest.approx(0.35)
 
 
@@ -461,9 +472,8 @@ def test_zero_drift_run_is_the_linear_ensemble():
         dom, X0, U0, KineticModel(sigma=1.0, b="zero"), DriftEstimatorConfig(),
         0.5, params, seed=37, snapshot_times=times,
     )
-    ref_hits = []
-    X, U, snaps = run_ensemble(
-        dom, X0, U0, 0.5, params, 1.0, 37, hit_sink=ref_hits, snapshot_times=times
+    X, U, snaps, ref_hits = run_ensemble(
+        dom, X0, U0, 0.5, params, 1.0, 37, snapshot_times=times
     )
     assert np.array_equal(run.final.positions, X)
     assert np.array_equal(run.final.velocities, U)
@@ -472,7 +482,8 @@ def test_zero_drift_run_is_the_linear_ensemble():
         assert np.array_equal(run.snapshots[t].positions, Xs)
         assert np.array_equal(run.snapshots[t].velocities, Us)
     assert len(ref_hits) > 50
-    assert run.hits == ref_hits
+    for f in fields(HitLog):
+        assert np.array_equal(getattr(run.hits, f.name), getattr(ref_hits, f.name)), f.name
 
 
 def test_run_snapshots_and_fields():
@@ -576,8 +587,8 @@ def test_wall_side_hit_symmetry():
         StepParams(h=0.02),
         seed=5,
     )
-    left = sum(1 for h in run.hits if h.location == 0.0)
-    right = sum(1 for h in run.hits if h.location == 1.0)
+    left = int(np.sum(run.hits.location == 0.0))
+    right = int(np.sum(run.hits.location == 1.0))
     assert left + right > 300
     _, p = stats.chisquare([left, right])
     assert p > 0.01

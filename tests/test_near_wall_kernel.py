@@ -2,7 +2,8 @@
 
 `scalar_cascade` keeps the recursive one-path-at-a-time formulation as the
 reference.  The kernel must reproduce it bit for bit: end states, every hit
-(time, location, velocities) and the stream counter after the last draw.
+(path id, time, location, velocities, in the order of the hit table) and the
+stream counter after the last draw.
 """
 
 import math
@@ -157,15 +158,6 @@ def _reference(domain, X, U, params, sigma, h):
     return out
 
 
-def _assert_same_hits(mine, ref):
-    assert len(mine) == len(ref)
-    for a, b in zip(mine, ref):
-        assert a.time == b.time
-        np.testing.assert_array_equal(a.location, b.location)
-        np.testing.assert_array_equal(a.pre_velocity, b.pre_velocity)
-        np.testing.assert_array_equal(a.post_velocity, b.post_velocity)
-
-
 @pytest.fixture(scope="module", params=list(CASES))
 def case(request):
     """One scenario with its scalar reference, shared by the tests below."""
@@ -185,14 +177,17 @@ def test_kernel_matches_scalar_cascade_bitwise(case):
         np.testing.assert_array_equal(Xk[i], res.state.x)
         np.testing.assert_array_equal(Uk[i], res.state.u)
         assert counters[i] == counter
-        _assert_same_hits(hits[i], res.hits)
-    assert sum(len(r.hits) for r, _ in ref) > 0
-    for event in (e for path in hits for e in path):
-        fields = (event.location, event.pre_velocity, event.post_velocity)
-        if X.ndim == 1:
-            assert all(type(v) is float for v in fields)
-        else:  # no hit shares memory with the kernel's state arrays
-            assert not any(np.shares_memory(v, A) for v in fields for A in (Xk, Uk))
+    # the table holds path 0's contacts in time order, then path 1's, ...
+    scalar_cascade.assert_same_hits(hits, [e for res, _ in ref for e in res.hits])
+    n = len(hits)
+    assert n > 0
+    assert hits.path_id.dtype == np.uint64 and hits.path_id.shape == (n,)
+    assert hits.time.dtype == np.float64 and hits.time.shape == (n,)
+    columns = [getattr(hits, name) for name in scalar_cascade.HIT_COLUMNS]
+    for column in columns[2:]:  # states: (n,) in d = 1, (n, d) otherwise
+        assert column.dtype == np.float64 and column.shape == (n,) + X.shape[1:]
+    # no hit column shares memory with the kernel's state arrays
+    assert not any(np.shares_memory(c, A) for c in columns for A in (Xk, Uk))
     if name in ("interval-many-hits", "annulus-2d-boundary-fast"):
         # some path drew past its prefetched window
         assert max(c for _, c in ref) - base > WINDOW * (1 if X.ndim == 1 else X.shape[1])
@@ -206,14 +201,12 @@ def test_single_path_and_ensemble_match_scalar_cascade(case):
         assert rng.counter == ref[i][1]
         np.testing.assert_array_equal(res.state.x, ref[i][0].state.x)
         np.testing.assert_array_equal(res.state.u, ref[i][0].state.u)
-        _assert_same_hits(res.hits, ref[i][0].hits)
-    sink = []
-    Xe, Ue = ensemble_confined_step(domain, X, U, STEP, params, sigma, SEED, h=h, hit_sink=sink)
+        scalar_cascade.assert_same_hits(res.hits, ref[i][0].hits)
+    Xe, Ue, hits = ensemble_confined_step(domain, X, U, STEP, params, sigma, SEED, h=h)
     for i, (res, _) in enumerate(ref):
         np.testing.assert_array_equal(Xe[i], res.state.x)
         np.testing.assert_array_equal(Ue[i], res.state.u)
-        _assert_same_hits([h for h in sink if h.path_id == i], res.hits)
-    assert [h.path_id for h in sink] == sorted(h.path_id for h in sink)
+    scalar_cascade.assert_same_hits(hits, [e for res, _ in ref for e in res.hits])
 
 
 def test_ensemble_watchdog_on_max_hits():
@@ -223,7 +216,7 @@ def test_ensemble_watchdog_on_max_hits():
     params = StepParams(h=1.0, max_hits=100)
     with pytest.raises(WatchdogExceeded, match="max_hits"):
         ensemble_confined_step(Interval(1.0), X, U, 0, params, 0.0, seed=1)
-    X1, _ = ensemble_confined_step(Interval(1.0), X[[0, 2]], U[[0, 2]], 0, params, 0.0, seed=1)
+    X1, _, _ = ensemble_confined_step(Interval(1.0), X[[0, 2]], U[[0, 2]], 0, params, 0.0, seed=1)
     assert np.all((X1 >= 0.0) & (X1 <= 1.0))
 
 
@@ -244,7 +237,7 @@ def test_ensemble_watchdog_on_noise_budget(levels, raises):
         with pytest.raises(WatchdogExceeded, match="noise budget"):
             ensemble_confined_step(domain, X, U, 5, params, 1e-6, seed=3)
     else:
-        X1, _ = ensemble_confined_step(domain, X, U, 5, params, 1e-6, seed=3)
+        X1, _, _ = ensemble_confined_step(domain, X, U, 5, params, 1e-6, seed=3)
         assert np.all(np.linalg.norm(X1, axis=1) < 1.0)
 
 
