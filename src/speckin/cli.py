@@ -56,7 +56,7 @@ from .diagnostics import (
 from .errors import NotConverged, SpeckinError
 from .langevin import run_ensemble, snapshot_step, step_time
 from .maxwellian import maxwellian_eval
-from .mckean import run_mckean
+from .mckean import Ensemble, drift_field, run_mckean
 from .vfp import picard_nonlinear, trace_functionals
 
 SUBCOMMANDS = ("simulate-linear", "simulate-mckean", "solve-vfp", "validate")
@@ -131,12 +131,6 @@ def _output_steps(cfg: ScenarioConfig, T: float, h: float) -> list:
     return sorted({snapshot_step(t, T, h) for t in times})
 
 
-def _particle_times(cfg: ScenarioConfig) -> tuple:
-    """The grid times of the particle steps to write."""
-    T, h = cfg.run.T, cfg.numerics.step.h
-    return tuple(step_time(k, T, h) for k in _output_steps(cfg, T, h))
-
-
 def _write_particles(out_dir: Path, snapshots: dict, hits, dimension: int) -> list:
     """paths.csv, a row per particle of each snapshot, and hits.csv, a row
     per contact of the HitLog hits (the header alone if none); returns both paths."""
@@ -192,43 +186,51 @@ def _finalize_bundle(out_dir: Path, cfg: ScenarioConfig, subcommand: str, files:
 # --- scenario runners ----------------------------------------------------------
 
 
-def _march_linear(cfg: ScenarioConfig):
+def _march_linear(cfg: ScenarioConfig, snapshot_steps=()):
     """Independent confined paths; the catalog drift kicks each velocity."""
     domain = build_domain(cfg)
     model = build_model(cfg)
     X, U = sample_initial(cfg, cfg.run.N, cfg.run.seed)
     drift = model.drift
-    _, _, snapshots, hits = run_ensemble(
+    return run_ensemble(
         domain, X, U, cfg.run.T, build_step_params(cfg), model.sigma, cfg.run.seed,
-        snapshot_times=_particle_times(cfg),
+        snapshot_steps=snapshot_steps,
         kick=(lambda X, U: drift(U)) if model.b_norm > 0 else None,
     )
-    return snapshots, hits, domain.dimension
 
 
-def _run_simulate_linear(cfg: ScenarioConfig, out_dir: Path):
-    return True, None, _write_particles(out_dir, *_march_linear(cfg))
-
-
-def _march_mckean(cfg: ScenarioConfig, snapshot_times: tuple = ()):
+def _march_mckean(cfg: ScenarioConfig, snapshot_steps=()):
     """The interacting ensemble; the mean-field drift kicks each velocity."""
     X, U = sample_initial(cfg, cfg.run.N, cfg.run.seed)
     return run_mckean(
         build_domain(cfg), X, U, build_model(cfg), cfg.numerics.estimator, cfg.run.T,
-        build_step_params(cfg), cfg.run.seed, snapshot_times=snapshot_times,
+        build_step_params(cfg), cfg.run.seed, snapshot_steps=snapshot_steps,
     )
 
 
+def _write_march(cfg: ScenarioConfig, out_dir: Path, march):
+    """Run march on the output steps and write its paths.csv and hits.csv;
+    returns the files and the kept states, keyed by their steps' grid times."""
+    T, h = cfg.run.T, cfg.numerics.step.h
+    _, _, snapshots, hits = march(cfg, _output_steps(cfg, T, h))
+    snapshots = {step_time(k, T, h): state for k, state in snapshots.items()}
+    return _write_particles(out_dir, snapshots, hits, cfg.domain.dimension), snapshots
+
+
+def _run_simulate_linear(cfg: ScenarioConfig, out_dir: Path):
+    return True, None, _write_march(cfg, out_dir, _march_linear)[0]
+
+
 def _run_simulate_mckean(cfg: ScenarioConfig, out_dir: Path):
-    result = _march_mckean(cfg, _particle_times(cfg))
-    snapshots = {
-        t: (ens.positions, ens.velocities) for t, ens in result.snapshots.items()
-    }
-    files = _write_particles(out_dir, snapshots, result.hits, cfg.domain.dimension)
-    if result.drift_fields:
-        files.append(_write_csv(out_dir / "drift.csv", ["t", "x", "B"], (
-            np.column_stack((np.full(len(xs), t), xs, values))
-            for t, (xs, values) in sorted(result.drift_fields.items()))))
+    files, snapshots = _write_march(cfg, out_dir, _march_mckean)
+    domain, model = build_domain(cfg), build_model(cfg)
+    blocks = []
+    for t, (X, U) in sorted(snapshots.items()):
+        field = drift_field(domain, Ensemble(X, U), model, cfg.numerics.estimator)
+        if field is not None:
+            blocks.append(np.column_stack((np.full(len(field[0]), t), *field)))
+    if blocks:
+        files.append(_write_csv(out_dir / "drift.csv", ["t", "x", "B"], blocks))
     return True, None, files
 
 
@@ -347,9 +349,10 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
     )
 
     domain = build_domain(cfg)
-    particles = _march_mckean(cfg)
+    X, U, _, hits = _march_mckean(cfg)
     block = (_block_edge(grid.n_x), _block_edge(grid.n_u))
-    distance = mc_grid_distance(particles.final, solution.field(-1), grid, block=block)
+    distance = mc_grid_distance(Ensemble(X, U, cfg.run.T), solution.field(-1), grid,
+                                block=block)
     rho_T = solution.fields[-1] * grid.dx * grid.du
     coarse = rho_T.reshape(
         grid.n_x // block[0], block[0], grid.n_u // block[1], block[1]
@@ -368,11 +371,9 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
 
     detail = "no wall hits"
     hit_passed = True
-    if particles.hits:
-        flux = flux_balance_particles(particles.hits, domain)
-        shell = shell_flux_estimate(
-            domain, [(particles.final.positions, particles.final.velocities)]
-        )
+    if hits:
+        flux = flux_balance_particles(hits, domain)
+        shell = shell_flux_estimate(domain, [(X, U)])
         detail = f"antisymmetry {flux.antisymmetry_residual:.3e}"
         hit_passed = flux.antisymmetry_residual <= FLUX_ANTISYMMETRY_TOL
         if not shell.skipped and shell.stderr > 0:
@@ -382,12 +383,12 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
     # cross-layer check: the particle hit log against the grid solution
     expected = _predicted_wall_hits(trace_fields, grid, cfg.run.N)
     if expected > 0:
-        z = (len(particles.hits) - expected) / math.sqrt(expected)
+        z = (len(hits) - expected) / math.sqrt(expected)
         detail += f"; grid flux predicts {expected:.1f} hits, z={z:.2f}"
         hit_passed = hit_passed and abs(z) <= WALL_FLUX_SIGMAS
     report.add(
         "hit_count_stats",
-        float(len(particles.hits)),
+        float(len(hits)),
         passed=hit_passed,
         detail=detail,
     )

@@ -26,7 +26,10 @@ in the closed domain, so a row may start on the wall only with a velocity
 pointing inside.  Before each confined step it kicks the velocities by
 h times a field: none for the linear process, b(U) for independent drifted
 paths, and the mean-field estimate of E[b(U) | X] for the McKean system
-(mckean.run_mckean).  Wall contacts travel as one HitLog, a table of
+(mckean.run_mckean).  It returns (X, U, snapshots, hits): the end states,
+the states after the steps the caller lists, keyed by step index (step k
+ends at grid time step_time(k, T, h); snapshot_step(t, T, h) is the step
+nearest a time t), and the wall contacts as one HitLog, a table of
 columns the kernel fills a pass at a time.
 """
 
@@ -467,13 +470,13 @@ def simulate_path(
     InvalidStart.
     """
     h = params.h
-    times = [step_time(k, T, h) for k in range(step_count(T, h) + 1)]
+    steps = range(step_count(T, h) + 1)
     _, _, snapshots, events = run_ensemble(
         domain, *_as_rows(initial), T, params, sigma, rng.seed,
-        snapshot_times=tuple(times), stream_ids=[rng.stream_id],
+        snapshot_steps=steps, stream_ids=[rng.stream_id],
     )
-    states = tuple(_row_state(*snapshots[t]) for t in times)
-    return PathResult(times=np.array(times), states=states, events=events)
+    return PathResult(times=np.array([step_time(k, T, h) for k in steps]),
+                      states=tuple(_row_state(*snapshots[k]) for k in steps), events=events)
 
 
 def ensemble_free_flight(X, U, h, sigma, Z):
@@ -500,16 +503,24 @@ def ensemble_confined_step(
     their own streams from counter step_index * 2^16, which reproduces the
     per-path results of confined_step bit for bit.  stream_ids defaults to
     the array index; explicit ids let callers shard the ensemble (or permute
-    it) without changing any path, and any shape but (N,) raises ValueError
+    it) without changing any path.  Explicit ids of any shape but (N,), or
+    with a repeat, which would give two rows one path, raise ValueError
     before a draw.  Returns (X, U, hits), hits the step's HitLog.
     """
     dt = params.h if h is None else float(h)
     d = 1 if X.ndim == 1 else X.shape[1]
     base = step_index * STEP_COUNTER_STRIDE
     n = X.shape[0]
-    stream_ids = np.asarray(np.arange(n) if stream_ids is None else stream_ids, dtype=np.uint64)
-    if stream_ids.shape != (n,):
-        raise ValueError(f"stream_ids of shape {stream_ids.shape} for {n} rows: need one per row")
+    if stream_ids is None:
+        stream_ids = np.arange(n, dtype=np.uint64)
+    else:
+        stream_ids = np.asarray(stream_ids, dtype=np.uint64)
+        if stream_ids.shape != (n,):
+            raise ValueError(
+                f"stream_ids of shape {stream_ids.shape} for {n} rows: need one per row")
+        ids = np.sort(stream_ids)  # np.unique takes ~20x longer on 1e4 ids
+        if (ids[1:] == ids[:-1]).any():
+            raise ValueError("stream_ids repeat an id: each row needs a stream of its own")
     Z = normals_at(seed, stream_ids, base, 2 * d)
     Xf, Uf = ensemble_free_flight(X, U, dt, sigma, Z)
     far = _pruned(params, sigma, domain.signed_distance(X), domain.signed_distance(Xf),
@@ -532,11 +543,12 @@ def run_ensemble(
     params: StepParams,
     sigma: float,
     seed: int,
-    snapshot_times: tuple = (),
+    snapshot_steps=(),
     stream_ids: np.ndarray | None = None,
     kick=None,
 ):
-    """March N confined paths to time T; optional phase snapshots.
+    """March N confined paths to time T, keeping the states after the
+    listed steps.
 
     kick, when given, is a callable (X, U) -> velocity field evaluated at the
     start of every step; each velocity is kicked by the step length times
@@ -544,16 +556,23 @@ def run_ensemble(
     local drift b(U) gives independent drifted paths, and a mean-field
     estimate on the current states gives the interacting system.
 
-    Returns (X, U, snapshots, hits) where snapshots maps every requested
-    time t to a copy of (X, U) after snapshot_step(t, T, h) steps, and hits
-    is the HitLog of the run, step by step.  Hit times are k*h plus the
-    time within step k.  Ordering and values are independent of
-    how callers batch the work because every draw is counter-addressed.
+    Returns (X, U, snapshots, hits) where snapshots maps every listed step k
+    to a copy of (X, U) after k steps (step 0 is the start, and
+    step_count(T, h) ends at T; snapshot_step(t, T, h) names the step of a
+    time t), and hits is the HitLog of the run, step by step.  Hit times are
+    k*h plus the time within step k.  Ordering and values are independent
+    of how callers batch the work because every draw is counter-addressed.
 
-    Raises InvalidStart when a starting row lies more than eps_hit outside
-    the domain, or within eps_hit of the wall with u.n >= 0 at its
-    projection: a path starts on the wall only moving inside.
+    Raises ValueError for a listed step outside [0, step_count(T, h)], and
+    InvalidStart when a starting row lies more than eps_hit outside the
+    domain, or within eps_hit of the wall with u.n >= 0 at its projection:
+    a path starts on the wall only moving inside.
     """
+    n = step_count(T, params.h)
+    keep = set(snapshot_steps)
+    outside = sorted(k for k in keep if not 0 <= k <= n)
+    if outside:
+        raise ValueError(f"snapshot steps {outside} outside [0, {n}]")
     X = np.array(X0, dtype=float)
     U = np.array(U0, dtype=float)
     sd = domain.signed_distance(X)
@@ -566,18 +585,9 @@ def run_ensemble(
         raise InvalidStart(
             "boundary start must have strictly incoming velocity; reflect it before calling"
         )
-    wanted = {}
-    for t in snapshot_times:
-        wanted.setdefault(snapshot_step(t, T, params.h), []).append(t)
-    snapshots = {}
+    snapshots = {0: (X.copy(), U.copy())} if 0 in keep else {}
     logs = []
-
-    def take(k):
-        for t in wanted.get(k, ()):
-            snapshots[t] = (X.copy(), U.copy())
-
-    take(0)
-    for k in range(step_count(T, params.h)):
+    for k in range(n):
         dt = step_length(k, T, params.h)
         if kick is not None:
             U = U + dt * kick(X, U)
@@ -585,5 +595,6 @@ def run_ensemble(
                                             time_offset=step_time(k, T, params.h),
                                             stream_ids=stream_ids)
         logs.append(hits)
-        take(k + 1)
+        if k + 1 in keep:
+            snapshots[k + 1] = (X.copy(), U.copy())
     return X, U, snapshots, HitLog._join(logs, X.shape[1:])

@@ -8,9 +8,11 @@ so the kick respects the componentwise bound of b no matter how degenerate
 the data are; where the local kernel mass is negligible the drift is zero.
 
 run_mckean is the one particle march, langevin.run_ensemble, with this
-mean-field kick; the linear process is the same march with no kick or the
-local b(U).  The march checks the starting states, so a start outside the
-domain, or on the wall moving out, raises InvalidStart here too.
+mean-field kick, and it returns what that march returns: (X, U, snapshots,
+hits), the snapshots keyed by step.  The linear process is the same march
+with no kick or the local b(U).  The march checks the starting states, so a
+start outside the domain, or on the wall moving out, raises InvalidStart
+here too.  drift_field gives the probe-grid field of any kept state.
 
 On a one-dimensional interval the field is estimated on a probe grid and
 interpolated to the particles. There the particles are first binned linearly
@@ -23,13 +25,13 @@ per point; it serves probes < 2 and domains of dimension two or more.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .geometry import Domain, Interval
-from .langevin import HitLog, StepParams, run_ensemble, snapshot_step, step_time
+from .langevin import StepParams, run_ensemble
 
 BIN_REFINE = 4  # binning centres per probe interval of the binned estimate
 
@@ -37,10 +39,10 @@ __all__ = [
     "KineticModel",
     "Ensemble",
     "DriftEstimatorConfig",
-    "McKeanRun",
     "drift_from_name",
     "silverman_bandwidth",
     "conditional_drift",
+    "drift_field",
     "run_mckean",
 ]
 
@@ -262,8 +264,9 @@ def _binned_field(ensemble, model, cfg, length):
     return grid, np.where(ok, numer / np.where(ok, denom, 1.0), 0.0)
 
 
-def _field_snapshot(domain, ensemble, model, cfg):
-    """(probe grid, field values), or None where the estimate runs per particle."""
+def drift_field(domain, ensemble, model, cfg):
+    """(probe grid, field values) of the drift estimate on the ensemble, or
+    None where the estimate runs per particle (see DriftEstimatorConfig)."""
     if ensemble.dimension == 1 and isinstance(domain, Interval) and cfg.probes >= 2:
         return _binned_field(ensemble, model, cfg, domain.length)
     return None
@@ -273,21 +276,11 @@ def _drift_at_particles(domain, ensemble, model, cfg):
     """Drift field values at every particle of the frozen snapshot."""
     if model.b_norm == 0.0:
         return np.zeros_like(ensemble.velocities)
-    snapshot = _field_snapshot(domain, ensemble, model, cfg)
+    snapshot = drift_field(domain, ensemble, model, cfg)
     if snapshot is None:
         return conditional_drift(ensemble, model, cfg, ensemble.positions)
     grid, values = snapshot
     return np.interp(ensemble.positions, grid, values)
-
-
-@dataclass
-class McKeanRun:
-    """Bundle of outputs from run_mckean."""
-
-    final: Ensemble
-    hits: HitLog
-    snapshots: dict = field(default_factory=dict)
-    drift_fields: dict = field(default_factory=dict)
 
 
 def run_mckean(
@@ -299,33 +292,20 @@ def run_mckean(
     T: float,
     params: StepParams,
     seed: int,
-    snapshot_times: tuple = (),
+    snapshot_steps=(),
     stream_ids: np.ndarray | None = None,
-) -> McKeanRun:
+):
     """March the len(X0)-particle system from (X0, U0) to time T.
 
-    The run is a pure function of (X0, U0, seed): snapshots land on the step
-    grid at the requested times, and the HitLog carries absolute times and
-    path ids.  The march is langevin.run_ensemble with the mean-field kick,
-    so a zero drift gives exactly the linear ensemble, and a start it
-    refuses raises InvalidStart.
+    The march is langevin.run_ensemble with the mean-field kick, and this
+    returns its (X, U, snapshots, hits): snapshots maps each listed step to
+    the state after it, and the HitLog carries absolute times and path ids.
+    The run is a pure function of (X0, U0, seed), a zero drift gives exactly
+    the linear ensemble, and a start the march refuses raises InvalidStart.
     """
-    X, U, states, hits = run_ensemble(
+    return run_ensemble(
         domain, X0, U0, T, params, model.sigma, seed,
-        snapshot_times=snapshot_times,
+        snapshot_steps=snapshot_steps,
         stream_ids=stream_ids,
         kick=lambda X, U: _drift_at_particles(domain, Ensemble(X, U), model, cfg),
-    )
-    # a snapshot at t was taken after snapshot_step(t, T, h) steps
-    snapshots = {
-        t: Ensemble(Xs, Us, step_time(snapshot_step(t, T, params.h), T, params.h))
-        for t, (Xs, Us) in states.items()
-    }
-    drift_fields = {}
-    for t, ens in snapshots.items():
-        fs = _field_snapshot(domain, ens, model, cfg)
-        if fs is not None:
-            drift_fields[t] = fs
-    return McKeanRun(
-        final=Ensemble(X, U, T), snapshots=snapshots, drift_fields=drift_fields, hits=hits
     )

@@ -42,7 +42,7 @@ from speckin.maxwellian import (
     maxwellian_eval,
     super_sub_thresholds,
 )
-from speckin.mckean import run_mckean
+from speckin.mckean import Ensemble, run_mckean
 from speckin.rng import RngStream, normals_at
 from speckin.vfp import (
     PhaseGrid,
@@ -368,7 +368,8 @@ def test_09_semigroup_contraction():
 def test_10_particle_grid_distance():
     t0 = perf_counter()
     st = _particle_state()
-    dist = mc_grid_distance(st["mckean"].final, st["picard"].solution.field(-1),
+    X, U, _, _ = st["mckean"]
+    dist = mc_grid_distance(Ensemble(X, U, st["cfg"].run.T), st["picard"].solution.field(-1),
                             st["grid"], block=(8, 16))
     ok = dist <= 0.05
     _verdict(10, "particle-grid distance", ok,
@@ -379,8 +380,9 @@ def test_10_particle_grid_distance():
 def test_11_wall_flux_statistics():
     st = _particle_state()  # built by check 10; only post-processing is timed
     t0 = perf_counter()
-    fb = flux_balance_particles(st["mckean"].hits, st["domain"])
-    sf = shell_flux_estimate(st["domain"], [st["mckean"].final])
+    X, U, _, hits = st["mckean"]
+    fb = flux_balance_particles(hits, st["domain"])
+    sf = shell_flux_estimate(st["domain"], [(X, U)])
     z = abs(sf.mean) / sf.stderr if sf.count > 1 else float("inf")
     ok = fb.antisymmetry_residual == 0.0 and z <= 4.0
     _verdict(11, "wall flux statistics", ok,
@@ -451,7 +453,7 @@ def test_13_wall_hits_match_grid_flux():
                      for k in range(len(sol.times))])
     times = np.asarray(sol.times)
     expected = st["cfg"].run.N * float(np.sum(0.5 * (rate[1:] + rate[:-1]) * np.diff(times)))
-    hits = len(st["mckean"].hits)
+    hits = len(st["mckean"][3])
     z = (hits - expected) / math.sqrt(expected)
     _verdict(13, "wall hits vs grid flux", abs(z) <= 4.0,
              f"{hits} hits against {expected:.1f} predicted, z = {z:.2f}",

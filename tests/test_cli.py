@@ -28,7 +28,7 @@ from speckin.config import (
 )
 from speckin.errors import ConstraintViolation, ParseError
 from speckin.geometry import Annulus, Ball, Interval
-from speckin.langevin import HitLog, run_ensemble
+from speckin.langevin import HitLog, run_ensemble, step_count
 from speckin.maxwellian import maxwellian_eval
 from speckin.vfp import trace_functionals
 
@@ -340,14 +340,16 @@ class TestBundles:
 
         raw = small_scenario(tmp_path, model={"drift": "zero"}, run={"N": 120})
         cfg = config_from_dict(raw)
-        snapshots, hits, _ = _march_linear(cfg)
+        end = step_count(cfg.run.T, cfg.numerics.step.h)
+        X1, U1, snapshots, hits = _march_linear(cfg, [end])
         X0, U0 = sample_initial(cfg, cfg.run.N, cfg.run.seed)
         X, U, _, ref_hits = run_ensemble(
             build_domain(cfg), X0, U0, cfg.run.T, build_step_params(cfg),
             cfg.model.sigma, cfg.run.seed,
         )
-        assert np.array_equal(snapshots[cfg.run.T][0], X)
-        assert np.array_equal(snapshots[cfg.run.T][1], U)
+        assert np.array_equal(X1, X) and np.array_equal(U1, U)
+        assert np.array_equal(snapshots[end][0], X)
+        assert np.array_equal(snapshots[end][1], U)
         assert len(hits) > 0
         for f in fields(HitLog):
             assert np.array_equal(getattr(hits, f.name), getattr(ref_hits, f.name)), f.name
@@ -469,9 +471,8 @@ class TestBundles:
         real = speckin.cli.run_mckean
 
         def lossy(*args, **kwargs):
-            run = real(*args, **kwargs)
-            run.hits = HitLog(*(getattr(run.hits, f.name)[::2] for f in fields(HitLog)))
-            return run
+            X, U, snapshots, hits = real(*args, **kwargs)
+            return X, U, snapshots, HitLog(*(getattr(hits, f.name)[::2] for f in fields(HitLog)))
 
         monkeypatch.setattr(speckin.cli, "run_mckean", lossy)
         bundle = run_scenario(self._validate_scenario(tmp_path), "validate",

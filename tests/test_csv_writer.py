@@ -15,8 +15,9 @@ import pytest
 import reference_writers as ref
 from test_cli import small_scenario
 from speckin import cli
-from speckin.config import config_from_dict
-from speckin.langevin import HitLog
+from speckin.config import build_domain, build_model, config_from_dict
+from speckin.langevin import HitLog, step_time
+from speckin.mckean import Ensemble, drift_field
 
 
 def _values(gen, shape):
@@ -86,16 +87,26 @@ def _same_file(tmp_path, bundle, name, write):
     assert (bundle.path / name).read_bytes() == path.read_bytes(), name
 
 
+def _march(cfg, march):
+    """The march's hit log and its states at the output steps, keyed by grid time."""
+    T, h = cfg.run.T, cfg.numerics.step.h
+    _, _, snapshots, hits = march(cfg, cli._output_steps(cfg, T, h))
+    return {step_time(k, T, h): state for k, state in snapshots.items()}, hits
+
+
 def test_simulate_mckean_tables_match_reference(tmp_path):
     cfg = _scenario(tmp_path)
-    result = cli._march_mckean(cfg, cli._particle_times(cfg))
-    snapshots = {t: (e.positions, e.velocities) for t, e in result.snapshots.items()}
-    assert result.hits and result.drift_fields
+    snapshots, hits = _march(cfg, cli._march_mckean)
+    assert sorted(snapshots) == [0.0, 0.04, 0.1]
+    domain, model = build_domain(cfg), build_model(cfg)
+    drift_fields = {t: drift_field(domain, Ensemble(X, U), model, cfg.numerics.estimator)
+                    for t, (X, U) in snapshots.items()}
+    assert hits and all(f is not None for f in drift_fields.values())
     bundle = cli.run_scenario(cfg, "simulate-mckean", out_dir=tmp_path / "b")
     _same_file(tmp_path, bundle, "paths.csv", lambda p: ref.write_paths_csv(p, snapshots, 1))
-    _same_file(tmp_path, bundle, "hits.csv", lambda p: ref.write_hits_csv(p, result.hits, 1))
+    _same_file(tmp_path, bundle, "hits.csv", lambda p: ref.write_hits_csv(p, hits, 1))
     _same_file(tmp_path, bundle, "drift.csv",
-               lambda p: ref.write_drift_csv(p, result.drift_fields))
+               lambda p: ref.write_drift_csv(p, drift_fields))
 
 
 def test_simulate_linear_tables_in_an_annulus_match_reference(tmp_path):
@@ -105,8 +116,9 @@ def test_simulate_linear_tables_in_an_annulus_match_reference(tmp_path):
         model={"drift": "zero"},
         initial={"x_amplitude": 0.0},
     )
-    snapshots, hits, d = cli._march_linear(cfg)
-    assert hits and d == 2
+    snapshots, hits = _march(cfg, cli._march_linear)
+    d = cfg.domain.dimension
+    assert hits and d == 2 and sorted(snapshots) == [0.0, 0.04, 0.1]
     bundle = cli.run_scenario(cfg, "simulate-linear", out_dir=tmp_path / "b")
     _same_file(tmp_path, bundle, "paths.csv", lambda p: ref.write_paths_csv(p, snapshots, d))
     _same_file(tmp_path, bundle, "hits.csv", lambda p: ref.write_hits_csv(p, hits, d))

@@ -64,16 +64,23 @@ def test_free_step_increment_covariance(sigma, h):
     assert np.all(np.abs(emp - target) <= 4 * cov_standard_errors(target, n))
 
 
+EULER_BLOCK = 2_000  # Euler paths drawn at a time
+
+
 def test_free_step_matches_euler_oracle():
     # exact free-flight increments against crude-step Euler-Maruyama with
     # 10^3 substeps, an independent sampler written out here
     sigma, h, n, m = 1.0, 0.1, 40_000, 1000
     gen = np.random.default_rng(77)
     dt = h / m
-    xi = gen.standard_normal((n, m))
-    u = sigma * math.sqrt(dt) * np.cumsum(xi, axis=1)
-    x_inc = dt * (u.sum(axis=1) - u[:, -1] + 0.0)  # left-endpoint rule, u_0 = 0
-    euler = np.cov(np.c_[x_inc, u[:, -1]].T)
+    # the paths are drawn a block of rows at a time from the one generator:
+    # the same normals as one (n, m) draw, in arrays n / EULER_BLOCK times smaller
+    x_inc, u_end = [], []
+    for _ in range(n // EULER_BLOCK):
+        u = sigma * math.sqrt(dt) * np.cumsum(gen.standard_normal((EULER_BLOCK, m)), axis=1)
+        x_inc.append(dt * (u.sum(axis=1) - u[:, -1] + 0.0))  # left-endpoint rule, u_0 = 0
+        u_end.append(u[:, -1].copy())  # a view would keep the whole block alive
+    euler = np.cov(np.c_[np.concatenate(x_inc), np.concatenate(u_end)].T)
     X, U = ensemble_free_flight(np.zeros(n), np.zeros(n), h, sigma, gen.standard_normal((n, 2)))
     exact = np.cov(np.c_[X, U].T)
     target = analytic_free_cov(sigma, h)
@@ -364,6 +371,18 @@ def test_march_refuses_stream_ids_of_the_wrong_shape(ids):
         run_ensemble(Interval(1.0), X0, U0, 0.1, params, 1.0, 1, stream_ids=ids)
 
 
+@pytest.mark.parametrize("ids", [[5] * 10, [0, 1, 2, 3, 4, 5, 6, 7, 8, 0]])
+def test_march_refuses_repeated_stream_ids(ids):
+    # two rows on one stream would run one path twice
+    X0, U0 = np.linspace(0.1, 0.9, 10), np.zeros(10)
+    params = StepParams(h=0.05)
+    repeated = "stream_ids repeat an id"
+    with pytest.raises(ValueError, match=repeated):
+        ensemble_confined_step(Interval(1.0), X0, U0, 0, params, 1.0, 1, stream_ids=ids)
+    with pytest.raises(ValueError, match=repeated):
+        run_ensemble(Interval(1.0), X0, U0, 0.1, params, 1.0, 1, stream_ids=ids)
+
+
 def test_ensemble_statistics_ball():
     domain = Ball(center=(0.0, 0.0), radius=1.0)
     n = 10_000
@@ -423,13 +442,13 @@ def test_simulate_path_is_one_row_of_the_ensemble():
     assert rng.counter == 123
     X, U, snaps, hits = run_ensemble(
         domain, np.array([0.05]), np.array([-2.0]), 0.35, params, 1.0, 8,
-        snapshot_times=(0.1, 0.2), stream_ids=[5],
+        snapshot_steps=(1, 2), stream_ids=[5],
     )
     np.testing.assert_allclose(path.times, [0.0, 0.1, 0.2, 0.3, 0.35], rtol=0, atol=1e-15)
     assert path.states[0] == PhaseState(0.05, -2.0)
     assert path.states[-1] == PhaseState(float(X[0]), float(U[0]))
     for k in (1, 2):
-        assert path.states[k] == PhaseState(float(snaps[k / 10][0][0]), float(snaps[k / 10][1][0]))
+        assert path.states[k] == PhaseState(float(snaps[k][0][0]), float(snaps[k][1][0]))
     assert len(hits) > 0
     for f in fields(HitLog):
         np.testing.assert_array_equal(getattr(path.events, f.name), getattr(hits, f.name))
@@ -437,21 +456,35 @@ def test_simulate_path_is_one_row_of_the_ensemble():
 
 
 def test_snapshots_keep_every_time_and_end_at_T():
-    # T = 0.502 takes 101 steps of h = 0.005, the last one 0.002 long: the
-    # snapshot at T is the state after it, and 0.1 and 0.1001 both land on
-    # the state after step 20
+    # T = 0.502 takes 101 steps of h = 0.005, the last one 0.002 long: step
+    # 101 is the state after it, step 0 the start, and step 20, listed
+    # twice, is kept once
     domain = Interval(length=1.0)
     gen = np.random.default_rng(3)
     X0, U0 = gen.uniform(0.0, 1.0, 50), gen.standard_normal(50)
     params = StepParams(h=0.005)
-    X, U, snaps, _ = run_ensemble(
-        domain, X0, U0, 0.502, params, 1.0, 9, snapshot_times=(0.1, 0.1001, 0.502)
-    )
-    assert sorted(snaps) == [0.1, 0.1001, 0.502]
-    assert np.array_equal(snaps[0.502][0], X) and np.array_equal(snaps[0.502][1], U)
+    X, U, snaps, _ = run_ensemble(domain, X0, U0, 0.502, params, 1.0, 9,
+                                  snapshot_steps=(20, 101, 0, 20))
+    assert sorted(snaps) == [0, 20, 101]
+    assert np.array_equal(snaps[0][0], X0) and np.array_equal(snaps[0][1], U0)
+    assert np.array_equal(snaps[101][0], X) and np.array_equal(snaps[101][1], U)
     X20, U20, _, _ = run_ensemble(domain, X0, U0, 0.1, params, 1.0, 9)
-    for t in (0.1, 0.1001):
-        assert np.array_equal(snaps[t][0], X20) and np.array_equal(snaps[t][1], U20)
+    assert np.array_equal(snaps[20][0], X20) and np.array_equal(snaps[20][1], U20)
+    # the kept states are copies: they do not share memory with the start or the end
+    for k, (Xs, Us) in snaps.items():
+        for a in (X0, U0, X, U):
+            assert not np.shares_memory(Xs, a) and not np.shares_memory(Us, a), k
+
+
+@pytest.mark.parametrize("steps", [(-1,), (102,), (0, 101, 102)])
+def test_snapshot_steps_outside_the_run_are_refused(steps):
+    # T = 0.502 at h = 0.005 has steps 0 .. 101; a step outside is named
+    # before any draw
+    X0, U0 = np.linspace(0.1, 0.9, 10), np.zeros(10)
+    bad = [k for k in steps if not 0 <= k <= 101]
+    with pytest.raises(ValueError, match=re.escape(f"snapshot steps {bad} outside [0, 101]")):
+        run_ensemble(Interval(1.0), X0, U0, 0.502, StepParams(h=0.005), 1.0, 9,
+                     snapshot_steps=steps)
 
 
 def semigroup_mean(domain, psi, t, x0, u0, n, params, sigma, seed):

@@ -19,17 +19,18 @@ from speckin.langevin import (
     confined_step,
     ensemble_confined_step,
     run_ensemble,
+    snapshot_step,
     step_count,
+    step_time,
 )
 from speckin.mckean import (
     DriftEstimatorConfig,
     Ensemble,
     KineticModel,
-    McKeanRun,
     _binned_field,
     _drift_at_particles,
-    _field_snapshot,
     conditional_drift,
+    drift_field,
     drift_from_name,
     run_mckean,
     silverman_bandwidth,
@@ -273,7 +274,7 @@ def test_zero_probes_evaluate_exactly_at_particles():
     ens = Ensemble(r.uniform(0, 1, 300), r.normal(size=300))
     model = KineticModel(sigma=1.0, b="tanh(1)")
     cfg = DriftEstimatorConfig(probes=0)
-    assert _field_snapshot(Interval(1.0), ens, model, cfg) is None
+    assert drift_field(Interval(1.0), ens, model, cfg) is None
     got = _drift_at_particles(Interval(1.0), ens, model, cfg)
     assert np.array_equal(got, conditional_drift(ens, model, cfg, ens.positions))
 
@@ -352,13 +353,16 @@ def test_zero_drift_step_is_bitwise_linear():
     dom = Interval(1.0)
     params = StepParams(h=0.05)
     model = KineticModel(sigma=1.0, b="zero")
-    out = run_mckean(dom, X, U, model, DriftEstimatorConfig(), 0.05, params, seed=11)
+    Xm, Um, snaps, hits = run_mckean(dom, X, U, model, DriftEstimatorConfig(), 0.05, params,
+                                     seed=11, snapshot_steps=[1])
     Xl, Ul, hits_b = ensemble_confined_step(dom, X, U, 0, params, 1.0, 11)
-    assert np.array_equal(out.final.positions, Xl)
-    assert np.array_equal(out.final.velocities, Ul)
-    assert out.final.time == pytest.approx(0.05)
-    assert np.array_equal(out.hits.path_id, hits_b.path_id)
-    assert np.array_equal(out.hits.time, hits_b.time)
+    assert np.array_equal(Xm, Xl)
+    assert np.array_equal(Um, Ul)
+    # the end state is the one kept after the run's one step, whose grid time is T
+    assert step_time(1, 0.05, params.h) == 0.05
+    assert np.array_equal(snaps[1][0], Xm) and np.array_equal(snaps[1][1], Um)
+    assert np.array_equal(hits.path_id, hits_b.path_id)
+    assert np.array_equal(hits.time, hits_b.time)
 
 
 def test_step_preserves_count_and_confinement():
@@ -366,12 +370,12 @@ def test_step_preserves_count_and_confinement():
     dom = Interval(1.0)
     model = KineticModel(sigma=1.0, b="sign")
     params = StepParams(h=0.05)
-    out = run_mckean(
+    X, U, _, _ = run_mckean(
         dom, r.uniform(0, 1, 300), r.normal(size=300), model, DriftEstimatorConfig(),
         0.05, params, seed=13,
-    ).final
-    assert len(out) == 300
-    assert np.all(dom.signed_distance(out.positions) <= params.eps_hit)
+    )
+    assert X.shape == U.shape == (300,)
+    assert np.all(dom.signed_distance(X) <= params.eps_hit)
 
 
 def test_drift_kick_bounded():
@@ -382,8 +386,8 @@ def test_drift_kick_bounded():
     U = r.normal(size=200)
     model = KineticModel(sigma=1e-12, b="clipped_linear(5, 0.6)")
     params = StepParams(h=0.01, delta_near=1e-6)
-    out = run_mckean(dom, X, U, model, DriftEstimatorConfig(), 0.01, params, seed=17)
-    kick = out.final.velocities - U
+    _, U1, _, _ = run_mckean(dom, X, U, model, DriftEstimatorConfig(), 0.01, params, seed=17)
+    kick = U1 - U
     assert np.abs(kick).max() <= params.h * model.b_norm + 1e-9
 
 
@@ -393,6 +397,14 @@ def test_run_refuses_one_stream_id_for_many_rows():
         run_mckean(Interval(1.0), r.uniform(0.1, 0.9, 10), r.normal(size=10),
                    KineticModel(sigma=1.0, b="tanh(1)"), DriftEstimatorConfig(), 0.1,
                    StepParams(h=0.05), seed=1, stream_ids=[5])
+
+
+def test_run_refuses_repeated_stream_ids():
+    r = np.random.default_rng(15)
+    with pytest.raises(ValueError, match="stream_ids repeat an id"):
+        run_mckean(Interval(1.0), r.uniform(0.1, 0.9, 10), r.normal(size=10),
+                   KineticModel(sigma=1.0, b="tanh(1)"), DriftEstimatorConfig(), 0.1,
+                   StepParams(h=0.05), seed=1, stream_ids=[5] * 10)
 
 
 def test_linear_step_permutation_equivariant_with_stream_ids():
@@ -418,7 +430,8 @@ def test_single_zero_drift_particle_reduces_to_simulate_path():
     dom = Interval(1.0)
     params = StepParams(h=0.1)
     model = KineticModel(sigma=1.0, b="zero")
-    run = run_mckean(
+    n = step_count(0.35, params.h)
+    X, U, snaps, hits = run_mckean(
         dom,
         np.array([0.3]),
         np.array([0.5]),
@@ -427,6 +440,7 @@ def test_single_zero_drift_particle_reduces_to_simulate_path():
         0.35,
         params,
         seed=21,
+        snapshot_steps=[n],
     )
     # the path alone, one confined_step per macro step k from counter k * 2^16
     rng, state, times = RngStream(21, 0), PhaseState(0.3, 0.5), []
@@ -436,28 +450,32 @@ def test_single_zero_drift_particle_reduces_to_simulate_path():
         res = confined_step(dom, state, params, 1.0, rng, h=min(params.h, 0.35 - t0))
         state = res.state
         times += (t0 + res.hits.time).tolist()
-    assert run.final.positions[0] == state.x
-    assert run.final.velocities[0] == state.u
-    assert run.hits.time.tolist() == times
-    assert run.final.time == pytest.approx(0.35)
+    assert X[0] == state.x
+    assert U[0] == state.u
+    assert hits.time.tolist() == times
+    # the end state is the one kept after the last, short step, at grid time T
+    assert step_time(n, 0.35, params.h) == 0.35
+    assert snaps[n][0][0] == state.x and snaps[n][1][0] == state.u
 
 
 def test_snapshot_times_name_the_steps_they_follow():
     # T = 0.502 takes 101 steps of h = 0.005, the last one 0.002 long
+    T, h = 0.502, 0.005
+    assert step_count(T, h) == 101
+    steps = [snapshot_step(t, T, h) for t in (0.1, 0.1001, 0.502)]
+    assert steps == [20, 20, 101]
+    assert step_time(20, T, h) == 20 * h and step_time(101, T, h) == T
     r = np.random.default_rng(14)
-    run = run_mckean(
-        Interval(1.0), r.uniform(0, 1, 100), r.normal(size=100),
-        KineticModel(sigma=1.0, b="tanh(1)"), DriftEstimatorConfig(probes=17),
-        0.502, StepParams(h=0.005), seed=5, snapshot_times=(0.1, 0.1001, 0.502),
-    )
-    assert sorted(run.snapshots) == sorted(run.drift_fields) == [0.1, 0.1001, 0.502]
-    end = run.snapshots[0.502]
-    assert end.time == 0.502 == run.final.time
-    assert np.array_equal(end.positions, run.final.positions)
-    assert np.array_equal(end.velocities, run.final.velocities)
-    for t in (0.1, 0.1001):
-        assert run.snapshots[t].time == 20 * 0.005
-        assert np.array_equal(run.snapshots[t].positions, run.snapshots[0.1].positions)
+    dom, model = Interval(1.0), KineticModel(sigma=1.0, b="tanh(1)")
+    cfg = DriftEstimatorConfig(probes=17)
+    X, U, snaps, _ = run_mckean(dom, r.uniform(0, 1, 100), r.normal(size=100), model, cfg,
+                                T, StepParams(h=h), seed=5, snapshot_steps=steps)
+    assert sorted(snaps) == [20, 101]
+    assert np.array_equal(snaps[101][0], X) and np.array_equal(snaps[101][1], U)
+    assert not np.array_equal(snaps[20][0], X)
+    for k in snaps:
+        grid, values = drift_field(dom, Ensemble(*snaps[k]), model, cfg)
+        assert grid.shape == values.shape == (17,)
 
 
 def test_zero_drift_run_is_the_linear_ensemble():
@@ -467,43 +485,40 @@ def test_zero_drift_run_is_the_linear_ensemble():
     X0, U0 = r.uniform(0.0, 1.0, 200), r.normal(size=200)
     dom = Interval(1.0)
     params = StepParams(h=0.02)
-    times = (0.0, 0.1, 0.3, 0.5)
-    run = run_mckean(
+    steps = (0, 5, 15, 25)
+    Xm, Um, run_snaps, hits = run_mckean(
         dom, X0, U0, KineticModel(sigma=1.0, b="zero"), DriftEstimatorConfig(),
-        0.5, params, seed=37, snapshot_times=times,
+        0.5, params, seed=37, snapshot_steps=steps,
     )
     X, U, snaps, ref_hits = run_ensemble(
-        dom, X0, U0, 0.5, params, 1.0, 37, snapshot_times=times
+        dom, X0, U0, 0.5, params, 1.0, 37, snapshot_steps=steps
     )
-    assert np.array_equal(run.final.positions, X)
-    assert np.array_equal(run.final.velocities, U)
-    assert sorted(run.snapshots) == sorted(snaps) == list(times)
-    for t, (Xs, Us) in snaps.items():
-        assert np.array_equal(run.snapshots[t].positions, Xs)
-        assert np.array_equal(run.snapshots[t].velocities, Us)
+    assert np.array_equal(Xm, X)
+    assert np.array_equal(Um, U)
+    assert sorted(run_snaps) == sorted(snaps) == list(steps)
+    for k, (Xs, Us) in snaps.items():
+        assert np.array_equal(run_snaps[k][0], Xs)
+        assert np.array_equal(run_snaps[k][1], Us)
     assert len(ref_hits) > 50
     for f in fields(HitLog):
-        assert np.array_equal(getattr(run.hits, f.name), getattr(ref_hits, f.name)), f.name
+        assert np.array_equal(getattr(hits, f.name), getattr(ref_hits, f.name)), f.name
 
 
 def test_run_snapshots_and_fields():
     r = np.random.default_rng(11)
     dom = Interval(1.0)
-    run = run_mckean(
-        dom,
-        r.uniform(0, 1, 150),
-        r.normal(size=150),
-        KineticModel(sigma=1.0, b="tanh(1)"),
-        DriftEstimatorConfig(),
-        0.2,
-        StepParams(h=0.05),
-        seed=23,
-        snapshot_times=(0.0, 0.1, 0.2),
-    )
-    assert isinstance(run, McKeanRun)
-    assert sorted(run.snapshots) == [0.0, 0.1, 0.2]
-    assert run.snapshots[0.1].time == pytest.approx(0.1)
-    grid, vals = run.drift_fields[0.2]
+    X0, U0 = r.uniform(0, 1, 150), r.normal(size=150)
+    model, cfg = KineticModel(sigma=1.0, b="tanh(1)"), DriftEstimatorConfig()
+    run = run_mckean(dom, X0, U0, model, cfg, 0.2, StepParams(h=0.05), seed=23,
+                     snapshot_steps=(0, 2, 4))
+    # the march's own result: end states, snapshots by step, hit log
+    assert isinstance(run, tuple) and len(run) == 4
+    X, U, snaps, hits = run
+    assert isinstance(hits, HitLog)
+    assert sorted(snaps) == [0, 2, 4]
+    assert np.array_equal(snaps[0][0], X0) and np.array_equal(snaps[0][1], U0)
+    assert step_time(2, 0.2, 0.05) == pytest.approx(0.1)
+    grid, vals = drift_field(dom, Ensemble(*snaps[4]), model, cfg)
     assert grid.shape == vals.shape == (257,)
     assert np.abs(vals).max() <= 1.0
 
@@ -523,8 +538,8 @@ def test_run_is_deterministic_given_seed():
     )
     a = run_mckean(dom, *sampler(120, 29), **kw)
     b = run_mckean(dom, *sampler(120, 29), **kw)
-    assert np.array_equal(a.final.positions, b.final.positions)
-    assert np.array_equal(a.final.velocities, b.final.velocities)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_exterior_initial_rejected():
@@ -560,7 +575,7 @@ def test_ball_ensemble_runs_with_vector_drift():
     rad = 0.8 * np.sqrt(r.uniform(0, 1, 120))
     X = np.stack([rad * np.cos(th), rad * np.sin(th)], axis=1)
     U = r.normal(size=(120, 2))
-    run = run_mckean(
+    X1, _, _, _ = run_mckean(
         dom,
         X,
         U,
@@ -570,14 +585,14 @@ def test_ball_ensemble_runs_with_vector_drift():
         StepParams(h=0.05),
         seed=31,
     )
-    assert np.all(dom.signed_distance(run.final.positions) <= 1e-10)
+    assert np.all(dom.signed_distance(X1) <= 1e-10)
 
 
 def test_wall_side_hit_symmetry():
     # symmetric initial law and odd drift make both walls statistically alike
     r = np.random.default_rng(5)
     dom = Interval(1.0)
-    run = run_mckean(
+    *_, hits = run_mckean(
         dom,
         r.uniform(0, 1, 1200),
         r.normal(size=1200),
@@ -587,8 +602,8 @@ def test_wall_side_hit_symmetry():
         StepParams(h=0.02),
         seed=5,
     )
-    left = int(np.sum(run.hits.location == 0.0))
-    right = int(np.sum(run.hits.location == 1.0))
+    left = int(np.sum(hits.location == 0.0))
+    right = int(np.sum(hits.location == 1.0))
     assert left + right > 300
     _, p = stats.chisquare([left, right])
     assert p > 0.01
