@@ -2,9 +2,9 @@
 
 Subcommands: simulate-linear (independent confined paths under the catalog
 drift), simulate-mckean (interacting ensemble whose drift is the conditional
-expectation of the running empirical law), solve-vfp (nonlinear grid solve by
-fixed-point iteration), validate (grid and particle runs cross-checked into a
-pass/fail diagnostics report).
+expectation of the running empirical law), solve-vfp (nonlinear grid solve in
+one causal march, see `vfp.picard_nonlinear`), validate (grid and particle
+runs cross-checked into a pass/fail diagnostics report).
 
 Every run writes a bundle directory: a canonical config.json, data files in
 CSV or JSON with a fixed column order and 17-significant-digit floats, and a
@@ -53,7 +53,7 @@ from .diagnostics import (
     semigroup_l2_check,
     shell_flux_estimate,
 )
-from .errors import NotConverged, SpeckinError
+from .errors import SpeckinError
 from .langevin import run_ensemble, snapshot_step, step_time
 from .maxwellian import maxwellian_eval
 from .mckean import Ensemble, drift_field, run_mckean
@@ -235,22 +235,19 @@ def _run_simulate_mckean(cfg: ScenarioConfig, out_dir: Path):
 
 
 def _solve_picard(cfg: ScenarioConfig):
-    """Shared nonlinear solve; returns (solution, report, grid, envelopes)."""
+    """Shared nonlinear solve; returns (solution, report, grid, envelopes).
+
+    `picard_nonlinear` is called through this module's global name, so a
+    caller that rebinds that name (a tracer, say) sees every solve.
+    """
     lower, upper = build_envelopes(cfg)
     grid = build_grid(cfg, upper)
-    rho0 = initial_density(cfg, grid)
-    model = build_model(cfg)
-    weight = build_weight(cfg)
-    try:
-        result = picard_nonlinear(
-            grid, rho0, model,
-            tol=cfg.picard.tol, max_iter=cfg.picard.max_iter,
-            weight=weight, lower=lower, upper=upper,
-        )
-        solution, report = result.solution, result.report
-    except NotConverged as exc:
-        solution, report = exc.history, exc.report
-    return solution, report, grid, lower, upper
+    result = picard_nonlinear(
+        grid, initial_density(cfg, grid), build_model(cfg),
+        tol=cfg.picard.tol, max_iter=cfg.picard.max_iter,
+        weight=build_weight(cfg), lower=lower, upper=upper,
+    )
+    return result.solution, result.report, grid, lower, upper
 
 
 def _run_solve_vfp(cfg: ScenarioConfig, out_dir: Path):
@@ -316,7 +313,7 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
         "picard_converged",
         float(picard_report.iterates),
         passed=bool(picard_report.converged),
-        detail=f"{picard_report.iterates} sweeps, tol {cfg.picard.tol:g}",
+        detail=f"one causal march, tol {cfg.picard.tol:g}",
     )
     trace_fields = [solution.trace(k) for k in range(len(solution.times))]
     report.add(

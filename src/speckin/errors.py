@@ -37,15 +37,6 @@ class NegativeDensity(SpeckinError):
     """Grid density dropped below -1e-12; signals a scheme bug."""
 
 
-class NotConverged(SpeckinError):
-    """Picard iteration hit max_iter before reaching tol."""
-
-    def __init__(self, message, report=None, history=None):
-        super().__init__(message)
-        self.report = report
-        self.history = history
-
-
 class DegenerateTrace(SpeckinError):
     """Trace has zero mass; the no-permeability ratio is undefined."""
 

@@ -14,20 +14,20 @@ the wall its row leaves by, and the last cell with the wall datum half a
 cell out; the datum's share is the injected mass, so the in/out mass
 ledger is exact by bookkeeping.
 
-The nonlinear solver iterates frozen-drift specular solves, re-estimating
-the drift from the previous iterate's velocity averages, and stops when
-consecutive iterates are close in the discrete weighted V1 distance.
+The nonlinear solver is one specular march whose step k takes its drift
+from the velocity averages of its own slice k. The discrete problem is
+causal, slice k + 1 depending only on drift rows 0..k, so that one pass is
+the fixed point that Picard iteration on frozen-drift solves converges to.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .errors import CFLViolated, NegativeDensity, NotConverged
+from .errors import CFLViolated, NegativeDensity
 from .langevin import step_count, step_length
 from .maxwellian import MaxwellianParams, maxwellian_eval
 from .mckean import KineticModel
@@ -40,13 +40,11 @@ __all__ = [
     "PicardReport",
     "PicardResult",
     "SpecularResult",
-    "WeightedNorms",
     "auto_vmax",
     "solve_specular_linear",
     "solve_linear_inflow",
     "drift_from_density",
     "picard_nonlinear",
-    "weighted_norms",
     "trace_extract",
     "trace_functionals",
 ]
@@ -450,18 +448,18 @@ def _specular_march(grid: PhaseGrid, rho0, drifts: np.ndarray, sigma: float,
 
     Row k of `drifts`, an (n_steps, n_x) table, is the frozen drift of step
     k, which runs from grid.times[k] for step_length(k, horizon, dt). The
-    whole table is checked against the drift CFL limit before the march.
-    Returns (result, steps). `steps` yields (k, slice k) for k = 0..n_steps,
-    slice 0 being the initial density, and fills the per-step ledgers of
-    `result` (traces, mass, gradient and bracket terms, clamps) as it goes.
-    `result.fields` is None: each caller keeps only the slices it needs. A
-    yielded slice is never written again by the march. The band matrix, the
-    transport weights and the drift's Courant factor are built once per
-    distinct dt, and dt changes on the last step only. The substeps write
-    into slice-sized work arrays made once per march.
+    march reads row k only after it has yielded slice k, so a caller may
+    fill the row from that slice; the caller checks the table against the
+    drift CFL limit. Returns (result, steps). `steps` yields (k, slice k)
+    for k = 0..n_steps, slice 0 being the initial density, and fills the
+    per-step ledgers of `result` (traces, mass, gradient and bracket terms,
+    clamps) as it goes. `result.fields` is None: each caller keeps only the
+    slices it needs. A yielded slice is never written again by the march.
+    The band matrix, the transport weights and the drift's Courant factor
+    are built once per distinct dt, and dt changes on the last step only.
+    The substeps write into slice-sized work arrays made once per march.
     """
     f = _initial_values(grid, rho0, sigma)
-    grid.check_drift(max(float(drifts.max()), -float(drifts.min())))
     n_steps = grid.n_steps
     result = SpecularResult(
         grid=grid,
@@ -536,6 +534,7 @@ def solve_specular_linear(
     if drifts.shape not in ((), table[1:], table):
         raise ValueError("drift must be None, a scalar, a callable, an (n_x,) row "
                          "or an (n_steps, n_x) table")
+    grid.check_drift(float(np.abs(drifts).max()))
     result, steps = _specular_march(grid, rho0, np.broadcast_to(drifts, table), sigma, weight)
     fields = np.empty((grid.n_steps + 1, grid.n_x, grid.n_u))
     for k, f in steps:
@@ -696,7 +695,7 @@ def solve_linear_inflow(
     )
 
 
-# ------------------------------------------------- drift and norms
+# ------------------------------------------------- drift and traces
 
 
 def drift_from_density(field, grid: PhaseGrid, model: KineticModel) -> np.ndarray:
@@ -712,53 +711,6 @@ def drift_from_density(field, grid: PhaseGrid, model: KineticModel) -> np.ndarra
     num = (values * bu[None, :]).sum(axis=1)
     ok = col * grid.du >= 1e-14 / (grid.du * grid.n_u)
     return np.where(ok, num / np.where(ok, col, 1.0), 0.0)
-
-
-@dataclass
-class WeightedNorms:
-    """Discrete weighted space-time norms of a field history."""
-
-    sup_l2w_sq: float
-    grad_l2w_sq: float
-
-    @property
-    def v1(self) -> float:
-        return math.sqrt(self.sup_l2w_sq + self.grad_l2w_sq)
-
-
-def weighted_norms(fields: np.ndarray, grid: PhaseGrid,
-                   weight: WeightParams) -> WeightedNorms:
-    """sup_t L2(w) square and time-integrated L2(w) square of u-gradients.
-
-    fields has shape (n_t, n_x, n_u); a single snapshot may be passed as
-    (n_x, n_u). Centered differences for the gradient, step-sum in time.
-    """
-    arr = np.asarray(fields, dtype=float)
-    if arr.ndim == 2:
-        arr = arr[None]
-    w = weight_eval(weight, grid.u).value
-    return _norms_from_terms(np.array([_slice_terms(f, grid, w) for f in arr]), grid)
-
-
-def _slice_terms(f: np.ndarray, grid: PhaseGrid, w: np.ndarray) -> tuple:
-    """One time slice's terms of `weighted_norms`, the L2(w) squares of f
-    and of its u-gradient, from slice-sized temporaries only."""
-    quad = grid.dx * grid.du
-    sq = np.square(f)
-    sq *= w
-    g = _u_gradient(f, grid.du)
-    np.square(g, out=g)
-    g *= w
-    return sq.sum() * quad, g.sum() * quad
-
-
-def _norms_from_terms(terms: np.ndarray, grid: PhaseGrid) -> WeightedNorms:
-    """`weighted_norms` from the (n_t, 2) per-slice terms of a history."""
-    sq, gsq = terms.T
-    return WeightedNorms(
-        sup_l2w_sq=float(sq.max()),
-        grad_l2w_sq=float(gsq[1:].sum() if len(gsq) > 1 else gsq[0]) * grid.dt,
-    )
 
 
 def trace_extract(field, order: int = 2) -> TraceField:
@@ -777,23 +729,22 @@ def trace_functionals(trace: TraceField, grid: PhaseGrid) -> dict:
     }
 
 
-# ------------------------------------------------------ Picard loop
+# ------------------------------------------------------ Picard solve
 
 
 @dataclass
 class PicardReport:
-    """Iteration record of the nonlinear solve."""
+    """Record of the nonlinear solve: one pass, converged, and its largest
+    envelope excursions below `lower` and above `upper`, one entry per pass."""
 
     iterates: int
-    distances: list = field(default_factory=list)
-    converged: bool = False
-    lower_violation: list = field(default_factory=list)
-    upper_violation: list = field(default_factory=list)
+    converged: bool
+    lower_violation: list
+    upper_violation: list
 
     def to_dict(self) -> dict:
         return {
             "iterates": self.iterates,
-            "distances": [float(d) for d in self.distances],
             "converged": bool(self.converged),
             "lower_violation": [float(v) for v in self.lower_violation],
             "upper_violation": [float(v) for v in self.upper_violation],
@@ -804,7 +755,7 @@ class PicardReport:
 class PicardResult:
     solution: SpecularResult
     report: PicardReport
-    drift_history: np.ndarray  # (n_steps, n_x): the final sweep's drift rows
+    drift_history: np.ndarray  # (n_steps, n_x): row k is the drift of slice k
 
 
 def _envelope_table(params: MaxwellianParams | None,
@@ -825,64 +776,43 @@ def picard_nonlinear(
     lower: MaxwellianParams | None = None,
     upper: MaxwellianParams | None = None,
 ) -> PicardResult:
-    """Fixed-point iteration on the frozen-drift specular solves.
+    """The nonlinear specular problem, solved in one causal march.
 
-    Iterate 0 is the initial density held constant in time; each subsequent
-    iterate solves the specular problem with the drift estimated from the
-    previous iterate's history, step by step. Stops when the discrete
-    weighted V1 distance between consecutive histories drops below tol.
+    Step k's drift is `drift_from_density` of slice k: the march yields
+    slice k, row k of the drift table is filled from it, and only then does
+    the march read that row. Slice k + 1 depends on rows 0..k alone, so the
+    pass is the fixed point of the Picard map, the frozen-drift specular
+    solve with the drift of the previous history: that solve with
+    `drift_history` frozen gives the same fields bit for bit. One pass
+    therefore meets every tol > 0 and max_iter >= 1, and the report reads
+    one iterate, converged. Both parameters stay because callers and
+    scenario files name them; values outside that range are refused.
 
-    A sweep holds one field history. Each new time slice k is checked against
-    the previous iterate's slice k (its V1 distance terms, row k of `terms`,
-    and its envelope excursions, against tables evaluated once per call) and
-    gives the next sweep its drift row k; then it is written over that
-    slice. Only the first sweep allocates the history.
+    Every drift row is a convex combination of b values, so the drift CFL
+    limit is checked once, on model.b_norm. Each slice's envelope
+    excursions are taken against tables evaluated once per call.
     """
+    if not (tol > 0 and max_iter >= 1):
+        raise ValueError(f"need tol > 0 and max_iter >= 1, not {tol!r} and {max_iter!r}")
     if weight is None:
         weight = default_weight(1)
-    rho_init = _as_values(rho0)
-    n_steps = grid.n_steps
-    w = weight_eval(weight, grid.u).value
+    grid.check_drift(model.b_norm)
     lower_table = _envelope_table(lower, grid)
     upper_table = _envelope_table(upper, grid)
-    report = PicardReport(iterates=0)
-    result = None
-    # iterate 0 is constant in time: read-only views of it and of its one drift row
-    prev = np.broadcast_to(rho_init, (n_steps + 1, grid.n_x, grid.n_u))
-    drifts = np.broadcast_to(drift_from_density(rho_init, grid, model), (n_steps, grid.n_x))
-    history = np.empty(prev.shape)
-    terms = np.empty((n_steps + 1, 2))
-    for n in range(1, max_iter + 1):
-        next_drifts = np.empty(drifts.shape)
-        result, steps = _specular_march(grid, rho_init, drifts, model.sigma, weight=weight)
-        lo_v = up_v = 0.0
-        for k, f in steps:
-            terms[k] = _slice_terms(f - prev[k], grid, w)
-            # rounding is monotone, so the largest excursion of a column is
-            # the one of its smallest (largest) value, bit for bit
-            if lower_table is not None:
-                lo_v = max(lo_v, float((lower_table[k] - f.min(axis=0)).max()))
-            if upper_table is not None:
-                up_v = max(up_v, float((f.max(axis=0) - upper_table[k]).max()))
-            if k < n_steps:
-                next_drifts[k] = drift_from_density(f, grid, model)
-            history[k] = f
-        result.fields = prev = history
-        dist = _norms_from_terms(terms, grid).v1
-        report.iterates = n
-        report.distances.append(dist)
-        report.lower_violation.append(lo_v)
-        report.upper_violation.append(up_v)
-        if dist < tol:
-            report.converged = True
-            break
-        drifts = next_drifts
-    if not report.converged:
-        raise NotConverged(
-            f"Picard did not reach tol={tol} in {max_iter} iterations",
-            report=report,
-            history=result,
-        )
-    # a writable table, also when the first sweep converged on iterate 0's view
-    return PicardResult(solution=result, report=report,
-                        drift_history=np.require(drifts, requirements="W"))
+    drifts = np.empty((grid.n_steps, grid.n_x))
+    result, steps = _specular_march(grid, rho0, drifts, model.sigma, weight=weight)
+    result.fields = np.empty((grid.n_steps + 1, grid.n_x, grid.n_u))
+    lo_v = up_v = 0.0
+    for k, f in steps:
+        # rounding is monotone, so the largest excursion of a column is
+        # the one of its smallest (largest) value, bit for bit
+        if lower_table is not None:
+            lo_v = max(lo_v, float((lower_table[k] - f.min(axis=0)).max()))
+        if upper_table is not None:
+            up_v = max(up_v, float((f.max(axis=0) - upper_table[k]).max()))
+        if k < grid.n_steps:
+            drifts[k] = drift_from_density(f, grid, model)
+        result.fields[k] = f
+    report = PicardReport(iterates=1, converged=True,
+                          lower_violation=[lo_v], upper_violation=[up_v])
+    return PicardResult(solution=result, report=report, drift_history=drifts)

@@ -2,13 +2,16 @@
 
 The traced benchmark rebinds the public functions it times by module and
 name and reads the arguments of ensemble_confined_step by parameter name;
-the setup probes call the config functions by name.  A refactor that renames
-or reroutes any of them breaks the benchmark without failing a package test,
-so these tests read bench/ (without changing it) and check each name.
+the setup probes call the config functions by name; the bundle checks read
+keys of picard.json and diagnostics.json and call picard_nonlinear by
+keyword.  A refactor that renames or reroutes any of them breaks the
+benchmark without failing a package test, so these tests read bench/
+(without changing it) and check each name.
 """
 
 import ast
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import pytest
 import speckin.cli  # what bench/run.py imports; it loads every traced module
 from speckin import config
 from speckin.langevin import ensemble_confined_step, step_count
+from speckin.vfp import picard_nonlinear
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -33,6 +37,33 @@ def _attributes_of(path, owner):
         and isinstance(node.value, ast.Name)
         and node.value.id == owner
     }
+
+
+def _function(script, name):
+    tree = ast.parse((BENCH / script).read_text(encoding="utf-8"))
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _keys_read(script, function):
+    """{owner: keys} of the reads `owner["key"]` in a function of bench/,
+    each owner as written, e.g. `grid` or `entries['mc_grid_L1']`."""
+    keys = {}
+    for node in ast.walk(_function(script, function)):
+        if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                and isinstance(node.slice.value, str)):
+            keys.setdefault(ast.unparse(node.value), set()).add(node.slice.value)
+    return keys
+
+
+def _small_scenario():
+    return config.config_from_dict({
+        "model": {"drift": "tanh(1.0)"},
+        "initial": {"u_mean": 0.4},
+        "numerics": {"grid": {"n_x": 16, "n_u": 32}, "step": {"h": 0.02},
+                     "estimator": {"probes": 33}},
+        "run": {"T": 0.1, "N": 200, "seed": 4},
+    })
 
 
 def test_traced_functions_resolve():
@@ -85,3 +116,51 @@ def test_traced_mckean_run_sees_every_step(tmp_path):
     rows = (tmp_path / "b" / "hits.csv").read_text().splitlines()[1:]
     assert len(rows) > 0
     assert replay["hits"] == len(rows)
+
+
+def test_picard_json_holds_the_keys_bench_reads(tmp_path):
+    keys = _keys_read("run.py", "check_grid")
+    assert {"converged", "iterates", "grid"} <= keys["picard"]
+    bundle = speckin.cli.run_scenario(_small_scenario(), "solve-vfp",
+                                      out_dir=tmp_path / "b")
+    payload = json.loads((bundle.path / "picard.json").read_text())
+    assert keys["picard"] <= set(payload)
+    assert keys["grid"] and keys["grid"] <= set(payload["grid"])
+
+
+def test_diagnostics_json_holds_the_keys_bench_reads(tmp_path):
+    keys = _keys_read("run.py", "check_validate")
+    assert {"picard_converged", "mc_grid_L1", "hit_count_stats"} <= keys["entries"]
+    fields = set().union(*(k for owner, k in keys.items()
+                           if owner in ("e", "l1") or owner.startswith("entries[")))
+    assert {"name", "value", "tolerance", "passed"} <= fields
+    bundle = speckin.cli.run_scenario(_small_scenario(), "validate",
+                                      out_dir=tmp_path / "b")
+    payload = json.loads((bundle.path / "diagnostics.json").read_text())
+    assert keys["report"] <= set(payload)
+    entries = {e["name"]: e for e in payload["entries"]}
+    assert keys["entries"] <= set(entries)
+    for name, entry in entries.items():
+        assert fields <= set(entry), name
+
+
+def test_picard_nonlinear_takes_what_bench_passes():
+    call = next(node for node in ast.walk(_function("run.py", "predicted_hits"))
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "picard_nonlinear")
+    passed = {kw.arg for kw in call.keywords}
+    assert passed == {"tol", "max_iter", "weight", "lower", "upper"}
+    params = list(inspect.signature(picard_nonlinear).parameters)
+    assert passed <= set(params[len(call.args):])
+
+
+def test_traced_grid_solve_replays_bit_for_bit(tmp_path):
+    # cli must call picard_nonlinear through its module-global name, or the
+    # traced run captures no solve and the frozen-drift replay checks nothing
+    tracer, capture = tracing.Tracer(), tracing.Capture()
+    with tracing.traced(tracer, capture):
+        speckin.cli.run_scenario(_small_scenario(), "solve-vfp", out_dir=tmp_path / "b")
+    assert tracer.count("vfp.picard_nonlinear") == 1
+    assert capture.picard is not None
+    replay = tracing.replay_linear_solve(tracer, capture)
+    assert replay["matches"] is True

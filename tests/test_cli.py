@@ -370,8 +370,8 @@ class TestBundles:
         bundle = run_scenario(cfg, "solve-vfp", out_dir=tmp_path / "b")
         assert bundle.passed
         payload = json.loads((bundle.path / "picard.json").read_text())
-        assert payload["converged"] is True
-        assert payload["distances"][-1] < 1e-6
+        assert payload["converged"] is True and payload["iterates"] == 1
+        assert "distances" not in payload
         assert payload["grid"]["n_x"] == 16
 
         lines = (bundle.path / "field.csv").read_text().splitlines()
@@ -520,13 +520,33 @@ class TestMain:
         assert main(["simulate-linear", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "manifest.json").exists()
 
-    def test_nonconverged_solve_is_diagnostics_failure(self, tmp_path, capsys):
-        raw = small_scenario(tmp_path, picard={"tol": 1e-16, "max_iter": 1})
-        path = write_config(tmp_path, raw)
+    def test_picard_tol_and_max_iter_change_no_grid_output(self, tmp_path):
+        # one causal march meets any tol > 0 in one pass: the tightest
+        # settings write the grid files of the defaults, byte for byte
+        bundles = []
+        for name, picard in (("tight", {"tol": 1e-16, "max_iter": 1}), ("default", {})):
+            path = write_config(tmp_path, small_scenario(tmp_path, picard=picard), f"{name}.json")
+            out = tmp_path / name
+            assert main(["solve-vfp", "--config", str(path), "--out", str(out)]) == 0
+            assert json.loads((out / "manifest.json").read_text())["passed"] is True
+            bundles.append(out)
+        for name in ("picard.json", "field.csv", "traces.csv"):
+            assert (bundles[0] / name).read_bytes() == (bundles[1] / name).read_bytes(), name
+
+    def test_report_that_did_not_converge_exits_2(self, tmp_path, monkeypatch):
+        # solve-vfp passes on the report's flag: false fails the bundle
+        real = speckin.cli.picard_nonlinear
+
+        def unconverged(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.report.converged = False
+            return result
+
+        monkeypatch.setattr(speckin.cli, "picard_nonlinear", unconverged)
+        path = write_config(tmp_path, small_scenario(tmp_path))
         out = tmp_path / "bundle"
         assert main(["solve-vfp", "--config", str(path), "--out", str(out)]) == 2
-        payload = json.loads((out / "picard.json").read_text())
-        assert payload["converged"] is False
+        assert json.loads((out / "picard.json").read_text())["converged"] is False
         assert json.loads((out / "manifest.json").read_text())["passed"] is False
 
     def test_seed_override_lands_in_bundle(self, tmp_path):

@@ -1,7 +1,9 @@
 """Grid solver checks: exact conservation laws, analytic solutions, energy
 ledgers, drift quadrature, and the nonlinear fixed-point iteration."""
 
+import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from speckin.config import (
     config_from_dict,
     initial_density,
 )
-from speckin.errors import CFLViolated, NegativeDensity, NotConverged
-from speckin.langevin import step_time
+from speckin import vfp
+from speckin.errors import CFLViolated, NegativeDensity
+from speckin.langevin import step_length, step_time
 from speckin.maxwellian import (
     GaussianCore,
     MaxwellianParams,
@@ -33,8 +36,6 @@ from speckin.vfp import (
     _diffuse,
     _diffusion_matrix,
     _envelope_table,
-    _norms_from_terms,
-    _slice_terms,
     _specular_trace,
     _transport_inflow,
     _transport_shifts,
@@ -48,7 +49,6 @@ from speckin.vfp import (
     solve_specular_linear,
     trace_extract,
     trace_functionals,
-    weighted_norms,
 )
 from speckin.weights import WeightParams, weight_eval
 
@@ -157,8 +157,46 @@ def reference_transport_inflow(values, grid, dt, q):
     return out, injected
 
 
+@dataclass
+class WeightedNorms:
+    """Discrete weighted space-time norms of a field history."""
+
+    sup_l2w_sq: float
+    grad_l2w_sq: float
+
+    @property
+    def v1(self) -> float:
+        return math.sqrt(self.sup_l2w_sq + self.grad_l2w_sq)
+
+
+def weighted_norms(fields, grid, weight) -> WeightedNorms:
+    """sup_t L2(w) square and time-integrated L2(w) square of u-gradients.
+
+    `fields` is a history of grid.n_steps + 1 slices, (n_t, n_x, n_u), or one
+    snapshot, (n_x, n_u). The gradient is centred. Slice k >= 1 of a history
+    carries step_length(k - 1, T, dt), the step that ends at it, so the time
+    weights sum to T; a snapshot carries dt.
+    """
+    arr = np.asarray(fields, dtype=float)
+    if arr.ndim == 2:
+        arr = arr[None]
+    if len(arr) not in (1, grid.n_steps + 1):
+        raise ValueError("a history needs one slice per grid time")
+    w = weight_eval(weight, grid.u).value
+    quad = grid.dx * grid.du
+    sq = np.array([(np.square(f) * w).sum() for f in arr]) * quad
+    gsq = np.array([(np.square(np.gradient(f, grid.du, axis=1)) * w).sum()
+                    for f in arr]) * quad
+    if len(arr) == 1:
+        grad = gsq[0] * grid.dt
+    else:
+        steps = [step_length(k, grid.horizon, grid.dt) for k in range(grid.n_steps)]
+        grad = float(np.dot(gsq[1:], steps))
+    return WeightedNorms(sup_l2w_sq=float(sq.max()), grad_l2w_sq=grad)
+
+
 def _v1_distance(a, b, grid, weight):
-    """Reference: the V1 norm of the difference of two histories."""
+    """The V1 norm of the difference of two histories."""
     return weighted_norms(a - b, grid, weight).v1
 
 
@@ -344,6 +382,19 @@ class TestSpecularLinear:
                   lambda t, x: 0.3):
             with pytest.raises(ValueError, match="drift"):
                 solve_specular_linear(g, rho0, B, sigma=1.0)
+
+    def test_drift_table_beyond_the_cfl_limit_is_refused_before_any_step(self, monkeypatch):
+        g = PhaseGrid(length=1.0, n_x=8, v_max=4.0, n_u=16, dt=2e-3, horizon=0.02)
+        rho0 = uniform_gaussian(g, 0.8)
+        limit = g.du / g.dt
+        table = np.full((g.n_steps, g.n_x), 0.5 * limit)
+        solve_specular_linear(g, rho0, table, sigma=1.0)
+        table[6, 3] = -1.01 * limit
+        moves = []
+        monkeypatch.setattr(vfp, "_transport_specular", lambda *a, **k: moves.append(1))
+        with pytest.raises(CFLViolated, match="drift upwind"):
+            solve_specular_linear(g, rho0, table, sigma=1.0)
+        assert not moves
 
     def test_callable_drift_is_read_at_each_step_start(self):
         # ten steps of 0.01: a running sum of dt reads 0.060000000000000005
@@ -657,13 +708,13 @@ class TestWeightedNorms:
         assert norms.grad_l2w_sq / g.dt == pytest.approx(grad_oracle, rel=1e-2)
 
     def test_zero_field_gives_zero(self):
-        g = PhaseGrid(length=1.0, n_x=8, v_max=2.0, n_u=16, dt=1e-3, horizon=0.01)
+        g = PhaseGrid(length=1.0, n_x=8, v_max=2.0, n_u=16, dt=1e-3, horizon=2e-3)
         w = WeightParams(alpha=3.0, dimension=1)
         norms = weighted_norms(np.zeros((3, 8, 16)), g, w)
         assert norms.sup_l2w_sq == 0.0 and norms.v1 == 0.0
 
     def test_sup_over_time_slices(self):
-        g = PhaseGrid(length=1.0, n_x=8, v_max=2.0, n_u=16, dt=1e-3, horizon=0.01)
+        g = PhaseGrid(length=1.0, n_x=8, v_max=2.0, n_u=16, dt=1e-3, horizon=1e-3)
         w = WeightParams(alpha=3.0, dimension=1)
         hist = np.stack([np.zeros((8, 16)), np.ones((8, 16))])
         norms = weighted_norms(hist, g, w)
@@ -672,22 +723,41 @@ class TestWeightedNorms:
 
     @pytest.mark.parametrize("n_t", [1, 2, 17])
     def test_v1_distance_equals_norm_of_difference_exactly(self, n_t):
-        g = PhaseGrid(length=1.0, n_x=9, v_max=2.0, n_u=16, dt=1e-3, horizon=0.01)
+        # n_t - 1 steps of 1e-3, the last one half as long
+        g = PhaseGrid(length=1.0, n_x=9, v_max=2.0, n_u=16, dt=1e-3,
+                      horizon=max(n_t - 1.5, 0.5) * 1e-3)
         w = WeightParams(alpha=3.0, dimension=1)
         rng = np.random.default_rng(n_t)
         a = rng.random((n_t, 9, 16))
         b = a + 1e-6 * rng.standard_normal((n_t, 9, 16))
         values = weight_eval(w, g.u).value
-
-        def sweep_distance(prev):
-            # as a Picard sweep takes it: one slice of the difference at a time
-            terms = np.array([_slice_terms(a[k] - prev[k], g, values) for k in range(n_t)])
-            return _norms_from_terms(terms, g).v1
-
-        assert sweep_distance(b) == weighted_norms(a - b, g, w).v1
+        quad = g.dx * g.du
+        sup = max(float((values * (a[k] - b[k]) ** 2).sum()) for k in range(n_t)) * quad
+        lengths = [g.dt] if n_t == 1 else [step_length(k - 1, g.horizon, g.dt)
+                                           for k in range(1, n_t)]
+        slices = [0] if n_t == 1 else range(1, n_t)
+        grad = sum(dt * float((values * np.gradient(a[k] - b[k], g.du, axis=1) ** 2).sum())
+                   for k, dt in zip(slices, lengths)) * quad
+        assert _v1_distance(a, b, g, w) == pytest.approx(math.sqrt(sup + grad), rel=1e-13)
         # the constant history Picard starts from is a broadcast view
         c = np.broadcast_to(b[0], b.shape)
-        assert sweep_distance(c) == weighted_norms(a - c, g, w).v1
+        assert _v1_distance(a, c, g, w) == weighted_norms(a - np.array(c), g, w).v1
+
+    def test_constant_history_integrates_its_gradient_over_the_horizon(self):
+        # three steps of 0.03 and a last one of 0.01: the gradient term of a
+        # constant history is T = 0.1 times its one-slice term, not 4 dt = 0.12
+        g = PhaseGrid(length=1.0, n_x=8, v_max=2.0, n_u=16, dt=0.03, horizon=0.1)
+        w = WeightParams(alpha=3.0, dimension=1)
+        f = np.random.default_rng(5).random((8, 16))
+        one = weighted_norms(f, g, w).grad_l2w_sq / g.dt
+        hist = weighted_norms(np.broadcast_to(f, (g.n_steps + 1, 8, 16)), g, w)
+        assert hist.grad_l2w_sq == pytest.approx(0.1 * one, rel=1e-14)
+
+    def test_history_of_another_length_is_refused(self):
+        g = PhaseGrid(length=1.0, n_x=8, v_max=2.0, n_u=16, dt=1e-3, horizon=0.01)
+        w = WeightParams(alpha=3.0, dimension=1)
+        with pytest.raises(ValueError, match="one slice per grid time"):
+            weighted_norms(np.zeros((g.n_steps, 8, 16)), g, w)
 
 
 class TestTraceExtract:
@@ -749,18 +819,49 @@ def picard_scenario(n_x=24, n_u=48, T=0.25):
     return grid, rho0, model, lower, upper
 
 
+def reference_picard(grid, rho0, model, tol, max_iter, weight, lower=None, upper=None):
+    """The oracle: Picard iteration from iterate 0, the initial density held
+    constant in time. Each sweep is a whole linear solve with the drift table
+    of the previous history frozen, compared with that history once it is
+    done, in the V1 distance of `weighted_norms`."""
+    rho_init = np.array(rho0, dtype=float)
+    n_steps = grid.n_steps
+    prev = np.broadcast_to(rho_init, (n_steps + 1, grid.n_x, grid.n_u))
+    tables = (_envelope_table(lower, grid), _envelope_table(upper, grid))
+    distances, lows, ups = [], [], []
+    for _ in range(max_iter):
+        drifts = np.stack([drift_from_density(prev[k], grid, model) for k in range(n_steps)])
+
+        def frozen(t, x, table=drifts):
+            return table[min(int(round(t / grid.dt)), n_steps - 1)]
+
+        solution = solve_specular_linear(grid, rho_init, frozen, model.sigma, weight=weight)
+        distances.append(_v1_distance(solution.fields, prev, grid, weight))
+        lo_v, up_v = _envelope_violations(solution.fields, *tables)
+        lows.append(lo_v)
+        ups.append(up_v)
+        prev = solution.fields
+        if distances[-1] < tol:
+            break
+    return distances, lows, ups, drifts, solution
+
+
 class TestPicard:
     def test_zero_drift_fixed_point_in_two_sweeps(self):
         grid, rho0, _, _, _ = picard_scenario(n_x=8, n_u=16, T=0.02)
         model = KineticModel(sigma=1.0, b="zero")
         res = picard_nonlinear(grid, rho0, model, tol=1e-6)
         assert res.report.converged
-        assert res.report.iterates == 2
-        assert res.report.distances[1] == 0.0
+        assert res.report.iterates == 1
         assert np.all(res.drift_history == 0.0)
         linear = solve_specular_linear(grid, rho0, None, model.sigma,
                                        weight=res.solution.weight)
         assert np.array_equal(res.solution.fields, linear.fields)
+        # the oracle's second sweep repeats its first, which is the one pass
+        distances, *_, solution = reference_picard(grid, rho0, model, 1e-6, 20,
+                                                   res.solution.weight)
+        assert len(distances) == 2 and distances[1] == 0.0
+        assert np.array_equal(solution.fields, res.solution.fields)
 
     @pytest.mark.parametrize("tol, sweeps", [(1e-6, None), (np.inf, 1)])
     def test_drift_history_replays_the_final_sweep(self, tol, sweeps):
@@ -782,11 +883,7 @@ class TestPicard:
         res = picard_nonlinear(grid, rho0, model, tol=1e-6, max_iter=20,
                                lower=lower, upper=upper)
         rep = res.report
-        assert rep.converged and rep.iterates <= 20
-        assert rep.distances[-1] < 1e-6
-        # geometric contraction from the second sweep on
-        assert all(b < 0.5 * a for a, b in zip(rep.distances[1:-1],
-                                               rep.distances[2:]))
+        assert rep.converged and rep.iterates == 1
         peak = max(float(maxwellian_eval(upper, t, 0.0))
                    for t in np.linspace(0, grid.horizon, 33))
         tol_grid = 10.0 * (grid.dx + grid.du + grid.dt) * peak
@@ -836,79 +933,146 @@ class TestPicard:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert res.report.converged and res.report.iterates >= 3
-        # one history, written over slice by slice, plus slice-sized temporaries
+        assert res.report.converged and res.report.iterates == 1
+        # one history, written slice by slice, plus slice-sized temporaries
         assert peak <= 1.25 * history_bytes, peak / history_bytes
 
-    def test_not_converged_carries_report(self):
+    def test_one_march_per_call(self, monkeypatch):
+        march = vfp._specular_march
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(vfp, "_specular_march", counted)
+        grid, rho0, model, lower, upper = picard_scenario(n_x=8, n_u=16, T=0.1)
+        for n, (tol, max_iter) in enumerate([(1e-6, 20), (1e-16, 1), (np.inf, 5)], 1):
+            picard_nonlinear(grid, rho0, model, tol=tol, max_iter=max_iter,
+                             lower=lower, upper=upper)
+            assert calls == [grid] * n
+
+    def test_tol_and_max_iter_one_pass_cannot_meet_are_refused(self):
         grid, rho0, model, _, _ = picard_scenario(n_x=8, n_u=16, T=0.02)
-        with pytest.raises(NotConverged) as info:
-            picard_nonlinear(grid, rho0, model, tol=1e-16, max_iter=1)
-        assert info.value.report.iterates == 1
-        assert not info.value.report.converged
-        assert info.value.history is not None
+        for tol, max_iter in [(0.0, 20), (-1e-6, 20), (np.nan, 20), (1e-6, 0)]:
+            with pytest.raises(ValueError, match="tol > 0 and max_iter >= 1"):
+                picard_nonlinear(grid, rho0, model, tol=tol, max_iter=max_iter)
 
-
-def reference_picard(grid, rho0, model, tol, max_iter, weight, lower=None, upper=None):
-    """Picard with two histories: each sweep is a whole linear solve with the
-    drift table of the previous history frozen, compared with that history
-    once it is done."""
-    rho_init = np.array(rho0, dtype=float)
-    n_steps = grid.n_steps
-    prev = np.broadcast_to(rho_init, (n_steps + 1, grid.n_x, grid.n_u))
-    tables = (_envelope_table(lower, grid), _envelope_table(upper, grid))
-    distances, lows, ups = [], [], []
-    for _ in range(max_iter):
-        drifts = np.stack([drift_from_density(prev[k], grid, model) for k in range(n_steps)])
-
-        def frozen(t, x, table=drifts):
-            return table[min(int(round(t / grid.dt)), n_steps - 1)]
-
-        solution = solve_specular_linear(grid, rho_init, frozen, model.sigma, weight=weight)
-        distances.append(_v1_distance(solution.fields, prev, grid, weight))
-        lo_v, up_v = _envelope_violations(solution.fields, *tables)
-        lows.append(lo_v)
-        ups.append(up_v)
-        prev = solution.fields
-        if distances[-1] < tol:
-            break
-    return distances, lows, ups, drifts, solution
+    def test_model_beyond_the_drift_cfl_limit_is_refused_before_any_step(self, monkeypatch):
+        # b_norm dt = 0.1 against du = 1/32; the start is even in u, so its
+        # drift row is round-off: the limit is checked on b, not on rows
+        grid = PhaseGrid(length=1.0, n_x=8, v_max=1.0, n_u=64, dt=0.1, horizon=0.5)
+        model = KineticModel(sigma=0.1, b="tanh(1)")
+        rho0 = uniform_gaussian(grid, 0.1)
+        assert np.abs(drift_from_density(rho0, grid, model)).max() < 1e-15
+        assert model.b_norm * grid.dt > grid.du
+        moves = []
+        monkeypatch.setattr(vfp, "_transport_specular", lambda *a, **k: moves.append(1))
+        with pytest.raises(CFLViolated, match="drift upwind"):
+            picard_nonlinear(grid, rho0, model)
+        assert not moves
 
 
 class TestOnePassSweep:
-    """The one-history Picard sweep against the two-history reference, bit for bit."""
+    """The one pass is the frozen-drift solve of its own drift history: each
+    drift row is the drift of its slice, and the replay matches bit for bit."""
+
+    @staticmethod
+    def check_replay(grid, rho0, model, weight, res):
+        fields = res.solution.fields
+        for k in range(grid.n_steps):
+            assert np.array_equal(res.drift_history[k], drift_from_density(fields[k], grid, model))
+        again = solve_specular_linear(grid, rho0, res.drift_history, model.sigma, weight=weight)
+        assert np.array_equal(again.fields, fields)
+        assert np.array_equal(again.traces, res.solution.traces)
+        assert np.array_equal(again.mass, res.solution.mass)
 
     def test_tanh_scenario_with_envelopes(self):
         grid, rho0, model, lower, upper = picard_scenario()
         weight = WeightParams(alpha=3.0, dimension=1)
         res = picard_nonlinear(grid, rho0, model, tol=1e-6, max_iter=20,
                                weight=weight, lower=lower, upper=upper)
-        distances, lows, ups, drifts, solution = reference_picard(
-            grid, rho0, model, 1e-6, 20, weight, lower, upper)
-        assert res.report.converged and res.report.iterates == len(distances) >= 3
-        assert res.report.distances == distances
-        assert res.report.lower_violation == lows
-        assert res.report.upper_violation == ups
-        assert np.array_equal(res.drift_history, drifts)
-        assert np.array_equal(res.solution.fields, solution.fields)
-        assert np.array_equal(res.solution.traces, solution.traces)
-        assert np.array_equal(res.solution.mass, solution.mass)
+        assert res.report.converged and res.report.iterates == 1
+        self.check_replay(grid, rho0, model, weight, res)
+        lo_v, up_v = _envelope_violations(res.solution.fields, _envelope_table(lower, grid),
+                                          _envelope_table(upper, grid))
+        assert res.report.lower_violation == [lo_v]
+        assert res.report.upper_violation == [up_v]
 
-    def test_not_converged_run(self):
-        # swapped envelopes, so that both excursions are positive every sweep,
-        # and a spike that makes slice 0 the largest excursion above
+    def test_swapped_envelopes_on_a_short_last_step(self):
+        # swapped envelopes, so that both excursions are positive, and a
+        # spike that makes slice 0 the largest excursion above; 0.1 is no
+        # multiple of dt, so the last step is shorter than the others
         grid, rho0, model, upper, lower = picard_scenario(n_x=8, n_u=16, T=0.1)
+        grid = PhaseGrid(length=grid.length, n_x=8, v_max=grid.v_max, n_u=16,
+                         dt=0.7 * grid.dt, horizon=0.1)
+        assert step_length(grid.n_steps - 1, grid.horizon, grid.dt) < 0.9 * grid.dt
         rho0[2, 8] += 1.0
         weight = WeightParams(alpha=3.0, dimension=1)
-        with pytest.raises(NotConverged) as info:
-            picard_nonlinear(grid, rho0, model, tol=1e-16, max_iter=2,
-                             weight=weight, lower=lower, upper=upper)
-        distances, lows, ups, _, solution = reference_picard(
-            grid, rho0, model, 1e-16, 2, weight, lower, upper)
-        report = info.value.report
-        assert report.iterates == 2 and not report.converged
-        assert report.distances == distances
-        assert report.lower_violation == lows
-        assert report.upper_violation == ups
-        assert min(lows) > 0 and min(ups) > 0
-        assert np.array_equal(info.value.history.fields, solution.fields)
+        res = picard_nonlinear(grid, rho0, model, weight=weight, lower=lower, upper=upper)
+        self.check_replay(grid, rho0, model, weight, res)
+        tables = (_envelope_table(lower, grid), _envelope_table(upper, grid))
+        lo_v, up_v = _envelope_violations(res.solution.fields, *tables)
+        assert res.report.lower_violation == [lo_v] and lo_v > 0
+        assert res.report.upper_violation == [up_v] and up_v > 0
+        assert up_v == float((rho0 - tables[1][0]).max())
+
+
+ORACLE_TOL = 1e-6
+
+
+@pytest.fixture(scope="module", params=[(32, 64), (64, 128)], ids=["32x64", "64x128"])
+def oracle(request):
+    """The cross-validation scenario on a grid, with the oracle run on it once."""
+    cfg = config_from_dict(cross_validation(*request.param))
+    lower, upper = build_envelopes(cfg)
+    grid = build_grid(cfg, upper)
+    rho0 = initial_density(cfg, grid)
+    model, weight = build_model(cfg), build_weight(cfg)
+    run = reference_picard(grid, rho0, model, ORACLE_TOL, 20, weight, lower, upper)
+    return grid, rho0, model, weight, lower, upper, run
+
+
+class TestPicardOracle:
+    """Picard iteration from iterate 0 against the one pass, in V1 distance."""
+
+    @pytest.mark.parametrize("envelopes", [True, False], ids=["envelopes", "bare"])
+    def test_one_pass_is_the_oracles_fixed_point(self, oracle, envelopes):
+        grid, rho0, model, weight, lower, upper, run = oracle
+        distances, lows, ups, _, solution = run
+        # the oracle contracts by at least 10x per sweep down to tol
+        assert 3 <= len(distances) < 20 and distances[-1] < ORACLE_TOL
+        assert all(b <= 0.1 * a for a, b in zip(distances, distances[1:])), distances
+        if not envelopes:
+            lower = upper = None
+        res = picard_nonlinear(grid, rho0, model, tol=ORACLE_TOL, weight=weight,
+                               lower=lower, upper=upper)
+        assert _v1_distance(solution.fields, res.solution.fields, grid, weight) <= 10 * ORACLE_TOL
+        if envelopes:
+            peak = float(_envelope_table(upper, grid).max())
+            assert abs(res.report.lower_violation[0] - lows[-1]) <= 1e-6 * peak
+            assert abs(res.report.upper_violation[0] - ups[-1]) <= 1e-6 * peak
+        else:
+            assert res.report.lower_violation == res.report.upper_violation == [0.0]
+
+    def test_a_pass_reading_the_previous_drift_row_disagrees(self, oracle, monkeypatch):
+        grid, rho0, model, weight, lower, upper, run = oracle
+        solution = run[-1]
+
+        class Lagged:
+            """A drift table whose row k reads row k - 1 (row 0 for k = 0)."""
+
+            def __init__(self, table):
+                self.table = table
+
+            def __getitem__(self, k):
+                return self.table[max(k - 1, 0)]
+
+        march = vfp._specular_march
+
+        def lagged(grid, rho0, drifts, sigma, weight=None):
+            return march(grid, rho0, Lagged(drifts), sigma, weight)
+
+        monkeypatch.setattr(vfp, "_specular_march", lagged)
+        res = picard_nonlinear(grid, rho0, model, tol=ORACLE_TOL, weight=weight)
+        assert _v1_distance(solution.fields, res.solution.fields, grid, weight) > 10 * ORACLE_TOL
