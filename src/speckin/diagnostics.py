@@ -1,15 +1,17 @@
 """Residual checks tying the particle and grid sides together.
 
 Each check turns one structural identity into a number: the mean wall flux
-of a trace, the reflection algebra of a hit log, the L2 contraction of the
-wall-respecting evolution, envelope violations, and the L1 distance between
-a particle cloud and a grid density. A report collects named entries with
-their tolerances and renders as JSON or a plain table.
+of the wall traces, the reflection algebra of a hit log, the L2 contraction
+of the wall-respecting evolution, envelope violations, and the L1 distance
+between a particle cloud and a grid density. Every check takes one input
+form: the grid checks read the arrays of a `SpecularResult` (its `traces`,
+its `fields` or one slice of them), the particle checks plain (X, U)
+arrays. A report collects named entries with their tolerances and renders
+as a dict or a plain table.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -17,8 +19,8 @@ import numpy as np
 
 from .errors import BoxMismatch, DegenerateTrace
 from .geometry import Domain, normal_velocity
-from .maxwellian import MaxwellianParams, maxwellian_eval
-from .vfp import DensityField, PhaseGrid, SpecularResult, TraceField, _specular_march
+from .maxwellian import MaxwellianParams
+from .vfp import PhaseGrid, SpecularResult, _specular_march, envelope_excursions
 
 __all__ = [
     "no_permeability_residual",
@@ -37,27 +39,21 @@ __all__ = [
 
 
 def no_permeability_residual(traces, grid: PhaseGrid) -> float:
-    """Worst |int u gamma du| / int |u| gamma du over the given traces.
+    """Worst |int u gamma du| / int |u| gamma du over a stack of wall traces.
 
-    Accepts one TraceField or a sequence. The ratio form makes the residual
-    invariant under positive scaling of the trace.
+    `traces` is a (..., 2, n_u) array such as `SpecularResult.traces`, row 0
+    of each pair the wall at x = 0 and row 1 the wall at x = L. The ratio
+    form makes the residual invariant under positive scaling of a trace.
     """
-    if isinstance(traces, TraceField):
-        traces = [traces]
-    u = grid.u
-    absu = np.abs(u)
-    worst = 0.0
-    for tr in traces:
-        for wall in (0, 1):
-            gamma = tr.gamma[wall]
-            den = float((absu * gamma).sum()) * grid.du
-            if den <= 0.0:
-                raise DegenerateTrace(
-                    f"trace at t={tr.time}, wall {wall} has no speed mass"
-                )
-            num = abs(float((u * gamma).sum())) * grid.du
-            worst = max(worst, num / den)
-    return worst
+    gamma = np.asarray(traces, dtype=float)
+    if gamma.shape[-2:] != (2, grid.n_u):
+        raise ValueError(f"traces must end in axes (2, {grid.n_u}), not {gamma.shape}")
+    den = (np.abs(grid.u) * gamma).sum(axis=-1) * grid.du
+    if (den <= 0.0).any():
+        *where, wall = np.argwhere(den <= 0.0)[0].tolist()
+        raise DegenerateTrace(f"trace {tuple(where)}, wall {wall} has no speed mass")
+    num = np.abs((grid.u * gamma).sum(axis=-1)) * grid.du
+    return float((num / den).max())
 
 
 @dataclass
@@ -65,32 +61,22 @@ class FluxBalance:
     """Exact reflection-algebra checks over a hit log."""
 
     antisymmetry_residual: float
-    signed_flux_sum: float
     count: int
-    skipped: bool = False
 
 
-def flux_balance_particles(hits, domain: Domain, window=None) -> FluxBalance:
+def flux_balance_particles(hits, domain: Domain) -> FluxBalance:
     """Per-contact check over a langevin.HitLog that the post-hit normal
-    velocity is the exact negation of the pre-hit one, plus the windowed
-    signed-flux sum.
+    velocity is the exact negation of the pre-hit one.
 
-    window is an optional (t0, t1) filter on hit times. Both statistics are
-    zero by construction of the reflection; any nonzero value is a bug. An
-    empty log is a caller error, but a window that selects nothing only
-    marks the result skipped.
+    The residual is zero by construction of the reflection; any nonzero
+    value is a bug. An empty log is a caller error.
     """
     if not len(hits):
         raise ValueError("empty hit log")
-    keep = slice(None) if window is None else (window[0] <= hits.time) & (hits.time <= window[1])
-    location = hits.location[keep]
-    if not len(location):
-        return FluxBalance(0.0, 0.0, 0, skipped=True)
-    normals = domain.outward_normal(location)
-    flux = (normal_velocity(hits.pre_velocity[keep], normals)
-            + normal_velocity(hits.post_velocity[keep], normals))
-    return FluxBalance(antisymmetry_residual=float(np.abs(flux).max()),
-                       signed_flux_sum=float(flux.sum()), count=len(flux))
+    normals = domain.outward_normal(hits.location)
+    flux = (normal_velocity(hits.pre_velocity, normals)
+            + normal_velocity(hits.post_velocity, normals))
+    return FluxBalance(antisymmetry_residual=float(np.abs(flux).max()), count=len(flux))
 
 
 @dataclass
@@ -103,14 +89,6 @@ class ShellFlux:
     skipped: bool = False
 
 
-def _phase_arrays(snapshot):
-    """(X, U) float arrays of an (X, U) pair or of an object with positions
-    and velocities."""
-    if hasattr(snapshot, "positions"):
-        snapshot = snapshot.positions, snapshot.velocities
-    return tuple(np.asarray(a, dtype=float) for a in snapshot)
-
-
 def _wall_scale(domain: Domain) -> float:
     for attr in ("length", "radius"):
         if hasattr(domain, attr):
@@ -118,24 +96,19 @@ def _wall_scale(domain: Domain) -> float:
     raise ValueError("pass an explicit shell width for this domain")
 
 
-def shell_flux_estimate(domain: Domain, snapshots, shell: float | None = None) -> ShellFlux:
-    """Pooled estimate of E[u . n] over particles within `shell` of the wall.
+def shell_flux_estimate(domain: Domain, X, U, shell: float | None = None) -> ShellFlux:
+    """Estimate of E[u . n] over the particles (X, U) within `shell` of the wall.
 
-    snapshots is a sequence of (positions, velocities) pairs or objects with
-    those attributes. An empty shell yields a skipped result, not a failure.
+    An empty shell yields a skipped result, not a failure.
     """
     if shell is None:
         shell = 0.02 * _wall_scale(domain)
-    xs, us = [], []
-    for snap in snapshots:
-        X, U = _phase_arrays(snap)
-        near = domain.signed_distance(X) >= -shell
-        xs.append(X[near])
-        us.append(U[near])
-    if not sum(len(x) for x in xs):
+    X, U = np.asarray(X, dtype=float), np.asarray(U, dtype=float)
+    near = domain.signed_distance(X) >= -shell
+    if not near.any():
         return ShellFlux(mean=float("nan"), stderr=float("nan"), count=0,
                          skipped=True)
-    arr = normal_velocity(np.concatenate(us), domain.outward_normal(np.concatenate(xs)))
+    arr = normal_velocity(U[near], domain.outward_normal(X[near]))
     stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else float("inf")
     return ShellFlux(mean=float(arr.mean()), stderr=stderr, count=arr.size)
 
@@ -179,65 +152,37 @@ class SandwichCheck:
     absolute: float
     relative: float
     envelope_peak: float
-    tol: float | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.tol is None or self.absolute <= self.tol
 
 
-def sandwich_check(fields, times, grid: PhaseGrid,
+def sandwich_check(solution: SpecularResult,
                    lower: MaxwellianParams | None,
-                   upper: MaxwellianParams | None,
-                   tol: float | None = None) -> SandwichCheck:
-    """max(P_lower - rho, rho - P_upper, 0) over all nodes and times.
+                   upper: MaxwellianParams | None) -> SandwichCheck:
+    """max(P_lower - rho, rho - P_upper, 0) over all nodes and times of a solve.
 
-    A SpecularResult may be passed as `fields` (times and grid then come
-    from it). The relative figure divides by the peak of the upper envelope
-    (or of the field itself when no upper envelope is given).
+    The figures are `vfp.envelope_excursions` of the solution's history. The
+    relative figure divides by the peak of the upper envelope over the grid
+    times (or of the field itself when no upper envelope is given).
     """
-    if isinstance(fields, SpecularResult):
-        times = fields.times
-        grid = fields.grid
-        fields = fields.fields
-    fields = np.asarray(fields, dtype=float)
-    if fields.ndim == 2:
-        fields = fields[None]
-        times = [times] if np.ndim(times) == 0 else times
-    worst = 0.0
-    peak = 0.0
-    for k, t in enumerate(np.asarray(times, dtype=float)):
-        if lower is not None:
-            p_lo = maxwellian_eval(lower, float(t), grid.u)
-            worst = max(worst, float((p_lo[None, :] - fields[k]).max()))
-        if upper is not None:
-            p_up = maxwellian_eval(upper, float(t), grid.u)
-            worst = max(worst, float((fields[k] - p_up[None, :]).max()))
-            peak = max(peak, float(p_up.max()))
+    below, above, peak = envelope_excursions(solution.fields, solution.grid, lower, upper)
     if peak == 0.0:
-        peak = float(np.abs(fields).max()) or 1.0
-    worst = max(worst, 0.0)
-    return SandwichCheck(absolute=worst, relative=worst / peak,
-                         envelope_peak=peak, tol=tol)
+        peak = float(np.abs(solution.fields).max()) or 1.0
+    worst = max(below, above)
+    return SandwichCheck(absolute=worst, relative=worst / peak, envelope_peak=peak)
 
 
-def mc_grid_distance(snapshot, field: DensityField, grid: PhaseGrid,
-                     block: tuple = (1, 1)) -> float:
-    """L1 distance between a particle histogram and a grid density.
+def mc_grid_distance(X, U, rho, grid: PhaseGrid, block: tuple = (1, 1)) -> tuple:
+    """(distance, floor): the L1 distance between the histogram of the
+    particles (X, U) and the grid density rho, and its sampling floor.
 
-    Both sides are normalized to unit mass, so the result lives in [0, 2]
+    Both sides are normalized to unit mass, so the distance lives in [0, 2]
     with 2 meaning disjoint supports. `block` coarsens both sides by summing
     (bx, bu) cell blocks before comparison, trading spatial resolution for
-    multinomial noise roughly sqrt(2 cells / (pi N)).
+    multinomial noise. The floor is that noise for N = X.size draws from the
+    grid's own block masses p_b, sqrt(2 / (pi N)) sum_b sqrt(p_b).
     """
-    X, U = (a.reshape(-1) for a in _phase_arrays(snapshot))
-    t_part = getattr(snapshot, "time", None)
+    X, U = np.asarray(X, dtype=float).reshape(-1), np.asarray(U, dtype=float).reshape(-1)
     if X.min() < 0.0 or X.max() > grid.length:
         raise BoxMismatch("particle positions leave the grid's domain")
-    if t_part is not None and abs(t_part - field.time) > 0.5 * grid.dt:
-        raise BoxMismatch(
-            f"snapshot time {t_part} does not match field time {field.time}"
-        )
     bx, bu = block
     if grid.n_x % bx or grid.n_u % bu:
         raise BoxMismatch(f"block {block} does not tile {grid.n_x}x{grid.n_u}")
@@ -249,17 +194,20 @@ def mc_grid_distance(snapshot, field: DensityField, grid: PhaseGrid,
     np.add.at(hist, (ix[inside], iu[inside]), 1.0)
     hist /= X.size  # particles beyond the velocity box count as lost mass
 
-    rho = np.asarray(field.values, dtype=float)
+    rho = np.asarray(rho, dtype=float)
     if rho.shape != hist.shape:
         raise BoxMismatch(f"field shape {rho.shape} does not match the grid")
     total = rho.sum()
     if total <= 0:
         raise BoxMismatch("grid density has no mass")
-    rho = rho / total
 
-    hist = hist.reshape(grid.n_x // bx, bx, grid.n_u // bu, bu).sum(axis=(1, 3))
-    rho = rho.reshape(grid.n_x // bx, bx, grid.n_u // bu, bu).sum(axis=(1, 3))
-    return float(np.abs(hist - rho).sum())
+    def blocks(values):
+        return values.reshape(grid.n_x // bx, bx, grid.n_u // bu, bu).sum(axis=(1, 3))
+
+    distance = float(np.abs(blocks(hist) - blocks(rho / total)).sum())
+    masses = blocks(rho * grid.dx * grid.du)
+    p = np.clip(masses / float(masses.sum()), 0.0, None)
+    return distance, math.sqrt(2.0 / (math.pi * X.size)) * float(np.sqrt(p).sum())
 
 
 @dataclass
@@ -303,9 +251,6 @@ class DiagnosticsReport:
             "passed": self.passed,
             "entries": [e.to_dict() for e in self.entries],
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), indent=2, **kwargs)
 
     def table(self) -> str:
         width = max([len(e.name) for e in self.entries] + [8])

@@ -18,6 +18,11 @@ The nonlinear solver is one specular march whose step k takes its drift
 from the velocity averages of its own slice k. The discrete problem is
 causal, slice k + 1 depending only on drift rows 0..k, so that one pass is
 the fixed point that Picard iteration on frozen-drift solves converges to.
+Once the march ends, `envelope_excursions` measures the history against
+the Maxwellian envelopes.
+
+The solvers take and return plain arrays: initial data as an (n_x, n_u)
+array, histories as (n_steps + 1, ...) arrays indexed by grid step.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .weights import WeightParams, default_weight, weight_eval
 
 __all__ = [
     "PhaseGrid",
-    "DensityField",
     "TraceField",
     "PicardReport",
     "PicardResult",
@@ -44,8 +48,8 @@ __all__ = [
     "solve_specular_linear",
     "solve_linear_inflow",
     "drift_from_density",
+    "envelope_excursions",
     "picard_nonlinear",
-    "trace_extract",
     "trace_functionals",
 ]
 
@@ -131,34 +135,15 @@ class PhaseGrid:
 
 
 @dataclass
-class DensityField:
-    """Grid density snapshot: values[i, j] at (x_i, u_j)."""
-
-    values: np.ndarray
-    time: float
-
-
-@dataclass
 class TraceField:
     """Wall traces over the velocity nodes at one time.
 
     Row 0 is the wall at x=0 (outward normal -1), row 1 the wall at x=L
-    (outward normal +1). gamma holds the full velocity profile; incoming and
-    outgoing halves are views selected by the wall's normal.
+    (outward normal +1); gamma holds the full velocity profile.
     """
 
     gamma: np.ndarray  # (2, n_u)
     time: float
-
-    def outgoing(self, grid: PhaseGrid, wall: int) -> np.ndarray:
-        u = grid.u
-        mask = u < 0 if wall == 0 else u > 0
-        return np.where(mask, self.gamma[wall], 0.0)
-
-    def incoming(self, grid: PhaseGrid, wall: int) -> np.ndarray:
-        u = grid.u
-        mask = u > 0 if wall == 0 else u < 0
-        return np.where(mask, self.gamma[wall], 0.0)
 
 
 def auto_vmax(upper: MaxwellianParams, horizon: float, rel: float = 1e-10) -> float:
@@ -329,15 +314,10 @@ def _clamp(values: np.ndarray, scale: float, log: list):
     return values
 
 
-def _as_values(rho0) -> np.ndarray:
-    """The float array of a DensityField or array-like, not copied."""
-    return np.asarray(rho0.values if isinstance(rho0, DensityField) else rho0, dtype=float)
-
-
 def _initial_values(grid: PhaseGrid, rho0, sigma: float) -> np.ndarray:
     """A copy of a solver's initial data, checked against the grid and sigma."""
     grid.check_diffusion(sigma)
-    f = np.array(_as_values(rho0))
+    f = np.array(rho0, dtype=float)
     if f.shape != (grid.n_x, grid.n_u):
         raise ValueError(f"initial data must have shape {(grid.n_x, grid.n_u)}")
     if float(f.min()) < 0:
@@ -345,13 +325,9 @@ def _initial_values(grid: PhaseGrid, rho0, sigma: float) -> np.ndarray:
     return f
 
 
-def _wall_values(values: np.ndarray, order: int = 2) -> np.ndarray:
-    """(2, n_u) values at x = 0 and x = L: the outermost cell (order 1) or
-    the linear extrapolation from the two outermost cells (order 2)."""
-    if order not in (1, 2):
-        raise ValueError(f"trace order must be 1 or 2, not {order!r}")
-    if order == 1:
-        return values[[0, -1]]
+def _wall_values(values: np.ndarray) -> np.ndarray:
+    """(2, n_u) values at x = 0 and x = L, extrapolated linearly from the
+    two outermost cells."""
     return 1.5 * values[[0, -1]] - 0.5 * values[[1, -2]]
 
 
@@ -371,9 +347,6 @@ class SpecularResult:
     bracket_sq_weighted: np.ndarray  # per-step (s^2/2 Lap w + B . grad w) f^2
     clamped: list
     weight: WeightParams | None
-
-    def field(self, k: int) -> DensityField:
-        return DensityField(self.fields[k], float(self.times[k]))
 
     def trace(self, k: int) -> TraceField:
         return TraceField(self.traces[k], float(self.times[k]))
@@ -543,9 +516,9 @@ def solve_specular_linear(
     return result
 
 
-def _specular_trace(values: np.ndarray, order: int = 2) -> np.ndarray:
+def _specular_trace(values: np.ndarray) -> np.ndarray:
     """Wall traces averaged over each +-u pair, so even in u, and clipped at 0."""
-    w = _wall_values(values, order)
+    w = _wall_values(values)
     return np.clip(0.5 * (w + w[:, ::-1]), 0.0, None)
 
 
@@ -567,9 +540,6 @@ class InflowResult:
     trace_sq: np.ndarray  # per step, |u| gamma^-(t)^2 wall quadrature
     data_sq: np.ndarray  # per step, |u| q(t)^2 wall quadrature on Sigma^+
     clamped: list
-
-    def field(self, k: int) -> DensityField:
-        return DensityField(self.fields[k], float(self.times[k]))
 
     def energy_residual(self) -> tuple:
         """(residual history, relative residual at horizon) of the balance
@@ -705,19 +675,12 @@ def drift_from_density(field, grid: PhaseGrid, model: KineticModel) -> np.ndarra
     mass falls below 1e-14 / (du n_u). A convex combination of b values, so
     it never exceeds the componentwise bound of b.
     """
-    values = _as_values(field)
+    values = np.asarray(field, dtype=float)
     bu = model.drift(grid.u)
     col = values.sum(axis=1)
     num = (values * bu[None, :]).sum(axis=1)
     ok = col * grid.du >= 1e-14 / (grid.du * grid.n_u)
     return np.where(ok, num / np.where(ok, col, 1.0), 0.0)
-
-
-def trace_extract(field, order: int = 2) -> TraceField:
-    """Wall traces of one snapshot, symmetrized across each +-u pair (the
-    specular convention)."""
-    df = field if isinstance(field, DensityField) else DensityField(_as_values(field), 0.0)
-    return TraceField(_specular_trace(df.values, order), df.time)
 
 
 def trace_functionals(trace: TraceField, grid: PhaseGrid) -> dict:
@@ -758,12 +721,29 @@ class PicardResult:
     drift_history: np.ndarray  # (n_steps, n_x): row k is the drift of slice k
 
 
-def _envelope_table(params: MaxwellianParams | None,
-                    grid: PhaseGrid) -> np.ndarray | None:
-    """Envelope values at every (grid time, velocity node), one row per time."""
-    if params is None:
-        return None
-    return np.stack([maxwellian_eval(params, float(t), grid.u) for t in grid.times])
+def envelope_excursions(fields: np.ndarray, grid: PhaseGrid,
+                        lower: MaxwellianParams | None,
+                        upper: MaxwellianParams | None) -> tuple:
+    """(below, above, peak) of a history against the Maxwellian envelopes.
+
+    `fields` holds one (n_x, n_u) slice per grid time. `below` is the largest
+    excursion of any node under P_lower(t_k), `above` the largest over
+    P_upper(t_k), each 0 when there is none or no envelope; `peak` is the
+    largest value of P_upper over the grid times (0 without one). Rounding
+    is monotone, so the excursion of a column is the one of its smallest
+    (largest) value, bit for bit; one envelope row is evaluated per time.
+    """
+    if len(fields) != len(grid.times):
+        raise ValueError(f"a history needs one slice per grid time, not {len(fields)}")
+    below = above = peak = 0.0
+    for t, f in zip(grid.times.tolist(), fields):
+        if lower is not None:
+            below = max(below, float((maxwellian_eval(lower, t, grid.u) - f.min(axis=0)).max()))
+        if upper is not None:
+            p_up = maxwellian_eval(upper, t, grid.u)
+            above = max(above, float((f.max(axis=0) - p_up).max()))
+            peak = max(peak, float(p_up.max()))
+    return below, above, peak
 
 
 def picard_nonlinear(
@@ -789,30 +769,22 @@ def picard_nonlinear(
     scenario files name them; values outside that range are refused.
 
     Every drift row is a convex combination of b values, so the drift CFL
-    limit is checked once, on model.b_norm. Each slice's envelope
-    excursions are taken against tables evaluated once per call.
+    limit is checked once, on model.b_norm. The report's envelope
+    excursions are `envelope_excursions` of the history once the march ends.
     """
     if not (tol > 0 and max_iter >= 1):
         raise ValueError(f"need tol > 0 and max_iter >= 1, not {tol!r} and {max_iter!r}")
     if weight is None:
         weight = default_weight(1)
     grid.check_drift(model.b_norm)
-    lower_table = _envelope_table(lower, grid)
-    upper_table = _envelope_table(upper, grid)
     drifts = np.empty((grid.n_steps, grid.n_x))
     result, steps = _specular_march(grid, rho0, drifts, model.sigma, weight=weight)
     result.fields = np.empty((grid.n_steps + 1, grid.n_x, grid.n_u))
-    lo_v = up_v = 0.0
     for k, f in steps:
-        # rounding is monotone, so the largest excursion of a column is
-        # the one of its smallest (largest) value, bit for bit
-        if lower_table is not None:
-            lo_v = max(lo_v, float((lower_table[k] - f.min(axis=0)).max()))
-        if upper_table is not None:
-            up_v = max(up_v, float((f.max(axis=0) - upper_table[k]).max()))
         if k < grid.n_steps:
             drifts[k] = drift_from_density(f, grid, model)
         result.fields[k] = f
+    below, above, _ = envelope_excursions(result.fields, grid, lower, upper)
     report = PicardReport(iterates=1, converged=True,
-                          lower_violation=[lo_v], upper_violation=[up_v])
+                          lower_violation=[below], upper_violation=[above])
     return PicardResult(solution=result, report=report, drift_history=drifts)

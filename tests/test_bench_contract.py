@@ -1,7 +1,8 @@
 """What the benchmark under bench/ needs from the package.
 
 The traced benchmark rebinds the public functions it times by module and
-name and reads the arguments of ensemble_confined_step by parameter name;
+name, and its capture hooks read the arguments of the functions they trace
+by parameter name;
 the setup probes call the config functions by name; the bundle checks read
 keys of picard.json and diagnostics.json and call picard_nonlinear by
 keyword.  A refactor that renames or reroutes any of them breaks the
@@ -79,18 +80,50 @@ def test_config_functions_called_by_bench_exist(script, owner):
         assert callable(getattr(config, name, None)), f"speckin.config.{name}"
 
 
-def test_capture_step_reads_parameters_of_the_step():
-    tree = ast.parse(inspect.getsource(tracing._capture_step))
-    read = {
+def _arguments_read(hook):
+    """The keys a capture hook reads from its bound arguments, `a["key"]`."""
+    return {
         node.slice.value
-        for node in ast.walk(tree)
+        for node in ast.walk(ast.parse(inspect.getsource(hook)))
         if isinstance(node, ast.Subscript)
         and isinstance(node.value, ast.Name)
         and node.value.id == "a"
         and isinstance(node.slice, ast.Constant)
     }
+
+
+def _capture_hooks():
+    """{traced function name: hook name} of the `hooks` table in tracing.traced."""
+    table = next(node.value for node in ast.walk(ast.parse(inspect.getsource(tracing.traced)))
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "hooks")
+    return {key.value: value.id for key, value in zip(table.keys, table.values)}
+
+
+def test_capture_step_reads_parameters_of_the_step():
+    read = _arguments_read(tracing._capture_step)
     assert {"X", "U", "step_index", "stream_ids", "h"} <= read
     assert read <= set(inspect.signature(ensemble_confined_step).parameters)
+
+
+@pytest.mark.parametrize("fn_name, hook_name", sorted(_capture_hooks().items()))
+def test_every_capture_hook_reads_parameters_of_its_function(fn_name, hook_name):
+    # a hook's keys are the traced function's parameter names: renaming one
+    # breaks only a traced bench run, and only where that call is made
+    module_name = next(m for m, name in tracing.TRACED if name == fn_name)
+    traced = getattr(getattr(speckin, module_name), fn_name)
+    read = _arguments_read(getattr(tracing, hook_name))
+    assert read <= set(inspect.signature(traced).parameters), (fn_name, read)
+
+
+def test_every_capture_hook_is_checked():
+    assert _capture_hooks() == {
+        "ensemble_confined_step": "_capture_step",
+        "conditional_drift": "_capture_drift",
+        "normals_at": "_capture_normals",
+        "picard_nonlinear": "_capture_picard",
+    }
+    assert _arguments_read(tracing._capture_drift) == {"ensemble"}
+    assert _arguments_read(tracing._capture_picard) == {"grid", "rho0", "model", "weight"}
 
 
 def test_traced_mckean_run_sees_every_step(tmp_path):

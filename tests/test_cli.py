@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import speckin.cli
+import speckin.vfp
 from speckin.cli import _solve_picard, main, run_scenario
 from speckin.config import (
     build_domain,
@@ -30,7 +31,7 @@ from speckin.errors import ConstraintViolation, ParseError
 from speckin.geometry import Annulus, Ball, Interval
 from speckin.langevin import HitLog, run_ensemble, step_count
 from speckin.maxwellian import maxwellian_eval
-from speckin.vfp import trace_functionals
+from speckin.vfp import envelope_excursions, trace_functionals
 
 
 def small_scenario(tmp_path, **overrides):
@@ -482,6 +483,46 @@ class TestBundles:
         assert "antisymmetry 0.000e+00" in entry["detail"]
         z = float(re.search(r"z=(-?[0-9.]+)$", entry["detail"]).group(1))
         assert z < -speckin.cli.WALL_FLUX_SIGMAS
+
+    def test_validate_sandwich_gate_catches_absorbing_walls(self, tmp_path, monkeypatch, capsys):
+        # both specular ghosts set to 0: the walls absorb, the density falls
+        # below the lower envelope, and the sandwich entry must fail on that
+        # side alone; the resolution-scaled slack it had before could not
+        cfg = config_from_dict({
+            "scenario": "cross-validation",
+            "model": {"sigma": 1.0, "drift": "tanh(1.0)"},
+            "initial": {"s": 1.0, "u_mean": 0.8},
+            "numerics": {"grid": {"n_x": 32, "n_u": 64}, "step": {"h": 0.005}},
+            "run": {"T": 0.5, "N": 400, "seed": 3},
+        })
+
+        def absorbing(values, weights, out=None):
+            theta, keep = weights
+            half = values.shape[1] // 2
+            up = np.empty_like(values) if out is None else out
+            up[1:, half:] = values[:-1, half:]
+            up[0, half:] = 0.0
+            up[:-1, :half] = values[1:, :half]
+            up[-1, :half] = 0.0
+            up *= theta
+            up += keep * values
+            return up
+
+        def sandwich_entry(out):
+            bundle = run_scenario(cfg, "validate", out_dir=tmp_path / out)
+            payload = json.loads((bundle.path / "diagnostics.json").read_text())
+            return next(e for e in payload["entries"] if e["name"] == "sandwich_violation")
+
+        kept = sandwich_entry("specular")
+        assert kept["passed"] and kept["value"] == 0.0
+        monkeypatch.setattr(speckin.vfp, "_transport_specular", absorbing)
+        entry = sandwich_entry("absorbing")
+        assert not entry["passed"]
+        assert entry["value"] > 1e9 * entry["tolerance"]
+        solution, _, grid, lower, upper = _solve_picard(cfg)
+        below, above, peak = envelope_excursions(solution.fields, grid, lower, upper)
+        assert entry["value"] == below > 0.05 and above == 0.0
+        assert below < 10.0 * (grid.dx + grid.du + grid.dt) * peak
 
     def test_unknown_subcommand_rejected(self, tmp_path):
         cfg = config_from_dict(small_scenario(tmp_path))

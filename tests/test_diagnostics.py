@@ -1,6 +1,7 @@
 """Residual-check tests: trace flux ratios, hit-log algebra, shell
 statistics, L2 contraction accounting, envelope violations, and the
-particle-vs-grid histogram distance."""
+particle-vs-grid histogram distance, each against the loop it replaced
+(`reference_checks`) where it has one."""
 
 import json
 import tracemalloc
@@ -8,7 +9,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from speckin.config import build_grid, config_from_dict, initial_density
+import reference_checks as ref
+from speckin.cli import SANDWICH_ROUNDOFF
+from speckin.config import (
+    build_envelopes,
+    build_grid,
+    build_model,
+    build_weight,
+    config_from_dict,
+    initial_density,
+)
 from speckin.diagnostics import (
     DiagnosticsReport,
     flux_balance_particles,
@@ -22,7 +32,13 @@ from speckin.errors import BoxMismatch, DegenerateTrace
 from speckin.geometry import Annulus, Ball, Interval
 from speckin.langevin import StepParams, run_ensemble
 from speckin.maxwellian import envelope_for_gaussian, heat_kernel, maxwellian_eval
-from speckin.vfp import DensityField, PhaseGrid, TraceField, solve_specular_linear
+from speckin.vfp import (
+    PhaseGrid,
+    SpecularResult,
+    envelope_excursions,
+    picard_nonlinear,
+    solve_specular_linear,
+)
 
 
 def small_grid(n_x=8, n_u=24, v_max=3.0, dt=1e-3, horizon=0.01):
@@ -30,36 +46,56 @@ def small_grid(n_x=8, n_u=24, v_max=3.0, dt=1e-3, horizon=0.01):
                      horizon=horizon)
 
 
+def no_permeability(traces, g):
+    """The residual of a trace stack, checked bit for bit against the
+    wall-by-wall loop."""
+    got = no_permeability_residual(traces, g)
+    assert got == ref.no_permeability_residual(traces, g)
+    return got
+
+
 class TestNoPermeability:
     def test_even_trace_vanishes(self):
         g = small_grid()
         gamma = np.stack([heat_kernel(0.7, g.u)] * 2)
-        assert no_permeability_residual(TraceField(gamma, 0.0), g) <= 1e-12
+        assert no_permeability(gamma, g) <= 1e-12
 
     def test_one_sided_trace_saturates(self):
         g = small_grid()
         gamma = np.zeros((2, g.n_u))
         gamma[:, (g.u >= 1.0) & (g.u <= 2.0)] = 1.0
-        assert no_permeability_residual(TraceField(gamma, 0.0), g) == 1.0
+        assert no_permeability(gamma, g) == 1.0
 
     def test_zero_trace_raises(self):
         g = small_grid()
         with pytest.raises(DegenerateTrace):
-            no_permeability_residual(TraceField(np.zeros((2, g.n_u)), 0.0), g)
+            no_permeability_residual(np.zeros((2, g.n_u)), g)
+
+    def test_one_zero_wall_in_a_stack_raises(self):
+        g = small_grid()
+        stack = np.stack([np.stack([heat_kernel(0.7, g.u)] * 2)] * 5)
+        stack[3, 1] = 0.0
+        assert ref.no_permeability_residual(stack, g) is None
+        with pytest.raises(DegenerateTrace, match=r"trace \(3,\), wall 1"):
+            no_permeability_residual(stack, g)
+
+    def test_traces_of_another_velocity_grid_are_refused(self):
+        g = small_grid()
+        with pytest.raises(ValueError, match="traces must end in axes"):
+            no_permeability_residual(np.ones((4, 2, g.n_u + 2)), g)
 
     def test_solver_traces_below_budget(self):
         g = PhaseGrid(length=1.0, n_x=16, v_max=9.0, n_u=32, dt=0.2 / 29,
                       horizon=0.2)
         rho0 = np.broadcast_to(heat_kernel(1.0, g.u - 0.8), (16, 32)).copy()
         res = solve_specular_linear(g, rho0, 0.4, sigma=1.0)
-        traces = [res.trace(k) for k in range(len(res.times))]
-        assert no_permeability_residual(traces, g) <= 1e-10
+        assert no_permeability(res.traces, g) <= 1e-10
 
     def test_scaling_invariance(self):
         g = small_grid()
         gamma = np.stack([heat_kernel(0.7, g.u + 0.3)] * 2)
-        r1 = no_permeability_residual(TraceField(gamma, 0.0), g)
-        r2 = no_permeability_residual(TraceField(7.5 * gamma, 0.0), g)
+        r1 = no_permeability(gamma, g)
+        r2 = no_permeability(7.5 * gamma, g)
         assert r1 == pytest.approx(r2, rel=1e-14)
 
 
@@ -89,12 +125,12 @@ def curved_hit_log(name, n=300, steps=4):
 
 
 def flux_reference(hits, domain):
-    """(worst |pre + post|, signed sum) of u.n, one hit at a time."""
+    """Worst |pre + post| of u.n, one hit at a time."""
     flux = []
     for location, pre, post in zip(hits.location, hits.pre_velocity, hits.post_velocity):
         n = domain.outward_normal(location)
         flux.append(float(np.dot(pre, n)) + float(np.dot(post, n)))
-    return max(abs(v) for v in flux), sum(flux)
+    return max(abs(v) for v in flux)
 
 
 class TestFluxBalance:
@@ -103,31 +139,16 @@ class TestFluxBalance:
         domain, hits = curved_hit_log(name)
         assert len(hits) > 50
         fb = flux_balance_particles(hits, domain)
-        worst, total = flux_reference(hits, domain)
-        assert fb.antisymmetry_residual == worst
+        assert fb.antisymmetry_residual == flux_reference(hits, domain)
         assert fb.antisymmetry_residual <= 1e-12
-        assert fb.signed_flux_sum == pytest.approx(total, abs=1e-12)
-        assert fb.count == len(hits) and not fb.skipped
+        assert fb.count == len(hits)
 
     def test_reflection_algebra_exact(self):
         domain, hits = hit_log()
         assert len(hits) > 50
         fb = flux_balance_particles(hits, domain)
         assert fb.antisymmetry_residual == 0.0
-        assert fb.signed_flux_sum == 0.0
         assert fb.count == len(hits)
-        assert not fb.skipped
-
-    def test_window_filters_by_time(self):
-        domain, hits = hit_log()
-        mid = np.median(hits.time)
-        fb = flux_balance_particles(hits, domain, window=(0.0, mid))
-        assert 0 < fb.count < len(hits)
-
-    def test_vacuous_window_skipped_not_failed(self):
-        domain, hits = hit_log()
-        fb = flux_balance_particles(hits, domain, window=(1e6, 2e6))
-        assert fb.skipped and fb.count == 0
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
@@ -139,11 +160,10 @@ class TestShellFlux:
     def test_curved_walls_match_row_loop(self, name):
         domain = CURVED[name]
         rng = np.random.default_rng(12)
-        snaps = [(domain.sample_uniform(3000, rng), rng.normal(0, 1, (3000, 2)))
-                 for _ in range(3)]
-        est = shell_flux_estimate(domain, snaps)
+        X, U = domain.sample_uniform(9000, rng), rng.normal(0, 1, (9000, 2))
+        est = shell_flux_estimate(domain, X, U)
         values = [float(np.dot(U[i], domain.outward_normal(X[i])))
-                  for X, U in snaps for i in np.flatnonzero(domain.signed_distance(X) >= -0.02)]
+                  for i in np.flatnonzero(domain.signed_distance(X) >= -0.02)]
         assert est.count == len(values) > 100
         assert est.mean == np.mean(values)
         assert est.stderr == np.std(values, ddof=1) / np.sqrt(len(values))
@@ -152,24 +172,21 @@ class TestShellFlux:
     def test_symmetric_cloud_within_band(self):
         domain = Interval(length=1.0)
         rng = np.random.default_rng(11)
-        snaps = [(rng.uniform(0, 1, 4000), rng.normal(0, 1, 4000))
-                 for _ in range(4)]
-        est = shell_flux_estimate(domain, snaps)
+        est = shell_flux_estimate(domain, rng.uniform(0, 1, 16000), rng.normal(0, 1, 16000))
         assert not est.skipped
         assert est.count > 100
         assert abs(est.mean) <= 4.0 * est.stderr
 
     def test_empty_shell_skipped(self):
         domain = Interval(length=1.0)
-        snaps = [(np.full(10, 0.5), np.ones(10))]  # all at the midpoint
-        est = shell_flux_estimate(domain, snaps, shell=0.01)
+        # all at the midpoint
+        est = shell_flux_estimate(domain, np.full(10, 0.5), np.ones(10), shell=0.01)
         assert est.skipped and est.count == 0
 
     def test_outward_cloud_detected(self):
         # everything near the right wall moving right: mean close to +1
         domain = Interval(length=1.0)
-        snaps = [(np.full(50, 0.995), np.ones(50))]
-        est = shell_flux_estimate(domain, snaps)
+        est = shell_flux_estimate(domain, np.full(50, 0.995), np.ones(50))
         assert est.mean == pytest.approx(1.0)
 
 
@@ -232,42 +249,146 @@ class TestSemigroup:
         assert b.grad_energy == 4.0 * a.grad_energy
 
 
+def history_result(grid, fields):
+    """A SpecularResult that holds only a field history, one slice per grid time."""
+    return SpecularResult(grid=grid, times=grid.times, fields=fields, traces=None, mass=None,
+                          grad_sq_weighted=None, bracket_sq_weighted=None, clamped=[],
+                          weight=None)
+
+
+def sandwich(fields, grid, lower, upper):
+    """sandwich_check of a history, checked bit for bit against the
+    slice-by-slice loop, as are the excursions it reads."""
+    chk = sandwich_check(history_result(grid, fields), lower, upper)
+    assert (chk.absolute, chk.relative, chk.envelope_peak) == ref.sandwich(
+        fields, grid.times, grid, lower, upper)
+    assert envelope_excursions(fields, grid, lower, upper) == ref.envelope_excursions(
+        fields, grid.times, grid, lower, upper)
+    return chk
+
+
 class TestSandwich:
     def envelopes(self):
         return envelope_for_gaussian(1.0, 0.8, 1.0, 1.0, 1.0)
 
-    def history(self, params, grid, times, scale=1.0):
+    def grid(self):
+        return small_grid(v_max=6.0, dt=0.02, horizon=0.1)
+
+    def history(self, params, grid, scale=1.0):
         return np.stack([
-            scale * np.broadcast_to(maxwellian_eval(params, float(t), grid.u),
+            scale * np.broadcast_to(maxwellian_eval(params, t, grid.u),
                                     (grid.n_x, grid.n_u))
-            for t in times
+            for t in grid.times.tolist()
         ])
 
     def test_lower_envelope_itself_passes(self):
         lower, upper = self.envelopes()
-        g = small_grid(v_max=6.0)
-        times = np.array([0.0, 0.05, 0.1])
-        fields = self.history(lower, g, times)
-        chk = sandwich_check(fields, times, g, lower, upper)
+        g = self.grid()
+        chk = sandwich(self.history(lower, g), g, lower, upper)
         assert chk.absolute == 0.0 and chk.relative == 0.0
 
     def test_inflated_upper_envelope_measures_ten_percent(self):
         _, upper = self.envelopes()
-        g = small_grid(v_max=6.0)
-        times = np.array([0.0, 0.1])
-        fields = self.history(upper, g, times, scale=1.1)
-        chk = sandwich_check(fields, times, g, None, upper)
+        g = self.grid()
+        chk = sandwich(self.history(upper, g, scale=1.1), g, None, upper)
         assert chk.relative == pytest.approx(0.1, rel=1e-12)
 
     def test_tolerance_gate(self):
+        # validate's gate is round-off of the envelope peak, so an excursion
+        # of 1e-6 of the envelope fails it on either side
         lower, upper = self.envelopes()
-        g = small_grid(v_max=6.0)
-        fields = self.history(upper, g, [0.0], scale=1.1)
-        bad = sandwich_check(fields, [0.0], g, lower, upper, tol=1e-6)
-        assert not bad.passed
-        ok = sandwich_check(self.history(lower, g, [0.0]), [0.0], g,
-                            lower, upper, tol=1e-6)
-        assert ok.passed
+        g = self.grid()
+
+        def passes(chk):
+            return chk.absolute <= SANDWICH_ROUNDOFF * chk.envelope_peak
+
+        assert passes(sandwich(self.history(lower, g), g, lower, upper))
+        assert passes(sandwich(self.history(upper, g), g, lower, upper))
+        assert not passes(sandwich(self.history(upper, g, scale=1 + 1e-6), g, lower, upper))
+        assert not passes(sandwich(self.history(lower, g, scale=1 - 1e-6), g, lower, upper))
+
+    def test_excursions_on_either_side_match_the_loop(self):
+        lower, upper = self.envelopes()
+        g = self.grid()
+        fields = self.history(lower, g, scale=1.5)
+        fields[2, 3, 7] = 0.0
+        fields[4, 5, 11] += 2.0
+        below, above, peak = envelope_excursions(fields, g, lower, upper)
+        assert below == maxwellian_eval(lower, g.times[2], g.u[7])
+        assert above > 0.0 and peak > 0.0
+        assert sandwich(fields, g, lower, upper).absolute == max(below, above)
+        assert sandwich(fields, g, upper, lower).absolute > 0.0  # swapped
+        # no envelope: nothing to exceed, and the field's own peak
+        chk = sandwich(fields, g, None, None)
+        assert chk.absolute == 0.0 and chk.envelope_peak == np.abs(fields).max()
+
+    def test_history_of_another_length_is_refused(self):
+        lower, upper = self.envelopes()
+        g = self.grid()
+        with pytest.raises(ValueError, match="one slice per grid time"):
+            envelope_excursions(self.history(lower, g)[:-1], g, lower, upper)
+
+
+CROSS_VALIDATION = {
+    "domain": {"kind": "interval", "length": 1.0},
+    "model": {"sigma": 1.0, "drift": "tanh(1.0)"},
+    "initial": {"s": 1.0, "u_mean": 0.8},
+    "numerics": {"grid": {"n_x": 32, "n_u": 64}, "step": {"h": 0.005}},
+    "run": {"T": 0.5, "N": 10_000},
+}
+
+# the envelope pairs each check reads: as built, none, and swapped, so
+# that both excursions are positive
+ENVELOPES = {
+    "envelopes": lambda lower, upper: (lower, upper),
+    "bare": lambda lower, upper: (None, None),
+    "swapped": lambda lower, upper: (upper, lower),
+}
+
+
+@pytest.fixture(scope="module")
+def cross_validation():
+    """The acceptance cross-validation scenario on a 32 x 64 grid."""
+    cfg = config_from_dict(CROSS_VALIDATION)
+    lower, upper = build_envelopes(cfg)
+    return cfg, build_grid(cfg, upper), lower, upper
+
+
+class TestOneFormChecksOnTheSolve:
+    """The one-form checks on a real solve, bit for bit against the loops
+    they replaced."""
+
+    @pytest.mark.parametrize("way", sorted(ENVELOPES))
+    def test_grid_checks_match_the_loops(self, cross_validation, way):
+        cfg, grid, lower, upper = cross_validation
+        lower, upper = ENVELOPES[way](lower, upper)
+        res = picard_nonlinear(grid, initial_density(cfg, grid), build_model(cfg),
+                               weight=build_weight(cfg), lower=lower, upper=upper)
+        sol = res.solution
+        chk = sandwich(sol.fields, grid, lower, upper)
+        below, above, peak = envelope_excursions(sol.fields, grid, lower, upper)
+        assert chk.absolute == max(below, above)
+        # the report reads the excursions of its own history
+        assert res.report.lower_violation == [below]
+        assert res.report.upper_violation == [above]
+        if way == "envelopes":  # the scheme keeps the sandwich exactly
+            assert below == above == 0.0 and peak > 0.0
+        elif way == "swapped":
+            assert below > 0.0 and above > 0.0
+        else:
+            assert below == above == peak == 0.0
+        assert no_permeability(sol.traces, grid) <= 1e-15
+
+    @pytest.mark.parametrize("block", [(1, 1), (4, 8), (8, 16)])
+    def test_sampling_floor_matches_the_block_sums(self, cross_validation, block):
+        cfg, grid, lower, upper = cross_validation
+        rho = picard_nonlinear(grid, initial_density(cfg, grid), build_model(cfg),
+                               weight=build_weight(cfg)).solution.fields[-1]
+        rng = np.random.default_rng(8)
+        X, U = rng.uniform(0.0, 1.0, 2000), rng.normal(-0.3, 1.5, 2000)
+        distance, floor = mc_grid_distance(X, U, rho, grid, block=block)
+        assert floor == ref.sampling_floor(rho, grid, block, X.size)
+        assert 0.0 < floor < distance < 2.0
 
 
 class TestMcGridDistance:
@@ -291,7 +412,7 @@ class TestMcGridDistance:
         hist = np.zeros((16, 16))
         np.add.at(hist, (np.clip((X / g.dx).astype(int), 0, 15),
                          np.floor((U + g.v_max) / g.du).astype(int)), 1.0)
-        d = mc_grid_distance((X, U), DensityField(hist, 0.0), g)
+        d, _ = mc_grid_distance(X, U, hist, g)
         assert d == 0.0
 
     def test_disjoint_supports_distance_two(self):
@@ -300,51 +421,39 @@ class TestMcGridDistance:
         rho[12:, :] = 1.0
         X = np.full(100, 0.1)
         U = np.zeros(100) + g.du / 2
-        assert mc_grid_distance((X, U), DensityField(rho, 0.0), g) == 2.0
+        assert mc_grid_distance(X, U, rho, g)[0] == 2.0
 
     def test_multinomial_noise_scale(self):
         g = self.grid()
         rho = np.outer(1.0 + 0.3 * np.sin(2 * np.pi * g.x), heat_kernel(0.8, g.u))
         n = 100_000
         X, U = self.sample_cells(g, rho, n, seed=5)
-        d = mc_grid_distance((X, U), DensityField(rho, 0.0), g)
+        d, floor = mc_grid_distance(X, U, rho, g)
+        assert floor == ref.sampling_floor(rho, g, (1, 1), n)
         p = (rho / rho.sum()).reshape(-1)
         expected = np.sqrt(2.0 / (np.pi * n)) * np.sqrt(p).sum()
-        assert d <= 3.0 * expected
-        assert mc_grid_distance((X, U), DensityField(rho, 0.0), g,
-                                block=(4, 4)) < d
+        assert floor == pytest.approx(expected, rel=1e-12)
+        assert d <= 3.0 * floor
+        coarse, coarse_floor = mc_grid_distance(X, U, rho, g, block=(4, 4))
+        assert coarse < d and coarse_floor < floor
+        assert coarse_floor == ref.sampling_floor(rho, g, (4, 4), n)
 
     def test_position_outside_domain_rejected(self):
         g = self.grid()
         rho = np.ones((16, 16))
         with pytest.raises(BoxMismatch):
-            mc_grid_distance((np.array([1.5]), np.array([0.0])),
-                             DensityField(rho, 0.0), g)
-
-    def test_time_mismatch_rejected(self):
-        g = self.grid()
-        rho = np.ones((16, 16))
-
-        class Snap:
-            positions = np.array([0.5])
-            velocities = np.array([0.0])
-            time = 1.0
-
-        with pytest.raises(BoxMismatch):
-            mc_grid_distance(Snap(), DensityField(rho, 0.0), g)
+            mc_grid_distance(np.array([1.5]), np.array([0.0]), rho, g)
 
     def test_bad_block_rejected(self):
         g = self.grid()
         rho = np.ones((16, 16))
         with pytest.raises(BoxMismatch):
-            mc_grid_distance((np.array([0.5]), np.array([0.0])),
-                             DensityField(rho, 0.0), g, block=(5, 1))
+            mc_grid_distance(np.array([0.5]), np.array([0.0]), rho, g, block=(5, 1))
 
     def test_shape_mismatch_rejected(self):
         g = self.grid()
         with pytest.raises(BoxMismatch):
-            mc_grid_distance((np.array([0.5]), np.array([0.0])),
-                             DensityField(np.ones((8, 16)), 0.0), g)
+            mc_grid_distance(np.array([0.5]), np.array([0.0]), np.ones((8, 16)), g)
 
 
 class TestReport:
@@ -352,7 +461,7 @@ class TestReport:
         rep = DiagnosticsReport(scenario="demo")
         rep.add("no_permeability_residual", 1e-13, tolerance=1e-10)
         rep.add("sandwich_violation", 0.5, tolerance=1e-2)
-        data = json.loads(rep.to_json())
+        data = json.loads(json.dumps(rep.to_dict()))
         assert data["scenario"] == "demo"
         assert data["entries"][0]["passed"] is True
         assert data["entries"][1]["passed"] is False

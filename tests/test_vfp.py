@@ -29,13 +29,13 @@ from speckin.maxwellian import (
     maxwellian_eval,
 )
 from speckin.mckean import KineticModel
+import reference_checks as ref
 from speckin.vfp import (
-    DensityField,
     PhaseGrid,
+    TraceField,
     _advect_u,
     _diffuse,
     _diffusion_matrix,
-    _envelope_table,
     _specular_trace,
     _transport_inflow,
     _transport_shifts,
@@ -44,10 +44,10 @@ from speckin.vfp import (
     _u_gradient,
     auto_vmax,
     drift_from_density,
+    envelope_excursions,
     picard_nonlinear,
     solve_linear_inflow,
     solve_specular_linear,
-    trace_extract,
     trace_functionals,
 )
 from speckin.weights import WeightParams, weight_eval
@@ -110,20 +110,17 @@ def gather_rotate(circles, shifts):
     return (1.0 - theta[:, None]) * circles[rows, i0] + theta[:, None] * circles[rows, i1]
 
 
-def reference_specular_trace(values, grid, order=2):
+def reference_specular_trace(values, grid):
     """Reference: wall traces wall by wall over the +-u row pairs."""
     half = grid.n_u // 2
     out = np.empty((2, grid.n_u))
     for wall, (c0, c1) in ((0, (0, 1)), (1, (grid.n_x - 1, grid.n_x - 2))):
         a = values[c0, half:]
         b = values[c0, half - 1 :: -1]
-        if order == 1:
-            g = 0.5 * (a + b)
-        else:
-            a2 = values[c1, half:]
-            b2 = values[c1, half - 1 :: -1]
-            g = 0.5 * ((1.5 * a - 0.5 * a2) + (1.5 * b - 0.5 * b2))
-            np.clip(g, 0.0, None, out=g)
+        a2 = values[c1, half:]
+        b2 = values[c1, half - 1 :: -1]
+        g = 0.5 * ((1.5 * a - 0.5 * a2) + (1.5 * b - 0.5 * b2))
+        np.clip(g, 0.0, None, out=g)
         out[wall, half:] = g
         out[wall, half - 1 :: -1] = g
     return out
@@ -198,18 +195,6 @@ def weighted_norms(fields, grid, weight) -> WeightedNorms:
 def _v1_distance(a, b, grid, weight):
     """The V1 norm of the difference of two histories."""
     return weighted_norms(a - b, grid, weight).v1
-
-
-def _envelope_violations(fields, lower, upper):
-    """Reference: largest excursions of a history below/above tabulated envelopes."""
-    lo_viol = 0.0
-    up_viol = 0.0
-    for k in range(len(fields)):
-        if lower is not None:
-            lo_viol = max(lo_viol, float((lower[k] - fields[k]).max()))
-        if upper is not None:
-            up_viol = max(up_viol, float((fields[k] - upper[k]).max()))
-    return max(lo_viol, 0.0), max(up_viol, 0.0)
 
 
 # ------------------------------------------------------------- grid
@@ -673,18 +658,17 @@ class TestDriftFromDensity:
 
     def test_reads_the_field_without_copying_it(self):
         # one field-sized temporary, the b(u)-weighted product; the field
-        # itself, bare or in a DensityField, is read in place
+        # itself is read in place
         g = PhaseGrid(length=1.0, n_x=128, v_max=4.0, n_u=256, dt=1e-3, horizon=0.01)
         model = KineticModel(sigma=1.0, b="tanh(1)")
         rho = np.random.default_rng(3).random((g.n_x, g.n_u))
         expected = (rho * np.tanh(g.u)[None, :]).sum(axis=1) / rho.sum(axis=1)
-        for field in (rho, DensityField(rho, 0.0)):
-            tracemalloc.start()
-            B = drift_from_density(field, g, model)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            assert peak < 1.5 * rho.nbytes
-            np.testing.assert_array_equal(B, expected)
+        tracemalloc.start()
+        B = drift_from_density(rho, g, model)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1.5 * rho.nbytes
+        np.testing.assert_array_equal(B, expected)
 
 
 # ------------------------------------------------------------ norms
@@ -764,44 +748,23 @@ class TestTraceExtract:
     def test_uniform_field_trace_is_its_value(self):
         g = PhaseGrid(length=1.0, n_x=8, v_max=3.0, n_u=16, dt=1e-3, horizon=0.01)
         f = uniform_gaussian(g, 0.8)
-        for order in (1, 2):
-            tr = trace_extract(f, order=order)
-            assert np.allclose(tr.gamma, f[0][None, :], rtol=1e-12)
+        assert np.allclose(_specular_trace(f), f[0][None, :], rtol=1e-12)
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_traces_match_per_wall_reference_bitwise(self, order):
+    def test_traces_match_per_wall_reference_bitwise(self):
         g = PhaseGrid(length=1.0, n_x=12, v_max=3.0, n_u=24, dt=1e-3, horizon=0.01)
         f = np.random.default_rng(7).uniform(0.0, 1.0, size=(g.n_x, g.n_u))
         f[[1, -2]] *= 4.0  # steep next-to-wall rows: extrapolations go negative
-        want = reference_specular_trace(f, g, order)
-        if order == 2:
-            assert (want == 0.0).any() and (want > 0.0).any()
-        assert np.array_equal(_specular_trace(f, order), want)
-        assert np.array_equal(trace_extract(f, order).gamma, want)
-
-    def test_order_other_than_one_or_two_is_refused(self):
-        g = PhaseGrid(length=1.0, n_x=8, v_max=3.0, n_u=16, dt=1e-3, horizon=0.01)
-        f = uniform_gaussian(g, 0.8)
-        for order in (0, 3, g):  # g: the old trace_extract(field, grid) form
-            with pytest.raises(ValueError, match="order must be 1 or 2"):
-                trace_extract(f, order)
+        want = reference_specular_trace(f, g)
+        assert (want == 0.0).any() and (want > 0.0).any()
+        assert np.array_equal(_specular_trace(f), want)
 
     def test_functionals_match_quadrature(self):
         g = PhaseGrid(length=1.0, n_x=8, v_max=3.0, n_u=16, dt=1e-3, horizon=0.01)
         f = uniform_gaussian(g, 0.8)
-        tr = trace_extract(f, order=1)
-        fn = trace_functionals(tr, g)
+        fn = trace_functionals(TraceField(_specular_trace(f), 0.0), g)
         assert fn["mass"][0] == pytest.approx((f[0]).sum() * g.du, rel=1e-12)
         assert fn["speed_mass"][0] == pytest.approx(
             (np.abs(g.u) * f[0]).sum() * g.du, rel=1e-12)
-
-    def test_outgoing_incoming_split(self):
-        g = PhaseGrid(length=1.0, n_x=8, v_max=3.0, n_u=16, dt=1e-3, horizon=0.01)
-        tr = trace_extract(uniform_gaussian(g, 0.8))
-        out0 = tr.outgoing(g, 0)
-        assert np.all(out0[g.u > 0] == 0.0)
-        in0 = tr.incoming(g, 0)
-        assert np.all(in0[g.u < 0] == 0.0)
 
 
 # ----------------------------------------------------------- Picard
@@ -827,7 +790,6 @@ def reference_picard(grid, rho0, model, tol, max_iter, weight, lower=None, upper
     rho_init = np.array(rho0, dtype=float)
     n_steps = grid.n_steps
     prev = np.broadcast_to(rho_init, (n_steps + 1, grid.n_x, grid.n_u))
-    tables = (_envelope_table(lower, grid), _envelope_table(upper, grid))
     distances, lows, ups = [], [], []
     for _ in range(max_iter):
         drifts = np.stack([drift_from_density(prev[k], grid, model) for k in range(n_steps)])
@@ -837,7 +799,7 @@ def reference_picard(grid, rho0, model, tol, max_iter, weight, lower=None, upper
 
         solution = solve_specular_linear(grid, rho_init, frozen, model.sigma, weight=weight)
         distances.append(_v1_distance(solution.fields, prev, grid, weight))
-        lo_v, up_v = _envelope_violations(solution.fields, *tables)
+        lo_v, up_v, _ = ref.envelope_excursions(solution.fields, grid.times, grid, lower, upper)
         lows.append(lo_v)
         ups.append(up_v)
         prev = solution.fields
@@ -900,17 +862,18 @@ class TestPicard:
         assert np.all(p_lo <= rho0[0]) and np.all(rho0[0] <= p_up)
 
     def test_envelope_tables_give_per_time_violations(self):
+        # each slice against the envelope rows of its own grid time
         grid, rho0, model, lower, upper = picard_scenario(n_x=8, n_u=16, T=0.1)
         hist = solve_specular_linear(grid, rho0, 0.5, model.sigma).fields
         assert len(hist) > 4
         hist[3, 2, 5] += 0.1
         hist[4, 1, 7] = 0.0
-        lo_v = up_v = 0.0
+        lo_v = up_v = peak = 0.0
         for t, f in zip(grid.times, hist):
             lo_v = max(lo_v, float((maxwellian_eval(lower, float(t), grid.u) - f).max()))
             up_v = max(up_v, float((f - maxwellian_eval(upper, float(t), grid.u)).max()))
-        tables = (_envelope_table(lower, grid), _envelope_table(upper, grid))
-        assert _envelope_violations(hist, *tables) == (lo_v, up_v)
+            peak = max(peak, float(maxwellian_eval(upper, float(t), grid.u).max()))
+        assert envelope_excursions(hist, grid, lower, upper) == (lo_v, up_v, peak)
         assert lo_v > 0 and up_v > 0
 
     def test_sweep_holds_no_history_sized_temporaries(self):
@@ -994,8 +957,8 @@ class TestOnePassSweep:
                                weight=weight, lower=lower, upper=upper)
         assert res.report.converged and res.report.iterates == 1
         self.check_replay(grid, rho0, model, weight, res)
-        lo_v, up_v = _envelope_violations(res.solution.fields, _envelope_table(lower, grid),
-                                          _envelope_table(upper, grid))
+        lo_v, up_v, _ = ref.envelope_excursions(res.solution.fields, grid.times, grid,
+                                                lower, upper)
         assert res.report.lower_violation == [lo_v]
         assert res.report.upper_violation == [up_v]
 
@@ -1011,11 +974,11 @@ class TestOnePassSweep:
         weight = WeightParams(alpha=3.0, dimension=1)
         res = picard_nonlinear(grid, rho0, model, weight=weight, lower=lower, upper=upper)
         self.check_replay(grid, rho0, model, weight, res)
-        tables = (_envelope_table(lower, grid), _envelope_table(upper, grid))
-        lo_v, up_v = _envelope_violations(res.solution.fields, *tables)
+        lo_v, up_v, _ = ref.envelope_excursions(res.solution.fields, grid.times, grid,
+                                                lower, upper)
         assert res.report.lower_violation == [lo_v] and lo_v > 0
         assert res.report.upper_violation == [up_v] and up_v > 0
-        assert up_v == float((rho0 - tables[1][0]).max())
+        assert up_v == float((rho0 - maxwellian_eval(upper, 0.0, grid.u)).max())
 
 
 ORACLE_TOL = 1e-6
@@ -1049,7 +1012,7 @@ class TestPicardOracle:
                                lower=lower, upper=upper)
         assert _v1_distance(solution.fields, res.solution.fields, grid, weight) <= 10 * ORACLE_TOL
         if envelopes:
-            peak = float(_envelope_table(upper, grid).max())
+            peak = envelope_excursions(solution.fields, grid, None, upper)[2]
             assert abs(res.report.lower_violation[0] - lows[-1]) <= 1e-6 * peak
             assert abs(res.report.upper_violation[0] - ups[-1]) <= 1e-6 * peak
         else:
