@@ -3,8 +3,11 @@
 Subcommands: simulate-linear (independent confined paths under the catalog
 drift), simulate-mckean (interacting ensemble whose drift is the conditional
 expectation of the running empirical law), solve-vfp (nonlinear grid solve in
-one causal march, see `vfp.picard_nonlinear`), validate (grid and particle
-runs cross-checked into a pass/fail diagnostics report).
+one causal march, see `vfp.picard_nonlinear`; it keeps no energy ledgers,
+which its bundle does not hold), validate (grid and particle runs
+cross-checked into a pass/fail diagnostics report; its solve keeps the
+ledgers in the configured weight, and its report carries the envelope
+sandwich).
 
 Every run writes a bundle directory: a canonical config.json, data files in
 CSV or JSON with a fixed column order and 17-significant-digit floats, and a
@@ -46,10 +49,10 @@ from .config import (
 )
 from .diagnostics import (
     DiagnosticsReport,
+    SandwichCheck,
     flux_balance_particles,
     mc_grid_distance,
     no_permeability_residual,
-    sandwich_check,
     semigroup_l2_check,
     shell_flux_estimate,
 )
@@ -98,17 +101,45 @@ CSV_CHUNK_ROWS = 4096  # rows formatted per write, so memory does not grow with 
 
 
 def _write_csv(path: Path, header, blocks) -> Path:
-    """Write the rows of 2-d float blocks under header, each row from one
-    template: every cell as %.17g, which reads back to the same double and
-    writes an integer below 1e17, such as a path id, without a fraction."""
-    row = ",".join(["%.17g"] * len(header)) + "\n"
+    """Write the rows of 2-d float blocks under header, every cell as %.17g,
+    which reads back to the same double and writes an integer below 1e17,
+    such as a path id, without a fraction.
+
+    Rows go out CSV_CHUNK_ROWS at a time, each chunk through one row
+    template (see `_format_chunk`).
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         for block in blocks:
+            block = np.asarray(block, dtype=float)
             for lo in range(0, block.shape[0], CSV_CHUNK_ROWS):
-                chunk = block[lo : lo + CSV_CHUNK_ROWS]
-                handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+                handle.write(_format_chunk(block[lo : lo + CSV_CHUNK_ROWS]))
     return path
+
+
+def _format_chunk(chunk: np.ndarray) -> str:
+    """The rows of a 2-d float chunk as text, through one row template.
+
+    A repeated column (a time, a node coordinate), one with at most half as
+    many distinct values as rows, has each distinct value formatted once
+    with %.17g, told apart by its bits so that 0.0 and -0.0 stay apart, and
+    the template copies the text; any other column gives its floats to
+    %.17g cell by cell.
+    """
+    width = chunk.shape[1]
+    cells = [None] * chunk.size
+    row = []
+    for j in range(width):
+        column = chunk[:, j]
+        bits, index = np.unique(column.view(np.uint64), return_inverse=True)
+        if 2 * len(bits) > len(chunk):
+            row.append("%.17g")
+            cells[j::width] = column.tolist()
+        else:
+            row.append("%s")
+            text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+            cells[j::width] = list(map(text.__getitem__, index.tolist()))
+    return ((",".join(row) + "\n") * len(chunk)) % tuple(cells)
 
 
 def _write_json(path: Path, payload) -> Path:
@@ -150,13 +181,21 @@ def _write_particles(out_dir: Path, snapshots: dict, hits, dimension: int) -> li
 
 def _slice_blocks(solution, history, labels, steps):
     """Per step, a block (t, label, u, value) with a row per node of the
-    step's history slice, t being its grid time; labels name the slice's rows."""
+    step's history slice, t being its grid time; labels name the slice's rows.
+
+    Every block is one buffer, refilled in place for each step: its label
+    and u columns are written once, and a reader must be done with a block
+    before it asks for the next.
+    """
     u = solution.grid.u
+    block = np.empty((len(labels) * u.size, 4))
+    nodes = block.reshape(len(labels), u.size, 4)
+    nodes[:, :, 1] = np.asarray(labels)[:, None]
+    nodes[:, :, 2] = u
     for k in steps:
-        values = history[k]
-        yield np.column_stack((np.full(values.size, solution.times[k]),
-                               np.repeat(labels, u.size), np.tile(u, len(labels)),
-                               values.ravel()))
+        block[:, 0] = solution.times[k]
+        nodes[:, :, 3] = history[k]
+        yield block
 
 
 def _sha256(path: Path) -> str:
@@ -235,24 +274,27 @@ def _run_simulate_mckean(cfg: ScenarioConfig, out_dir: Path):
     return True, None, files
 
 
-def _solve_picard(cfg: ScenarioConfig):
-    """Shared nonlinear solve; returns (solution, report, grid, envelopes).
+def _solve_picard(cfg: ScenarioConfig, weight=None):
+    """Shared nonlinear solve; returns (solution, report, grid).
 
-    `picard_nonlinear` is called through this module's global name, so a
-    caller that rebinds that name (a tracer, say) sees every solve.
+    The solution keeps its energy ledgers in `weight` only when one is
+    given: `validate` passes the configured weight, `solve-vfp`, whose
+    bundle holds no energy figure, none. `picard_nonlinear` is called
+    through this module's global name, so a caller that rebinds that name
+    (a tracer, say) sees every solve.
     """
     lower, upper = build_envelopes(cfg)
     grid = build_grid(cfg, upper)
     result = picard_nonlinear(
         grid, initial_density(cfg, grid), build_model(cfg),
         tol=cfg.picard.tol, max_iter=cfg.picard.max_iter,
-        weight=build_weight(cfg), lower=lower, upper=upper,
+        weight=weight, lower=lower, upper=upper,
     )
-    return result.solution, result.report, grid, lower, upper
+    return result.solution, result.report, grid
 
 
 def _run_solve_vfp(cfg: ScenarioConfig, out_dir: Path):
-    solution, report, grid, lower, upper = _solve_picard(cfg)
+    solution, report, grid = _solve_picard(cfg)
     steps = _output_steps(cfg, grid.horizon, grid.dt)
     files = [
         _write_csv(out_dir / "field.csv", ["t", "x", "u", "rho"],
@@ -297,7 +339,7 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
     the wall-flux gate, the particle hit count against the grid's outgoing
     flux, always runs.
     """
-    solution, picard_report, grid, lower, upper = _solve_picard(cfg)
+    solution, picard_report, grid = _solve_picard(cfg, build_weight(cfg))
     model = build_model(cfg)
     report = DiagnosticsReport(scenario=cfg.scenario)
 
@@ -318,7 +360,10 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
         tolerance=max(1e-3, ENERGY_RESIDUAL_SCALE * (grid.dx + grid.du + grid.dt)),
         detail="weighted L2 balance over the full horizon",
     )
-    sandwich = sandwich_check(solution, lower, upper)
+    # the solve's report holds the sandwich, so the history is not scanned again
+    sandwich = SandwichCheck.from_excursions(
+        picard_report.lower_violation[0], picard_report.upper_violation[0],
+        picard_report.envelope_peak, solution.fields)
     report.add(
         "sandwich_violation",
         sandwich.absolute,

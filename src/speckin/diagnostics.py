@@ -127,8 +127,9 @@ def semigroup_l2_check(psi, grid: PhaseGrid, sigma: float) -> SemigroupCheck:
 
     With no drift the backward flow is the forward specular solve applied to
     the velocity-reflected data (an exact index reversal on this grid), so
-    the drop must equal the dissipated gradient energy. Only the last slice
-    and the per-step gradient terms are kept, not the field history.
+    the drop must equal the dissipated gradient energy, whose ledger the
+    march keeps in unit weight (no weight). Only the last slice and the
+    per-step gradient terms are kept, not the field history.
     """
     psi = np.asarray(psi, dtype=float)
     flipped = psi[:, ::-1].copy()
@@ -153,21 +154,29 @@ class SandwichCheck:
     relative: float
     envelope_peak: float
 
+    @classmethod
+    def from_excursions(cls, below: float, above: float, peak: float,
+                        fields) -> SandwichCheck:
+        """The check of a history `fields` from its (below, above, peak), as
+        `vfp.envelope_excursions` returns them or a `PicardReport` holds
+        them. The relative figure divides by the upper envelope's peak, or
+        by the field's own when there is no upper envelope."""
+        if peak == 0.0:
+            peak = float(np.abs(fields).max()) or 1.0
+        worst = max(below, above)
+        return cls(absolute=worst, relative=worst / peak, envelope_peak=peak)
+
 
 def sandwich_check(solution: SpecularResult,
                    lower: MaxwellianParams | None,
                    upper: MaxwellianParams | None) -> SandwichCheck:
     """max(P_lower - rho, rho - P_upper, 0) over all nodes and times of a solve.
 
-    The figures are `vfp.envelope_excursions` of the solution's history. The
-    relative figure divides by the peak of the upper envelope over the grid
-    times (or of the field itself when no upper envelope is given).
+    The figures are `vfp.envelope_excursions` of the solution's history,
+    read by `SandwichCheck.from_excursions`.
     """
-    below, above, peak = envelope_excursions(solution.fields, solution.grid, lower, upper)
-    if peak == 0.0:
-        peak = float(np.abs(solution.fields).max()) or 1.0
-    worst = max(below, above)
-    return SandwichCheck(absolute=worst, relative=worst / peak, envelope_peak=peak)
+    return SandwichCheck.from_excursions(
+        *envelope_excursions(solution.fields, solution.grid, lower, upper), solution.fields)
 
 
 def mc_grid_distance(X, U, rho, grid: PhaseGrid, block: tuple = (1, 1)) -> tuple:

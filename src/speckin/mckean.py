@@ -119,7 +119,6 @@ class Ensemble:
 
     positions: np.ndarray
     velocities: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)

@@ -19,7 +19,8 @@ from the velocity averages of its own slice k. The discrete problem is
 causal, slice k + 1 depending only on drift rows 0..k, so that one pass is
 the fixed point that Picard iteration on frozen-drift solves converges to.
 Once the march ends, `envelope_excursions` measures the history against
-the Maxwellian envelopes.
+the Maxwellian envelopes. The march keeps the weighted energy ledgers only
+when it is given a weight.
 
 The solvers take and return plain arrays: initial data as an (n_x, n_u)
 array, histories as (n_steps + 1, ...) arrays indexed by grid step.
@@ -36,7 +37,7 @@ from .errors import CFLViolated, NegativeDensity
 from .langevin import step_count, step_length
 from .maxwellian import MaxwellianParams, maxwellian_eval
 from .mckean import KineticModel
-from .weights import WeightParams, default_weight, weight_eval
+from .weights import WeightParams, weight_eval
 
 __all__ = [
     "PhaseGrid",
@@ -343,10 +344,12 @@ class SpecularResult:
     fields: np.ndarray  # (n_steps + 1, n_x, n_u)
     traces: np.ndarray  # (n_steps + 1, 2, n_u), even in u by construction
     mass: np.ndarray  # (n_steps + 1,)
-    grad_sq_weighted: np.ndarray  # per-step sum of |D_u field|^2 w quadrature
-    bracket_sq_weighted: np.ndarray  # per-step (s^2/2 Lap w + B . grad w) f^2
+    # the energy ledgers, None when the march kept none: per step, the
+    # quadrature of |D_u field|^2 w and of (s^2/2 Lap w + B . grad w) f^2
+    grad_sq_weighted: np.ndarray | None
+    bracket_sq_weighted: np.ndarray | None
     clamped: list
-    weight: WeightParams | None
+    weight: WeightParams | None  # None: unit weight, or no ledgers
 
     def trace(self, k: int) -> TraceField:
         return TraceField(self.traces[k], float(self.times[k]))
@@ -357,7 +360,10 @@ class SpecularResult:
         With specular walls the trace terms cancel, leaving
         ||f(T)||^2 + sigma^2 int ||grad_u f||^2 = ||f(0)||^2 + bracket term,
         all in L2(w). Time integrals use the per-step field quadrature.
+        A result that kept no ledgers raises ValueError.
         """
+        if self.grad_sq_weighted is None:
+            raise ValueError("this solve kept no energy ledgers; pass a weight to keep them")
         w = _weight_tables(self.grid, self.weight)[0]
         quad = self.grid.dx * self.grid.du
         e0 = float((self.fields[0] ** 2 * w).sum()) * quad
@@ -416,7 +422,8 @@ def _u_gradient(f: np.ndarray, du: float) -> np.ndarray:
 
 
 def _specular_march(grid: PhaseGrid, rho0, drifts: np.ndarray, sigma: float,
-                    weight: WeightParams | None = None):
+                    weight: WeightParams | None = None, ledgers: bool = True,
+                    fields: np.ndarray | None = None):
     """The one copy of the specular Strang step, marching rho0 to the horizon.
 
     Row k of `drifts`, an (n_steps, n_x) table, is the frozen drift of step
@@ -425,37 +432,47 @@ def _specular_march(grid: PhaseGrid, rho0, drifts: np.ndarray, sigma: float,
     fill the row from that slice; the caller checks the table against the
     drift CFL limit. Returns (result, steps). `steps` yields (k, slice k)
     for k = 0..n_steps, slice 0 being the initial density, and fills the
-    per-step ledgers of `result` (traces, mass, gradient and bracket terms,
-    clamps) as it goes. `result.fields` is None: each caller keeps only the
-    slices it needs. A yielded slice is never written again by the march.
-    The band matrix, the transport weights and the drift's Courant factor
-    are built once per distinct dt, and dt changes on the last step only.
-    The substeps write into slice-sized work arrays made once per march.
+    per-step records of `result` (traces, mass, clamps) as it goes.
+
+    With `ledgers` it also fills the energy ledgers in the weight `weight`,
+    None meaning unit weight; without, the result holds None for both
+    ledgers and for its weight. Slice k is written into `fields[k]` of an
+    (n_steps + 1, n_x, n_u) history when one is given, which becomes
+    `result.fields`; otherwise every slice is a fresh array and
+    `result.fields` is None. A yielded slice is never written again by the
+    march. The band matrix, the transport weights and the drift's Courant
+    factor are built once per distinct dt, and dt changes on the last step
+    only. The substeps write into slice-sized work arrays made once per
+    march.
     """
     f = _initial_values(grid, rho0, sigma)
+    if fields is not None:
+        fields[0] = f
+        f = fields[0]
     n_steps = grid.n_steps
     result = SpecularResult(
         grid=grid,
         times=grid.times,
-        fields=None,
+        fields=fields,
         traces=np.empty((n_steps + 1, 2, grid.n_u)),
         mass=np.empty(n_steps + 1),
-        grad_sq_weighted=np.zeros(n_steps),
-        bracket_sq_weighted=np.zeros(n_steps),
+        grad_sq_weighted=np.zeros(n_steps) if ledgers else None,
+        bracket_sq_weighted=np.zeros(n_steps) if ledgers else None,
         clamped=[],
-        weight=weight,
+        weight=weight if ledgers else None,
     )
     result.traces[0] = _specular_trace(f)
     result.mass[0] = grid.cell_mass(f)
 
     def steps(f):
-        _, w_face, wgrad, wlap = _weight_tables(grid, weight)
-        diffusion_bracket = 0.5 * sigma**2 * wlap
-        quad = grid.dx * grid.du
+        if ledgers:
+            _, w_face, wgrad, wlap = _weight_tables(grid, weight)
+            diffusion_bracket = 0.5 * sigma**2 * wlap
+            quad = grid.dx * grid.du
+            faces = np.empty((grid.n_x, grid.n_u + 1))
         scale = float(f.max())
         per_dt = {}
         a, b, c = (np.empty_like(f) for _ in range(3))
-        faces = np.empty((grid.n_x, grid.n_u + 1))
         yield 0, f
         for k in range(n_steps):
             dt = step_length(k, grid.horizon, grid.dt)
@@ -468,16 +485,19 @@ def _specular_march(grid: PhaseGrid, rho0, drifts: np.ndarray, sigma: float,
             moved = _transport_specular(f, weights, out=a)
             pre = _advect_u(moved, drift * courant, out=b, work=c)
             post = _diffuse(pre, lam, ab, out=c)
-            mid = np.add(pre, post, out=a)
-            mid *= 0.5
-            result.grad_sq_weighted[k] = dt * _face_grad_sq(mid, grid, w_face, faces)
-            f = _clamp(_transport_specular(post, weights), scale, result.clamped)
+            if ledgers:
+                mid = np.add(pre, post, out=a)
+                mid *= 0.5
+                result.grad_sq_weighted[k] = dt * _face_grad_sq(mid, grid, w_face, faces)
+            out = None if fields is None else fields[k + 1]
+            f = _clamp(_transport_specular(post, weights, out=out), scale, result.clamped)
             result.traces[k + 1] = _specular_trace(f)
             result.mass[k + 1] = grid.cell_mass(f)
-            bracket = np.multiply(drift[:, None], wgrad, out=a)
-            bracket += diffusion_bracket
-            bracket *= np.square(f, out=b)
-            result.bracket_sq_weighted[k] = dt * float(bracket.sum()) * quad
+            if ledgers:
+                bracket = np.multiply(drift[:, None], wgrad, out=a)
+                bracket += diffusion_bracket
+                bracket *= np.square(f, out=b)
+                result.bracket_sq_weighted[k] = dt * float(bracket.sum()) * quad
             yield k + 1, f
 
     return result, steps(f)
@@ -496,7 +516,8 @@ def solve_specular_linear(
     evaluated at the start of each step, grid.times[k], or the (n_steps,
     n_x) table of every step's row, such as `PicardResult.drift_history`.
     The returned traces are the wall values averaged over each +-u pair,
-    identical for u and -u.
+    identical for u and -u. The energy ledgers are kept in the weight
+    `weight`, None meaning unit weight.
     """
     table = (grid.n_steps, grid.n_x)
     if callable(B):
@@ -508,11 +529,11 @@ def solve_specular_linear(
         raise ValueError("drift must be None, a scalar, a callable, an (n_x,) row "
                          "or an (n_steps, n_x) table")
     grid.check_drift(float(np.abs(drifts).max()))
-    result, steps = _specular_march(grid, rho0, np.broadcast_to(drifts, table), sigma, weight)
-    fields = np.empty((grid.n_steps + 1, grid.n_x, grid.n_u))
-    for k, f in steps:
-        fields[k] = f
-    result.fields = fields
+    result, steps = _specular_march(
+        grid, rho0, np.broadcast_to(drifts, table), sigma, weight,
+        fields=np.empty((grid.n_steps + 1, grid.n_x, grid.n_u)))
+    for _ in steps:
+        pass
     return result
 
 
@@ -697,13 +718,16 @@ def trace_functionals(trace: TraceField, grid: PhaseGrid) -> dict:
 
 @dataclass
 class PicardReport:
-    """Record of the nonlinear solve: one pass, converged, and its largest
-    envelope excursions below `lower` and above `upper`, one entry per pass."""
+    """Record of the nonlinear solve: one pass, converged, its largest
+    envelope excursions below `lower` and above `upper`, one entry per pass,
+    and the upper envelope's peak over the grid times (0 without one), which
+    `to_dict` leaves out."""
 
     iterates: int
     converged: bool
     lower_violation: list
     upper_violation: list
+    envelope_peak: float
 
     def to_dict(self) -> dict:
         return {
@@ -769,22 +793,25 @@ def picard_nonlinear(
     scenario files name them; values outside that range are refused.
 
     Every drift row is a convex combination of b values, so the drift CFL
-    limit is checked once, on model.b_norm. The report's envelope
-    excursions are `envelope_excursions` of the history once the march ends.
+    limit is checked once, on model.b_norm. Each slice is written straight
+    into the returned history. The report's envelope excursions and peak
+    are `envelope_excursions` of the history once the march ends. The
+    weighted energy ledgers that `energy_residual` reads are kept only when
+    `weight` is given; without one the solution holds None for both ledgers
+    and for its weight, and its `energy_residual` raises. The fields do not
+    depend on the weight.
     """
     if not (tol > 0 and max_iter >= 1):
         raise ValueError(f"need tol > 0 and max_iter >= 1, not {tol!r} and {max_iter!r}")
-    if weight is None:
-        weight = default_weight(1)
     grid.check_drift(model.b_norm)
     drifts = np.empty((grid.n_steps, grid.n_x))
-    result, steps = _specular_march(grid, rho0, drifts, model.sigma, weight=weight)
-    result.fields = np.empty((grid.n_steps + 1, grid.n_x, grid.n_u))
+    result, steps = _specular_march(
+        grid, rho0, drifts, model.sigma, weight, ledgers=weight is not None,
+        fields=np.empty((grid.n_steps + 1, grid.n_x, grid.n_u)))
     for k, f in steps:
         if k < grid.n_steps:
             drifts[k] = drift_from_density(f, grid, model)
-        result.fields[k] = f
-    below, above, _ = envelope_excursions(result.fields, grid, lower, upper)
-    report = PicardReport(iterates=1, converged=True,
-                          lower_violation=[below], upper_violation=[above])
+    below, above, peak = envelope_excursions(result.fields, grid, lower, upper)
+    report = PicardReport(iterates=1, converged=True, lower_violation=[below],
+                          upper_violation=[above], envelope_peak=peak)
     return PicardResult(solution=result, report=report, drift_history=drifts)

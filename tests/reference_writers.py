@@ -3,7 +3,9 @@ from whole arrays.
 
 Every row is a tuple of per-cell Python values, and the writer picks each
 column's format from the first row: strings as they are, numbers as %.17g.
-`speckin.cli` must write the same bytes for every table.
+`write_csv_one_template` is the writer that came next, every cell of a float
+block through one %.17g row template. `speckin.cli` must write the same
+bytes for every table.
 """
 
 from __future__ import annotations
@@ -25,6 +27,18 @@ def write_csv(path: Path, header, rows):
         line = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in first) + "\n"
         handle.write(line % first)
         handle.writelines(line % row for row in rows)
+
+
+def write_csv_one_template(path: Path, header, blocks):
+    """Write the rows of 2-d float blocks under header, every row from one
+    template of %.17g cells, 4096 rows per write."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        for block in blocks:
+            for lo in range(0, block.shape[0], 4096):
+                chunk = block[lo : lo + 4096]
+                handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _vector_columns(name: str, dimension: int):

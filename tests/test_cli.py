@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import speckin.cli
+import speckin.diagnostics
 import speckin.vfp
 from speckin.cli import _solve_picard, main, run_scenario
 from speckin.config import (
@@ -20,6 +21,7 @@ from speckin.config import (
     build_envelopes,
     build_grid,
     build_model,
+    build_weight,
     config_from_dict,
     default_config,
     initial_density,
@@ -466,6 +468,29 @@ class TestBundles:
         assert z == pytest.approx((entry["value"] - want) / math.sqrt(want), abs=0.005)
         assert abs(z) <= speckin.cli.WALL_FLUX_SIGMAS
 
+    def test_validate_reads_the_sandwich_from_its_solve(self, tmp_path, monkeypatch, capsys):
+        # the solve's report carries the sandwich, so validate scans no
+        # history for it again; its solve keeps the energy ledgers in the
+        # configured weight, and solve-vfp's keeps none
+        cfg = self._validate_scenario(tmp_path)
+        want = run_scenario(cfg, "validate", out_dir=tmp_path / "want")
+        weights = []
+        solve = speckin.cli.picard_nonlinear
+
+        def recorded(*args, **kwargs):
+            weights.append(kwargs["weight"])
+            return solve(*args, **kwargs)
+
+        def rescan(*args, **kwargs):
+            raise AssertionError("a history was scanned for the sandwich again")
+
+        monkeypatch.setattr(speckin.cli, "picard_nonlinear", recorded)
+        monkeypatch.setattr(speckin.diagnostics, "envelope_excursions", rescan)
+        got = run_scenario(cfg, "validate", out_dir=tmp_path / "got")
+        run_scenario(cfg, "solve-vfp", out_dir=tmp_path / "vfp")
+        assert got.passed and got.manifest["files"] == want.manifest["files"]
+        assert weights == [build_weight(cfg), None]
+
     def test_validate_flux_gate_catches_lost_hits(self, tmp_path, monkeypatch, capsys):
         # dropping every other hit keeps each logged event valid, so only the
         # grid's flux prediction can notice the deficit
@@ -519,7 +544,8 @@ class TestBundles:
         entry = sandwich_entry("absorbing")
         assert not entry["passed"]
         assert entry["value"] > 1e9 * entry["tolerance"]
-        solution, _, grid, lower, upper = _solve_picard(cfg)
+        solution, _, grid = _solve_picard(cfg)
+        lower, upper = build_envelopes(cfg)
         below, above, peak = envelope_excursions(solution.fields, grid, lower, upper)
         assert entry["value"] == below > 0.05 and above == 0.0
         assert below < 10.0 * (grid.dx + grid.du + grid.dt) * peak

@@ -21,6 +21,7 @@ from speckin.config import (
 )
 from speckin.diagnostics import (
     DiagnosticsReport,
+    SandwichCheck,
     flux_balance_particles,
     mc_grid_distance,
     no_permeability_residual,
@@ -378,6 +379,26 @@ class TestOneFormChecksOnTheSolve:
         else:
             assert below == above == peak == 0.0
         assert no_permeability(sol.traces, grid) <= 1e-15
+
+    @pytest.mark.parametrize("way", sorted(ENVELOPES))
+    def test_report_holds_the_sandwich_of_its_history(self, cross_validation, way):
+        # no weight, as solve-vfp solves; the report holds what the loop
+        # reads from the returned history, and validate's check built from
+        # it is sandwich_check of the solution
+        cfg, grid, lower, upper = cross_validation
+        lower, upper = ENVELOPES[way](lower, upper)
+        res = picard_nonlinear(grid, initial_density(cfg, grid), build_model(cfg),
+                               lower=lower, upper=upper)
+        sol, rep = res.solution, res.report
+        below, above, peak = ref.envelope_excursions(sol.fields, grid.times, grid, lower, upper)
+        assert (rep.lower_violation, rep.upper_violation, rep.envelope_peak) == (
+            [below], [above], peak)
+        assert "envelope_peak" not in rep.to_dict()
+        from_report = SandwichCheck.from_excursions(
+            rep.lower_violation[0], rep.upper_violation[0], rep.envelope_peak, sol.fields)
+        assert from_report == sandwich_check(sol, lower, upper)
+        assert (from_report.absolute, from_report.relative, from_report.envelope_peak) == (
+            ref.sandwich(sol.fields, grid.times, grid, lower, upper))
 
     @pytest.mark.parametrize("block", [(1, 1), (4, 8), (8, 16)])
     def test_sampling_floor_matches_the_block_sums(self, cross_validation, block):

@@ -83,8 +83,8 @@ def test_ensemble_validation():
         Ensemble(np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError):
         Ensemble(np.zeros(0), np.zeros(0))
-    ens = Ensemble(np.zeros((5, 2)), np.ones((5, 2)), time=0.25)
-    assert len(ens) == 5 and ens.dimension == 2 and ens.time == 0.25
+    ens = Ensemble(np.zeros((5, 2)), np.ones((5, 2)))
+    assert len(ens) == 5 and ens.dimension == 2
 
 
 def test_estimator_config_validation():

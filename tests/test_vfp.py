@@ -816,12 +816,11 @@ class TestPicard:
         assert res.report.converged
         assert res.report.iterates == 1
         assert np.all(res.drift_history == 0.0)
-        linear = solve_specular_linear(grid, rho0, None, model.sigma,
-                                       weight=res.solution.weight)
+        linear = solve_specular_linear(grid, rho0, None, model.sigma)
         assert np.array_equal(res.solution.fields, linear.fields)
         # the oracle's second sweep repeats its first, which is the one pass
         distances, *_, solution = reference_picard(grid, rho0, model, 1e-6, 20,
-                                                   res.solution.weight)
+                                                   WeightParams(alpha=3.0, dimension=1))
         assert len(distances) == 2 and distances[1] == 0.0
         assert np.array_equal(solution.fields, res.solution.fields)
 
@@ -964,14 +963,9 @@ class TestOnePassSweep:
 
     def test_swapped_envelopes_on_a_short_last_step(self):
         # swapped envelopes, so that both excursions are positive, and a
-        # spike that makes slice 0 the largest excursion above; 0.1 is no
-        # multiple of dt, so the last step is shorter than the others
-        grid, rho0, model, upper, lower = picard_scenario(n_x=8, n_u=16, T=0.1)
-        grid = PhaseGrid(length=grid.length, n_x=8, v_max=grid.v_max, n_u=16,
-                         dt=0.7 * grid.dt, horizon=0.1)
-        assert step_length(grid.n_steps - 1, grid.horizon, grid.dt) < 0.9 * grid.dt
+        # spike that makes slice 0 the largest excursion above
+        grid, rho0, model, weight, upper, lower = short_last_step_scenario()
         rho0[2, 8] += 1.0
-        weight = WeightParams(alpha=3.0, dimension=1)
         res = picard_nonlinear(grid, rho0, model, weight=weight, lower=lower, upper=upper)
         self.check_replay(grid, rho0, model, weight, res)
         lo_v, up_v, _ = ref.envelope_excursions(res.solution.fields, grid.times, grid,
@@ -979,6 +973,104 @@ class TestOnePassSweep:
         assert res.report.lower_violation == [lo_v] and lo_v > 0
         assert res.report.upper_violation == [up_v] and up_v > 0
         assert up_v == float((rho0 - maxwellian_eval(upper, 0.0, grid.u)).max())
+
+
+def short_last_step_scenario():
+    """The tanh scenario on 8 x 16 nodes to T = 0.1, which is no multiple of
+    dt, so the last step is shorter than the others."""
+    grid, rho0, model, lower, upper = picard_scenario(n_x=8, n_u=16, T=0.1)
+    grid = PhaseGrid(length=grid.length, n_x=8, v_max=grid.v_max, n_u=16,
+                     dt=0.7 * grid.dt, horizon=0.1)
+    assert step_length(grid.n_steps - 1, grid.horizon, grid.dt) < 0.9 * grid.dt
+    return grid, rho0, model, WeightParams(alpha=3.0, dimension=1), lower, upper
+
+
+def cross_validation_scenario():
+    """The acceptance cross-validation scenario on 32 x 64 nodes."""
+    cfg = config_from_dict(cross_validation(32, 64))
+    lower, upper = build_envelopes(cfg)
+    grid = build_grid(cfg, upper)
+    return grid, initial_density(cfg, grid), build_model(cfg), build_weight(cfg), lower, upper
+
+
+class TestEnergyLedgers:
+    """The weight decides whether the pass keeps its energy ledgers, and
+    nothing else: every other output is the same bit for bit."""
+
+    @pytest.mark.parametrize("scenario", [cross_validation_scenario, short_last_step_scenario],
+                             ids=["cross-validation-32x64", "short-last-step"])
+    def test_weight_keeps_the_ledgers_and_changes_nothing_else(self, scenario):
+        grid, rho0, model, weight, lower, upper = scenario()
+        kept = picard_nonlinear(grid, rho0, model, weight=weight, lower=lower, upper=upper)
+        bare = picard_nonlinear(grid, rho0, model, lower=lower, upper=upper)
+        a, b = kept.solution, bare.solution
+        for name in ("fields", "traces", "mass"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.clamped == b.clamped
+        assert np.array_equal(kept.drift_history, bare.drift_history)
+        assert kept.report == bare.report
+        assert a.weight == weight and a.grad_sq_weighted.shape == (grid.n_steps,)
+        assert math.isfinite(a.energy_residual(model.sigma))
+        assert b.weight is b.grad_sq_weighted is b.bracket_sq_weighted is None
+        with pytest.raises(ValueError, match="no energy ledgers"):
+            b.energy_residual(model.sigma)
+
+    def test_linear_solve_without_weight_keeps_unit_weight_ledgers(self):
+        grid, rho0, model, weight, _, _ = short_last_step_scenario()
+        unit = solve_specular_linear(grid, rho0, 0.5, model.sigma)
+        weighted = solve_specular_linear(grid, rho0, 0.5, model.sigma, weight=weight)
+        assert unit.weight is None and np.array_equal(unit.fields, weighted.fields)
+        assert math.isfinite(unit.energy_residual(model.sigma))
+        assert not np.array_equal(unit.grad_sq_weighted, weighted.grad_sq_weighted)
+
+
+def recorded_slices(monkeypatch):
+    """The slices every `_specular_march` yields from now on, in order."""
+    seen = []
+    march = vfp._specular_march
+
+    def recording(*args, **kwargs):
+        result, steps = march(*args, **kwargs)
+
+        def watched():
+            for k, f in steps:
+                seen.append(f)
+                yield k, f
+
+        return result, watched()
+
+    monkeypatch.setattr(vfp, "_specular_march", recording)
+    return seen
+
+
+class TestSlicesInPlace:
+    """A march with a history writes each slice into it; one without makes
+    a fresh array per slice."""
+
+    @pytest.mark.parametrize("solve", ["picard", "linear"])
+    def test_history_slices_are_the_yielded_arrays(self, monkeypatch, solve):
+        grid, rho0, model, weight, lower, upper = short_last_step_scenario()
+        seen = recorded_slices(monkeypatch)
+        if solve == "picard":
+            fields = picard_nonlinear(grid, rho0, model, lower=lower, upper=upper).solution.fields
+        else:
+            fields = solve_specular_linear(grid, rho0, 0.5, model.sigma, weight=weight).fields
+        assert len(seen) == grid.n_steps + 1
+        for k, f in enumerate(seen):
+            assert np.shares_memory(f, fields[k]) and f.shape == fields[k].shape, k
+        assert not np.shares_memory(fields[0], rho0)
+
+    def test_a_march_without_history_yields_fresh_slices(self):
+        grid, rho0, model, _, _, _ = short_last_step_scenario()
+        drifts = np.zeros((grid.n_steps, grid.n_x))
+        result, steps = vfp._specular_march(grid, rho0, drifts, model.sigma)
+        slices = [f for _, f in steps]
+        assert result.fields is None and len(slices) == grid.n_steps + 1
+        assert not np.shares_memory(slices[0], rho0)
+        for k in range(grid.n_steps):
+            assert not np.shares_memory(slices[k], slices[k + 1]), k
+        linear = solve_specular_linear(grid, rho0, None, model.sigma)
+        assert np.array_equal(np.stack(slices), linear.fields)
 
 
 ORACLE_TOL = 1e-6
@@ -1033,8 +1125,8 @@ class TestPicardOracle:
 
         march = vfp._specular_march
 
-        def lagged(grid, rho0, drifts, sigma, weight=None):
-            return march(grid, rho0, Lagged(drifts), sigma, weight)
+        def lagged(grid, rho0, drifts, sigma, *args, **kwargs):
+            return march(grid, rho0, Lagged(drifts), sigma, *args, **kwargs)
 
         monkeypatch.setattr(vfp, "_specular_march", lagged)
         res = picard_nonlinear(grid, rho0, model, tol=ORACLE_TOL, weight=weight)
