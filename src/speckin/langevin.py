@@ -47,6 +47,8 @@ from .rng import RngStream, normals_at
 STEP_COUNTER_STRIDE = 1 << 16  # per-(path, macro-step) noise budget
 EPS_TAN = 1e-12  # |u.n| <= EPS_TAN*|u| at a wall contact counts as a tangential graze
 WINDOW = 96  # normals per component fetched ahead for each near-wall path
+EXACT_LEVELS = 52  # halvings of [0, 1] whose midpoints 0.5 * (lo + hi) are exact
+BISECT_ROWS = 4096  # rows per predicted batch, which holds EXACT_LEVELS points a row
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,15 @@ def _pairs(Z, X):
     return (Z[:, 0], Z[:, 1]) if X.ndim == 1 else (Z[:, 0::2], Z[:, 1::2])
 
 
-def _bisect(domain: Domain, xa, xb, eps_hit: float):
+def _crossing_guess(sd_a, sd_b):
+    """Where the chord between ends at signed distances sd_a and sd_b
+    crosses the wall if the distance is linear along it: sd_a / (sd_a - sd_b).
+    Not finite where the ends are equally far; _bisect takes any value."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sd_a / (sd_a - sd_b)
+
+
+def _bisect(domain: Domain, xa, xb, eps_hit: float, guess):
     """Per row, the start s of the bracket holding the first wall crossing on
     the straight chord xa -> xb, halved until it is at most eps_hit long.
 
@@ -183,20 +193,57 @@ def _bisect(domain: Domain, xa, xb, eps_hit: float):
     not report its start as the contact.  Each row's round count is known
     up front: a bracket is 2^-k wide after k halvings until a midpoint
     rounds to one of its ends, and from then on its start does not move.
+
+    The halvings follow a predicted path first.  If the crossing sat at
+    `guess` (any float; clipped to [0, 1)), the bracket after k halvings
+    would start at guess rounded down to a multiple of 2^-k.  For the first
+    EXACT_LEVELS levels those predicted midpoints are exactly the ones
+    bisection would take, so one signed_distance call evaluates them all.
+    A row keeps the predicted path up to the first level whose outcome
+    differs from the prediction, and halves one level at a time from there;
+    so the starts are those of plain bisection bit for bit, whatever the
+    guess, and a good guess saves the rounds.
     """
+    if xa.shape[0] > BISECT_ROWS:
+        return np.concatenate([
+            _bisect(domain, xa[i:i + BISECT_ROWS], xb[i:i + BISECT_ROWS], eps_hit,
+                    guess[i:i + BISECT_ROWS])
+            for i in range(0, xa.shape[0], BISECT_ROWS)])
     chord = xb - xa
     length = row_norm(chord)
     rounds = (~(np.ldexp(length, -np.arange(80)[:, None]) <= eps_hit)).sum(axis=0)
-    lo = np.zeros(length.shape)
-    hi = np.ones(length.shape)
-    start = lo.copy()
-    for k in range(1, rounds.max(initial=0) + 1):
-        mid = 0.5 * (lo + hi)
-        s = mid if xa.ndim == 1 else mid[:, None]
-        out = domain.signed_distance(xa + s * chord) > 0.0
-        hi = np.where(out, mid, hi)
-        lo = np.where(out, lo, mid)
-        np.copyto(start, lo, where=rounds == k)
+    top = min(int(rounds.max(initial=0)), EXACT_LEVELS)
+    if top == 0:
+        return np.zeros(length.shape)
+    level = np.arange(top + 1)
+    g = np.fmax(np.fmin(guess, 1.0 - 2.0**-53), 0.0)  # NaN -> the upper end
+    path = np.ldexp(np.floor(np.ldexp(g[:, None], level)), -level)  # predicted starts
+    mid = path[:, :-1] + np.ldexp(1.0, -level[1:])
+    s = mid if xa.ndim == 1 else mid[..., None]
+    points = xa[:, None] + s * chord[:, None]
+    out = domain.signed_distance(points.reshape((-1,) + xa.shape[1:])).reshape(mid.shape) > 0.0
+    # verify: the first level, within the row's rounds, that the prediction got wrong
+    wrong = (out != (path[:, 1:] == path[:, :-1])) & (level[1:] <= rounds[:, None])
+    done = np.where(wrong.any(axis=1), wrong.argmax(axis=1) + 1, np.minimum(rounds, top))
+    # the bracket after `done` true halvings: that level's outcome taken as it came out
+    rows, k = np.arange(done.size), np.maximum(done - 1, 0)
+    start = np.where(out[rows, k], path[rows, k], mid[rows, k])
+    start[done == 0] = 0.0
+    more = np.flatnonzero(done < rounds)
+    if more.size:
+        rest, since = rounds[more], done[more]
+        xa, chord, lo = xa[more], chord[more], start[more]
+        hi = lo + np.ldexp(1.0, -since)
+        tail = lo.copy()
+        for k in range(since.min() + 1, rest.max() + 1):
+            mid = 0.5 * (lo + hi)
+            s = mid if xa.ndim == 1 else mid[:, None]
+            out = domain.signed_distance(xa + s * chord) > 0.0
+            go = since < k
+            hi = np.where(go & out, mid, hi)
+            lo = np.where(go & ~out, mid, lo)
+            np.copyto(tail, lo, where=rest == k)
+        start[more] = tail
     return start
 
 
@@ -292,11 +339,11 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
     t_done = np.zeros(n)
     contacts = np.zeros(n, dtype=np.int64)
 
-    def classify(f, sd_a, speed_a, hl):
+    def classify(f, sd_a, speed_a, dt):
         """Mark the entries f that close a crossing leaf, given the signed
-        distance and speed of each segment's left end; return which ones
-        need no more work (pruned, or a leaf that stays inside)."""
-        dt = np.ldexp(hl, -b_lev[f])
+        distance and speed of each segment's left end and its length dt;
+        return which ones need no more work (pruned, or a leaf that stays
+        inside)."""
         sd_b = b_sd[f]
         prune = _pruned(params, sigma, sd_a, sd_b, speed_a, b_speed[f], dt)
         leaf = ~prune & (dt <= params.h_min)
@@ -334,8 +381,8 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
         half keeps slot t, the left half is pushed above it; then pop what
         needs no more work."""
         lv = b_lev[f]
-        hl = h_left[r]
-        dt = np.ldexp(hl, -lv)
+        dt = np.ldexp(h_left[r], -lv)
+        half = 0.5 * dt  # exact: a power-of-two step of a normal float
         xi1, xi2 = draw(r)
         sx, su = _bridge_scales(sigma, dt)
         if d > 1:
@@ -347,8 +394,13 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
         sd_m = b_sd[g] = domain.signed_distance(xm)
         speed_m = b_speed[g] = row_norm(um)
         right[r * W + lv + 1] = False
-        kept[f] = np.where(classify(f, sd_m, speed_m, hl), kept[f - 1], t)
-        push(r, g, t + 1, classify(g, a_sd[r], a_speed[r], hl))
+        # both halves at once: the right one (f) starts at the midpoint,
+        # the left one (g) at the segment's left end
+        m = r.size
+        done = classify(np.concatenate((f, g)), np.concatenate((sd_m, a_sd[r])),
+                        np.concatenate((speed_m, a_speed[r])), np.concatenate((half, half)))
+        kept[f] = np.where(done[:m], kept[f - 1], t)
+        push(r, g, t + 1, done[m:])
 
     fly(np.arange(n))
     while True:
@@ -366,7 +418,7 @@ def _near_wall_kernel(domain, X, U, h, params, sigma, seed, stream_ids, start, l
         r, f = rows[hit], f[hit]
         lv = b_lev[f]
         xa, xb = ax[r], bx[f]
-        frac = _bisect(domain, xa, xb, params.eps_hit)
+        frac = _bisect(domain, xa, xb, params.eps_hit, _crossing_guess(a_sd[r], b_sd[f]))
         s = frac if d == 1 else frac[:, None]
         u_at = au[r] + s * (bu[f] - au[r])
         location = domain.project(xa + s * (xb - xa))

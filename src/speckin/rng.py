@@ -53,16 +53,15 @@ def _mulhilo(a, b):
 def philox4x64_block(c0, c1, c2, c3, k0, k1):
     """Ten Philox4x64 rounds on broadcastable uint64 arrays.
 
-    Returns four uint64 arrays (the output block). Pure function of its
-    arguments; matches numpy's Philox keystream (which emits the block for
-    counter N+1 first when seeded with counter N).
+    Returns four uint64 arrays (the output block), each of the inputs'
+    broadcast shape.  Pure function of its arguments; matches numpy's Philox
+    keystream (which emits the block for counter N+1 first when seeded with
+    counter N).  Inputs are not broadcast against each other first: a word
+    shared by every block (a scalar, a row or a column) stays that small
+    through the rounds until the mixing spreads it, which saves work on the
+    full arrays in the first two rounds.
     """
-    c0 = np.asarray(c0, dtype=np.uint64)
-    c1 = np.asarray(c1, dtype=np.uint64)
-    c2 = np.asarray(c2, dtype=np.uint64)
-    c3 = np.asarray(c3, dtype=np.uint64)
-    k0 = np.asarray(k0, dtype=np.uint64).copy()
-    k1 = np.asarray(k1, dtype=np.uint64).copy()
+    c0, c1, c2, c3, k0, k1 = (np.asarray(v, dtype=np.uint64) for v in (c0, c1, c2, c3, k0, k1))
     with np.errstate(over="ignore"):  # uint64 wraparound is the algorithm
         for r in range(10):
             if r > 0:
@@ -83,13 +82,7 @@ def raw_blocks(seed, stream_ids, blocks):
     stream_ids and blocks broadcast; output shape is their broadcast shape
     plus a trailing axis of 4 words.
     """
-    s = np.broadcast_arrays(
-        np.asarray(stream_ids, dtype=np.uint64), np.asarray(blocks, dtype=np.uint64)
-    )
-    sid, blk = s
-    zero = np.zeros_like(blk)
-    k0 = np.full_like(blk, np.uint64(seed))
-    w = philox4x64_block(blk, zero, zero, zero, k0, sid)
+    w = philox4x64_block(blocks, 0, 0, 0, seed, stream_ids)
     return np.stack(w, axis=-1)
 
 
@@ -101,21 +94,22 @@ def _to_uniform(words):
 def uniforms_at(seed, stream_ids, start, count):
     """`count` uniforms per stream starting at absolute draw index `start`.
 
-    start broadcasts with stream_ids; the draw at index i is the same no
-    matter how the request is split.
+    start is one index for every stream or one per stream; the draw at
+    index i is the same no matter how the request is split.
     """
     sid = np.atleast_1d(np.asarray(stream_ids, dtype=np.uint64))
-    st = np.broadcast_to(np.asarray(start, dtype=np.uint64), sid.shape)
-    first = st // BLOCK
-    nblk = int((int(st.max() % BLOCK) + count + BLOCK - 1) // BLOCK)
-    blk = first[:, None] + np.arange(nblk, dtype=np.uint64)[None, :]
-    words = raw_blocks(seed, sid[:, None], blk).reshape(len(sid), nblk * BLOCK)
+    st = np.asarray(start, dtype=np.uint64)
     offs = (st % BLOCK).astype(np.int64)
-    if np.all(offs == offs[0]):
-        out = words[:, int(offs[0]) : int(offs[0]) + count]
+    lo, hi = int(offs.min()), int(offs.max())
+    nblk = (hi + count + BLOCK - 1) // BLOCK
+    # a shared start keeps its blocks one row for every stream
+    blk = (st // BLOCK)[..., None] + np.arange(nblk, dtype=np.uint64)
+    words = raw_blocks(seed, sid[:, None], blk)
+    words = words.reshape(words.shape[0], nblk * BLOCK)
+    if lo == hi:
+        out = words[:, lo : lo + count]
     else:
-        idx = offs[:, None] + np.arange(count)[None, :]
-        out = np.take_along_axis(words, idx, axis=1)
+        out = np.take_along_axis(words, offs[:, None] + np.arange(count), axis=1)
     return _to_uniform(out)
 
 

@@ -190,19 +190,22 @@ def _diffusion_matrix(grid: PhaseGrid, sigma: float, dt: float):
 
 
 def _diffuse(values: np.ndarray, lam: float, ab: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
+             out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Crank-Nicolson u-diffusion of every x row, solved in place in `out`.
 
     The right-hand side is built in `out` (a new array if None), which
-    LAPACK `gtsv` overwrites with the solution. The checks of `solve_banded`
-    stay: non-finite input raises ValueError, a singular band LinAlgError.
+    LAPACK `gtsv` overwrites with the solution; the neighbours' shares go
+    into `work` (a new array if None). The checks of `solve_banded` stay:
+    non-finite input raises ValueError, a singular band LinAlgError.
     """
     if out is None:
         out = np.empty(values.shape)
-    _check_work(values, out)
+    if work is None:
+        work = np.empty(values.shape)
+    _check_work(values, out, work)
     keep = 1.0 - lam
     rhs = np.multiply(values, keep, out=out)
-    side = 0.5 * lam * values
+    side = np.multiply(0.5 * lam, values, out=work)
     # each node takes both neighbours' shares along the flat buffer, then
     # the edge columns are redone with their one neighbour: homogeneous
     # Dirichlet ghosts just outside +-V_max
@@ -284,14 +287,16 @@ def _transport_weights(shifts: np.ndarray, n_x: int) -> tuple:
 
 
 def _transport_specular(values: np.ndarray, weights: tuple,
-                        out: np.ndarray | None = None) -> np.ndarray:
+                        out: np.ndarray | None = None,
+                        work: np.ndarray | None = None) -> np.ndarray:
     """Semi-Lagrangian x-transport with specular walls, into `out`.
 
     Each column blends with its upstream neighbour in x by the column's
     theta from `_transport_weights`: u > 0 columns with the cell below,
     u < 0 columns with the cell above. At the wall the upstream cell is the
     mirror column's value there, the specular ghost, so the reflection is
-    exact and mass holds to round-off.
+    exact and mass holds to round-off. The kept share is formed in `work`
+    (a new array if None).
     """
     theta, keep = weights
     half = values.shape[1] // 2
@@ -301,7 +306,7 @@ def _transport_specular(values: np.ndarray, weights: tuple,
     up[:-1, :half] = values[1:, :half]
     up[-1, :half] = values[-1, : half - 1 : -1]
     up *= theta
-    up += keep * values
+    up += np.multiply(keep, values, out=work)
     return up
 
 
@@ -482,15 +487,16 @@ def _specular_march(grid: PhaseGrid, rho0, drifts: np.ndarray, sigma: float,
                               _transport_weights(_transport_shifts(grid, 0.5 * dt), grid.n_x),
                               dt / grid.du)
             lam, ab, weights, courant = per_dt[dt]
-            moved = _transport_specular(f, weights, out=a)
+            moved = _transport_specular(f, weights, out=a, work=b)
             pre = _advect_u(moved, drift * courant, out=b, work=c)
-            post = _diffuse(pre, lam, ab, out=c)
+            post = _diffuse(pre, lam, ab, out=c, work=a)
             if ledgers:
                 mid = np.add(pre, post, out=a)
                 mid *= 0.5
                 result.grad_sq_weighted[k] = dt * _face_grad_sq(mid, grid, w_face, faces)
             out = None if fields is None else fields[k + 1]
-            f = _clamp(_transport_specular(post, weights, out=out), scale, result.clamped)
+            f = _clamp(_transport_specular(post, weights, out=out, work=b), scale,
+                       result.clamped)
             result.traces[k + 1] = _specular_trace(f)
             result.mass[k + 1] = grid.cell_mass(f)
             if ledgers:

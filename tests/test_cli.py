@@ -521,7 +521,7 @@ class TestBundles:
             "run": {"T": 0.5, "N": 400, "seed": 3},
         })
 
-        def absorbing(values, weights, out=None):
+        def absorbing(values, weights, out=None, work=None):
             theta, keep = weights
             half = values.shape[1] // 2
             up = np.empty_like(values) if out is None else out

@@ -7,6 +7,7 @@ stream counter after the last draw.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from speckin.langevin import (
     StepParams,
     _bisect,
     _bridge_scales,
+    _crossing_guess,
     _near_wall_kernel,
     confined_step,
     ensemble_confined_step,
@@ -254,8 +256,9 @@ def _chords(domain, gen, n):
     some cross a wall, and some leave a wall inwards before crossing one."""
     length = 10.0 ** gen.uniform(-9.0, 0.0, n)
     if isinstance(domain, Interval):
-        xa = np.r_[gen.uniform(0.0, 0.05, n // 2), gen.uniform(0.95, 1.0, n - n // 2)]
-        xa[::10] = np.round(xa[::10])
+        L = domain.length
+        xa = np.r_[gen.uniform(0.0, 0.05 * L, n // 2), gen.uniform(0.95 * L, L, n - n // 2)]
+        xa[::10] = L * np.round(xa[::10] / L)
         return xa, xa + gen.choice([-1.0, 1.0], n) * length
     d = len(domain.center)
     inner = getattr(domain, "inner_radius", 0.8)
@@ -271,12 +274,92 @@ def test_bisect_matches_masked_reference_bitwise(name):
     # takes every row to the 80-round cap
     domain = BISECT_DOMAINS[name]
     xa, xb = _chords(domain, np.random.default_rng(list(BISECT_DOMAINS).index(name)), 100_000)
+    guess = _crossing_guess(domain.signed_distance(xa), domain.signed_distance(xb))
     for eps_hit in (1e-10, 1e-17, 1e-19, 1e-300):
         np.testing.assert_array_equal(
-            _bisect(domain, xa, xb, eps_hit),
+            _bisect(domain, xa, xb, eps_hit, guess),
             scalar_cascade.reference_bisect(domain, xa, xb, eps_hit),
             err_msg=f"eps_hit={eps_hit}",
         )
+
+
+def _case_domains():
+    """Each distinct domain of CASES, by the first scenario that uses it."""
+    out = {}
+    for name in CASES:
+        domain = _case(name)[0]
+        if domain not in out.values():
+            out[name] = domain
+    return out
+
+
+def _odd_chords(domain):
+    """Chords that trip up a guess from the end distances: in an annulus,
+    chords that dive through the hole before they leave; in a ball, chords
+    between two points equally far from the wall (on it, or both inside);
+    on an interval, a chord between the walls; plus a chord of length 0,
+    and a long one whose bisection to a tiny eps_hit runs past 52 levels."""
+    if isinstance(domain, Interval):
+        L = domain.length
+        xa, xb = np.array([0.0, 0.3 * L, L, 0.5 * L]), np.array([L, 0.3 * L, 0.0, 3.0 * L])
+        return xa, xb
+    d = len(domain.center)
+    e = np.eye(d)
+    r, R = getattr(domain, "inner_radius", 0.5 * domain.radius), domain.radius
+    mid = 0.5 * (r + R)
+    xa = np.array([-mid * e[0] + 0.1 * r * e[1], -mid * e[0], R * e[0], mid * e[1],
+                   -R * e[1], 0.5 * r * e[0]])
+    xb = np.array([(R + 0.2) * e[0] + 0.1 * r * e[1], (R + 0.5) * e[0], R * e[1], mid * e[0],
+                   -R * e[1], 3.0 * R * e[1]])
+    return xa, xb
+
+
+@pytest.mark.parametrize("name", list(_case_domains()))
+def test_bisect_matches_reference_whatever_the_guess(name):
+    # a guess only picks the path tried first: wrong, clipped or NaN
+    # guesses must give the starts of plain bisection bit for bit
+    domain = _case_domains()[name]
+    xa, xb = _chords(domain, np.random.default_rng(7), 3000)
+    oa, ob = _odd_chords(domain)
+    xa, xb = np.concatenate((xa, oa)), np.concatenate((xb, ob))
+    sd_a, sd_b = domain.signed_distance(xa), domain.signed_distance(xb)
+    for eps_hit in (1e-10, 1e-19, 1e-300):
+        want = scalar_cascade.reference_bisect(domain, xa, xb, eps_hit)
+        guesses = {
+            "from the distances": _crossing_guess(sd_a, sd_b),
+            "exact": want,
+            "mirrored": 1.0 - want,  # wrong from the first halving on
+            "0": np.zeros(len(want)),
+            "1": np.ones(len(want)),
+            "nan": np.full(len(want), np.nan),
+            "out of range": np.where(want < 0.5, np.inf, -np.inf),
+        }
+        for label, guess in guesses.items():
+            np.testing.assert_array_equal(_bisect(domain, xa, xb, eps_hit, guess), want,
+                                          err_msg=f"eps_hit={eps_hit}, guess {label}")
+
+
+def test_bisect_odd_chords_cover_their_cases():
+    # the chords above do what _odd_chords says of them
+    annulus = _case_domains()["annulus-2d"]
+    xa, xb = _odd_chords(annulus)
+    for i in (0, 1):  # through the hole, then out of the outer wall
+        s = np.linspace(0.0, 1.0, 1001)[:, None]
+        sd = annulus.signed_distance(xa[i] + s * (xb[i] - xa[i]))
+        assert sd[0] < 0.0 < sd[-1] and (sd[:500] > 0.0).any()
+        first = scalar_cascade.reference_bisect(annulus, xa[i:i + 1], xb[i:i + 1], 1e-10)
+        assert first < 0.5  # the hole, not the outer wall the distances point to
+    ball = _case_domains()["ball-2d"]
+    xa, xb = _odd_chords(ball)
+    sd_a, sd_b = ball.signed_distance(xa), ball.signed_distance(xb)
+    assert sd_a[2] == sd_b[2] == 0.0 and sd_a[3] == sd_b[3] < 0.0 and (xa[4] == xb[4]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        guess = _crossing_guess(sd_a, sd_b)
+    assert np.isnan(guess[2]) and guess[3] == -np.inf
+    # rows with 0 rounds, and rows past the 52 levels of the predicted batch
+    length = np.linalg.norm(xb - xa, axis=1)
+    assert length[4] == 0.0 and 2.0**-52 * length[5] > 1e-19
 
 
 def test_bridge_scales_match_float_formulas_bitwise():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from speckin.rng import (
     RngStream,
@@ -88,3 +89,51 @@ def test_cross_stream_independence():
     c = np.corrcoef(z)
     off = c[~np.eye(200, dtype=bool)]
     assert np.abs(off).max() < 0.35  # 200-sample correlations, 4.7 sigma bound
+
+
+def test_per_row_starts_with_mixed_offsets():
+    # starts at every offset within a block, with counts that end inside a
+    # block and that cross block edges: each row equals a call of its own
+    sid = np.array([3, 9, 4, 17, 0, 5], dtype=np.uint64)
+    start = np.array([2, 4, 7, 13, 1, 8], dtype=np.uint64)
+    for count in (1, 2, 3, 5, 96, 97):
+        got = uniforms_at(2024, sid, start, count)
+        assert got.shape == (len(sid), count)
+        for i in range(len(sid)):
+            assert np.array_equal(got[i], uniforms_at(2024, sid[i : i + 1], start[i], count)[0])
+        assert np.array_equal(normals_at(2024, sid, start, count), ndtri(got))
+
+
+def test_shared_words_any_shape():
+    # a word shared by every block may be a scalar, a row, a column or a
+    # full array: the keystream is the same bit for bit
+    n, m = 5, 7
+    ctr = (np.arange(m, dtype=np.uint64) + np.uint64(2**63))[None, :]  # a row
+    sid = np.arange(n, dtype=np.uint64)[:, None] + np.uint64(11)  # a column
+    full = np.broadcast_to(np.uint64(0), (n, m))
+
+    def words(*args):
+        return np.stack(np.broadcast_arrays(*philox4x64_block(*args)), axis=-1)
+
+    want = words(ctr + full, full, full, full, full + np.uint64(42), sid + full)
+    assert want.shape == (n, m, 4)
+    for args in [
+        (ctr, 0, 0, 0, 42, sid),
+        (ctr, full, 0, full, np.uint64(42), sid),
+        (ctr + full, 0, 0, 0, 42, sid + full),
+        (ctr, np.zeros((n, 1), np.uint64), np.zeros(m, np.uint64), 0, 42, sid),
+    ]:
+        got = philox4x64_block(*args)
+        assert all(w.shape == (n, m) for w in got)
+        assert np.array_equal(np.stack(got, axis=-1), want)
+    assert np.array_equal(raw_blocks(42, sid, ctr), want)
+    assert np.array_equal(raw_blocks(42, sid + full, ctr + full), want)
+    assert np.array_equal(raw_blocks(42, sid[0, 0], ctr[0, 3]), want[0, 3])
+    scalar = philox4x64_block(ctr[0, 3], 0, 0, 0, 42, sid[0, 0])
+    assert [int(w) for w in scalar] == [int(w) for w in want[0, 3]]
+    # a start shared by every stream, as a scalar or one per stream
+    ids = sid[:, 0]
+    for start in (5, 8):
+        shared = uniforms_at(42, ids, start, 13)
+        assert np.array_equal(uniforms_at(42, ids, np.full(n, start, np.uint64), 13), shared)
+        assert np.array_equal(uniforms_at(42, ids, [start], 13), shared)
