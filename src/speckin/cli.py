@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from . import __version__
 from .config import (
     ScenarioConfig,
     build_domain,
@@ -59,9 +60,7 @@ from .diagnostics import (
 from .errors import SpeckinError
 from .langevin import run_ensemble, snapshot_step, step_time
 from .mckean import Ensemble, drift_field, run_mckean
-from .vfp import picard_nonlinear
-
-SUBCOMMANDS = ("simulate-linear", "simulate-mckean", "solve-vfp", "validate")
+from .vfp import picard_nonlinear, trace_functionals
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -78,12 +77,6 @@ SHELL_FLUX_SIGMAS = 4.0
 WALL_FLUX_SIGMAS = 4.0  # logged hits against the grid's outgoing wall flux
 
 
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
-
-
 @dataclass
 class OutputBundle:
     """Where a run landed and whether every pass flag held."""
@@ -91,7 +84,6 @@ class OutputBundle:
     path: Path
     manifest: dict
     passed: bool
-    report: object | None = None
 
 
 # --- deterministic writers ---------------------------------------------------
@@ -203,7 +195,7 @@ def _sha256(path: Path) -> str:
 
 
 def _finalize_bundle(out_dir: Path, cfg: ScenarioConfig, subcommand: str, files: list,
-                     passed: bool, report=None) -> OutputBundle:
+                     passed: bool) -> OutputBundle:
     """Hash the files this run wrote and write the manifest last."""
     config_bytes = serialize_config(cfg).encode("utf-8")
     manifest = {
@@ -213,14 +205,14 @@ def _finalize_bundle(out_dir: Path, cfg: ScenarioConfig, subcommand: str, files:
         "seed": cfg.run.seed,
         "passed": bool(passed),
         "versions": {
-            "speckin": _package_version(),
+            "speckin": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
         "files": {p.name: _sha256(p) for p in files},
     }
     _write_json(out_dir / "manifest.json", manifest)
-    return OutputBundle(path=out_dir, manifest=manifest, passed=passed, report=report)
+    return OutputBundle(path=out_dir, manifest=manifest, passed=passed)
 
 
 # --- scenario runners ----------------------------------------------------------
@@ -258,7 +250,7 @@ def _write_march(cfg: ScenarioConfig, out_dir: Path, march):
 
 
 def _run_simulate_linear(cfg: ScenarioConfig, out_dir: Path):
-    return True, None, _write_march(cfg, out_dir, _march_linear)[0]
+    return True, _write_march(cfg, out_dir, _march_linear)[0]
 
 
 def _run_simulate_mckean(cfg: ScenarioConfig, out_dir: Path):
@@ -271,11 +263,11 @@ def _run_simulate_mckean(cfg: ScenarioConfig, out_dir: Path):
             blocks.append(np.column_stack((np.full(len(field[0]), t), *field)))
     if blocks:
         files.append(_write_csv(out_dir / "drift.csv", ["t", "x", "B"], blocks))
-    return True, None, files
+    return True, files
 
 
 def _solve_picard(cfg: ScenarioConfig, weight=None):
-    """Shared nonlinear solve; returns (solution, report, grid).
+    """Shared nonlinear solve; returns (solution, report).
 
     The solution keeps its energy ledgers in `weight` only when one is
     given: `validate` passes the configured weight, `solve-vfp`, whose
@@ -290,15 +282,16 @@ def _solve_picard(cfg: ScenarioConfig, weight=None):
         tol=cfg.picard.tol, max_iter=cfg.picard.max_iter,
         weight=weight, lower=lower, upper=upper,
     )
-    return result.solution, result.report, grid
+    return result.solution, result.report
 
 
 def _run_solve_vfp(cfg: ScenarioConfig, out_dir: Path):
-    solution, report, grid = _solve_picard(cfg)
+    solution, report = _solve_picard(cfg)
+    grid = solution.grid
     steps = _output_steps(cfg, grid.horizon, grid.dt)
     files = [
         _write_csv(out_dir / "field.csv", ["t", "x", "u", "rho"],
-                   _slice_blocks(solution, solution.fields, solution.grid.x, steps)),
+                   _slice_blocks(solution, solution.fields, grid.x, steps)),
         _write_csv(out_dir / "traces.csv", ["t", "wall", "u", "gamma"],
                    _slice_blocks(solution, solution.traces, (0, 1), steps)),
     ]
@@ -311,11 +304,11 @@ def _run_solve_vfp(cfg: ScenarioConfig, out_dir: Path):
         "n_steps": grid.n_steps,
     }
     files.append(_write_json(out_dir / "picard.json", payload))
-    return bool(report.converged), report, files
+    return bool(report.converged), files
 
 
-def _block_edge(n: int, target: int = 8) -> int:
-    b = max(1, n // target)
+def _block_edge(n: int) -> int:
+    b = max(1, n // 8)
     while n % b:
         b -= 1
     return b
@@ -327,8 +320,7 @@ def _predicted_wall_hits(solution, n_paths: int) -> float:
     Specular traces are even in u, so the outgoing flux through each wall is
     half its speed-weighted trace mass.
     """
-    grid = solution.grid
-    speed_mass = (solution.traces * np.abs(grid.u)).sum(axis=-1) * grid.du
+    speed_mass = trace_functionals(solution.traces, solution.grid)["speed_mass"]
     return n_paths * float(np.trapezoid(0.5 * speed_mass.sum(axis=1), solution.times))
 
 
@@ -339,7 +331,8 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
     the wall-flux gate, the particle hit count against the grid's outgoing
     flux, always runs.
     """
-    solution, picard_report, grid = _solve_picard(cfg, build_weight(cfg))
+    solution, picard_report = _solve_picard(cfg, build_weight(cfg))
+    grid = solution.grid
     model = build_model(cfg)
     report = DiagnosticsReport(scenario=cfg.scenario)
 
@@ -371,7 +364,7 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
         detail=f"relative {sandwich.relative:.3e} of envelope peak",
     )
 
-    psi = initial_density(cfg, grid)
+    psi = solution.fields[0]  # the solve's copy of the initial density
     psi = 0.5 * (psi + psi[:, ::-1])  # even in u: wall-compatible start
     semi = semigroup_l2_check(psi, grid, model.sigma)
     slack = SEMIGROUP_SCALE * (grid.dx + grid.du + grid.dt) * sandwich.envelope_peak
@@ -420,7 +413,7 @@ def _run_validate(cfg: ScenarioConfig, out_dir: Path):
 
     files = [_write_json(out_dir / "diagnostics.json", report.to_dict())]
     print(report.table())
-    return report.passed, report, files
+    return report.passed, files
 
 
 _RUNNERS = {
@@ -443,8 +436,8 @@ def run_scenario(cfg: ScenarioConfig, subcommand: str, out_dir=None) -> OutputBu
     out.mkdir(parents=True, exist_ok=True)
     config = out / "config.json"
     config.write_text(serialize_config(cfg), encoding="utf-8")
-    passed, report, files = _RUNNERS[subcommand](cfg, out)
-    return _finalize_bundle(out, cfg, subcommand, [config, *files], passed, report)
+    passed, files = _RUNNERS[subcommand](cfg, out)
+    return _finalize_bundle(out, cfg, subcommand, [config, *files], passed)
 
 
 # --- argument handling ---------------------------------------------------------

@@ -53,7 +53,7 @@ class DomainSpec:
 @dataclass(frozen=True)
 class ModelSpec:
     sigma: float = 1.0
-    drift: str = "zero"
+    drift: str = KineticModel.b
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,9 @@ class InitialSpec:
 @dataclass(frozen=True)
 class StepSpec:
     h: float = 0.005
-    eps_hit: float = 1e-10
-    max_hits: int = 10_000
-    delta_near: float | None = None
+    eps_hit: float = StepParams.eps_hit
+    max_hits: int = StepParams.max_hits
+    delta_near: float | None = StepParams.delta_near
 
 
 @dataclass(frozen=True)

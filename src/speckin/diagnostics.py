@@ -20,7 +20,8 @@ import numpy as np
 from .errors import BoxMismatch, DegenerateTrace
 from .geometry import Domain, normal_velocity
 from .maxwellian import MaxwellianParams
-from .vfp import PhaseGrid, SpecularResult, _specular_march, envelope_excursions
+from .vfp import (PhaseGrid, SpecularResult, _specular_march, envelope_excursions,
+                  trace_functionals)
 
 __all__ = [
     "no_permeability_residual",
@@ -48,7 +49,7 @@ def no_permeability_residual(traces, grid: PhaseGrid) -> float:
     gamma = np.asarray(traces, dtype=float)
     if gamma.shape[-2:] != (2, grid.n_u):
         raise ValueError(f"traces must end in axes (2, {grid.n_u}), not {gamma.shape}")
-    den = (np.abs(grid.u) * gamma).sum(axis=-1) * grid.du
+    den = trace_functionals(gamma, grid)["speed_mass"]
     if (den <= 0.0).any():
         *where, wall = np.argwhere(den <= 0.0)[0].tolist()
         raise DegenerateTrace(f"trace {tuple(where)}, wall {wall} has no speed mass")
@@ -248,7 +249,6 @@ class DiagnosticsReport:
         if passed is None:
             passed = tolerance is None or abs(value) <= tolerance
         self.entries.append(ReportEntry(name, value, tolerance, passed, detail))
-        return self
 
     @property
     def passed(self) -> bool:

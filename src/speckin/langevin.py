@@ -164,11 +164,11 @@ def _as_rows(state: PhaseState):
     return tuple(np.asarray(v, float)[None] for v in (state.x, state.u))
 
 
-def _row_state(X, U, i: int = 0) -> PhaseState:
-    """Row i of a batch as a PhaseState; Python floats in d=1."""
+def _row_state(X, U) -> PhaseState:
+    """The one row of a batch as a PhaseState; Python floats in d=1."""
     if X.ndim == 1:
-        return PhaseState(float(X[i]), float(U[i]))
-    return PhaseState(X[i], U[i])
+        return PhaseState(float(X[0]), float(U[0]))
+    return PhaseState(X[0], U[0])
 
 
 def _pairs(Z, X):

@@ -41,7 +41,6 @@ from .weights import WeightParams, weight_eval
 
 __all__ = [
     "PhaseGrid",
-    "TraceField",
     "PicardReport",
     "PicardResult",
     "SpecularResult",
@@ -133,18 +132,6 @@ class PhaseGrid:
 
     def cell_mass(self, values: np.ndarray) -> float:
         return float(values.sum()) * self.dx * self.du
-
-
-@dataclass
-class TraceField:
-    """Wall traces over the velocity nodes at one time.
-
-    Row 0 is the wall at x=0 (outward normal -1), row 1 the wall at x=L
-    (outward normal +1); gamma holds the full velocity profile.
-    """
-
-    gamma: np.ndarray  # (2, n_u)
-    time: float
 
 
 def auto_vmax(upper: MaxwellianParams, horizon: float, rel: float = 1e-10) -> float:
@@ -356,8 +343,9 @@ class SpecularResult:
     clamped: list
     weight: WeightParams | None  # None: unit weight, or no ledgers
 
-    def trace(self, k: int) -> TraceField:
-        return TraceField(self.traces[k], float(self.times[k]))
+    def trace(self, k: int) -> np.ndarray:
+        """The (2, n_u) wall traces of slice k, `traces[k]`."""
+        return self.traces[k]
 
     def energy_residual(self, sigma: float) -> float:
         """Relative defect of the weighted energy balance at the horizon.
@@ -410,20 +398,6 @@ def _face_grad_sq(mid: np.ndarray, grid: PhaseGrid, w_face: np.ndarray,
     np.square(d, out=d)
     d *= w_face
     return float(d.sum()) * grid.dx * grid.du
-
-
-def _u_gradient(f: np.ndarray, du: float) -> np.ndarray:
-    """`np.gradient(f, du, axis=1)` bit for bit: centred differences along
-    the flat buffer, then the two velocity edges one-sided."""
-    g = np.empty(f.shape)
-    v, flat = f.ravel(), g.ravel()
-    np.subtract(v[2:], v[:-2], out=flat[1:-1])
-    flat[1:-1] /= 2.0 * du
-    np.subtract(f[:, 1], f[:, 0], out=g[:, 0])
-    np.subtract(f[:, -1], f[:, -2], out=g[:, -1])
-    g[:, 0] /= du
-    g[:, -1] /= du
-    return g
 
 
 def _specular_march(grid: PhaseGrid, rho0, drifts: np.ndarray, sigma: float,
@@ -600,7 +574,7 @@ def _transport_inflow(values: np.ndarray, grid: PhaseGrid, dt: float,
     Returns the updated field and the q-mass injected (scheme bookkeeping).
     """
     u = grid.u
-    s = np.abs(u) * (dt / grid.dx)
+    s = _transport_shifts(grid, dt)
     rows = np.where(u > 0, values, values[::-1])
     out = np.empty_like(rows)
     out[:-1] = rows[:-1] + s * (rows[1:] - rows[:-1])
@@ -659,7 +633,7 @@ def solve_linear_inflow(
         fields[k] = f
         gamma[k] = _inflow_trace(f, grid)
         mass[k] = grid.cell_mass(f)
-        g = _u_gradient(f, grid.du)
+        g = np.gradient(f, grid.du, axis=1)
         terms[:, k] = (sigma**2 * float(np.square(g, out=g).sum()) * quad,
                        float((abs_u * gamma[k]**2).sum()) * grid.du,
                        float((abs_u * q_at(times[k])**2).sum()) * grid.du)
@@ -710,12 +684,14 @@ def drift_from_density(field, grid: PhaseGrid, model: KineticModel) -> np.ndarra
     return np.where(ok, num / np.where(ok, col, 1.0), 0.0)
 
 
-def trace_functionals(trace: TraceField, grid: PhaseGrid) -> dict:
-    """Definition functionals per wall: speed-weighted mass and plain mass."""
-    absu = np.abs(grid.u)
+def trace_functionals(traces, grid: PhaseGrid) -> dict:
+    """Per wall, the speed-weighted mass int |u| gamma du and the plain mass
+    int gamma du of a (..., 2, n_u) stack of wall traces, such as
+    `SpecularResult.traces` or one slice of it; each has the shape of the
+    stack less its velocity axis."""
     return {
-        "speed_mass": (trace.gamma * absu).sum(axis=1) * grid.du,
-        "mass": trace.gamma.sum(axis=1) * grid.du,
+        "speed_mass": (traces * np.abs(grid.u)).sum(axis=-1) * grid.du,
+        "mass": traces.sum(axis=-1) * grid.du,
     }
 
 

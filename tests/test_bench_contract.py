@@ -11,6 +11,7 @@ benchmark without failing a package test, so these tests read bench/
 """
 
 import ast
+import importlib
 import inspect
 import json
 import sys
@@ -197,3 +198,18 @@ def test_traced_grid_solve_replays_bit_for_bit(tmp_path):
     assert capture.picard is not None
     replay = tracing.replay_linear_solve(tracer, capture)
     assert replay["matches"] is True
+
+
+def test_bench_predicted_hits_match_the_validate_gate(tmp_path):
+    # bench/run.py integrates the wall flux slice by slice through
+    # SpecularResult.trace; validate's wall-flux gate reads the whole trace
+    # stack. The trapezoid sums are ordered differently, so the two agree
+    # to round-off, not bit for bit
+    cfg = _small_scenario()
+    path = tmp_path / "config.json"
+    path.write_text(config.serialize_config(cfg), encoding="utf-8")
+    solution = speckin.cli._solve_picard(cfg, config.build_weight(cfg))[0]
+    want = speckin.cli._predicted_wall_hits(solution, cfg.run.N)
+    assert want > 0
+    bench_run = importlib.import_module("run")  # bench/run.py, its main not run
+    assert bench_run.predicted_hits(path) == pytest.approx(want, rel=1e-12, abs=0)

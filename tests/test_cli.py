@@ -21,6 +21,7 @@ from speckin.config import (
     build_envelopes,
     build_grid,
     build_model,
+    build_step_params,
     build_weight,
     config_from_dict,
     default_config,
@@ -31,8 +32,9 @@ from speckin.config import (
 )
 from speckin.errors import ConstraintViolation, ParseError
 from speckin.geometry import Annulus, Ball, Interval
-from speckin.langevin import HitLog, run_ensemble, step_count
+from speckin.langevin import HitLog, StepParams, run_ensemble, step_count
 from speckin.maxwellian import maxwellian_eval
+from speckin.mckean import KineticModel
 from speckin.vfp import envelope_excursions, trace_functionals
 
 
@@ -235,6 +237,13 @@ class TestBuilders:
         assert model.sigma**2 * grid.dt / (2 * grid.du**2) <= 1 + 1e-12
         assert model.b_norm * grid.dt <= grid.du * (1 + 1e-12)
         assert grid.n_steps * grid.dt == pytest.approx(cfg.run.T, rel=1e-12)
+
+    def test_default_config_builds_the_defaults_of_the_built_classes(self):
+        # the step and model sections read their defaults from StepParams
+        # and KineticModel, so the two cannot drift apart
+        cfg = default_config()
+        assert build_step_params(cfg) == StepParams(h=0.005)
+        assert build_model(cfg) == KineticModel(sigma=1.0)
 
     def test_grid_needs_interval(self):
         cfg = config_from_dict({"domain": {"kind": "ball"}})
@@ -544,7 +553,8 @@ class TestBundles:
         entry = sandwich_entry("absorbing")
         assert not entry["passed"]
         assert entry["value"] > 1e9 * entry["tolerance"]
-        solution, _, grid = _solve_picard(cfg)
+        solution, _ = _solve_picard(cfg)
+        grid = solution.grid
         lower, upper = build_envelopes(cfg)
         below, above, peak = envelope_excursions(solution.fields, grid, lower, upper)
         assert entry["value"] == below > 0.05 and above == 0.0

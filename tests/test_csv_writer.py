@@ -198,7 +198,8 @@ def test_simulate_linear_tables_in_an_annulus_match_reference(tmp_path):
 
 def test_solve_vfp_tables_match_reference(tmp_path):
     cfg = _scenario(tmp_path)
-    solution, _, grid = cli._solve_picard(cfg)
+    solution, _ = cli._solve_picard(cfg)
+    grid = solution.grid
     steps = cli._output_steps(cfg, grid.horizon, grid.dt)
     bundle = cli.run_scenario(cfg, "solve-vfp", out_dir=tmp_path / "b")
     _same_file(tmp_path, bundle, "field.csv", lambda p: ref.write_slices_csv(

@@ -32,7 +32,6 @@ from speckin.mckean import KineticModel
 import reference_checks as ref
 from speckin.vfp import (
     PhaseGrid,
-    TraceField,
     _advect_u,
     _diffuse,
     _diffusion_matrix,
@@ -41,7 +40,6 @@ from speckin.vfp import (
     _transport_shifts,
     _transport_specular,
     _transport_weights,
-    _u_gradient,
     auto_vmax,
     drift_from_density,
     envelope_excursions,
@@ -522,12 +520,6 @@ class TestVelocitySubsteps:
         with pytest.raises(ValueError, match="infs or NaNs"):
             _diffuse(f, lam, ab)
 
-    @pytest.mark.parametrize("n_u", [8, 192])
-    def test_u_gradient_matches_numpy_bitwise(self, n_u):
-        f = np.random.default_rng(n_u).lognormal(size=(9, n_u))
-        for du in (0.1, 2.0 / 3.0):
-            assert np.array_equal(_u_gradient(f, du), np.gradient(f, du, axis=1))
-
 
 # ---------------------------------------------------- inflow solver
 
@@ -761,10 +753,21 @@ class TestTraceExtract:
     def test_functionals_match_quadrature(self):
         g = PhaseGrid(length=1.0, n_x=8, v_max=3.0, n_u=16, dt=1e-3, horizon=0.01)
         f = uniform_gaussian(g, 0.8)
-        fn = trace_functionals(TraceField(_specular_trace(f), 0.0), g)
+        fn = trace_functionals(_specular_trace(f), g)
         assert fn["mass"][0] == pytest.approx((f[0]).sum() * g.du, rel=1e-12)
         assert fn["speed_mass"][0] == pytest.approx(
             (np.abs(g.u) * f[0]).sum() * g.du, rel=1e-12)
+
+    def test_functionals_of_a_stack_are_those_of_its_slices(self):
+        # the validate gate reads the whole history's stack, bench/ one
+        # slice at a time through SpecularResult.trace
+        grid, rho0, model, _, _ = picard_scenario(n_x=16, n_u=32, T=0.1)
+        sol = picard_nonlinear(grid, rho0, model).solution
+        whole = trace_functionals(sol.traces, grid)
+        for name, values in whole.items():
+            slices = [trace_functionals(sol.trace(k), grid)[name] for k in range(len(sol.times))]
+            assert values.shape == (len(sol.times), 2)
+            assert np.array_equal(values, np.stack(slices)), name
 
 
 # ----------------------------------------------------------- Picard
