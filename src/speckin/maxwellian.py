@@ -179,10 +179,9 @@ def weighted_square_mass(
     params: MaxwellianParams,
     t: float,
     weight: WeightParams,
-    include_speed: bool = True,
     rtol: float = 1e-6,
 ) -> float:
-    """int (1+|u|) omega(u) P(t,u)^2 du (radial); speed factor optional."""
+    """int (1+|u|) omega(u) P(t,u)^2 du (radial)."""
     d = params.dimension
     v = float(params.core_variance(t))
     amp = np.exp(params.a * t) * (params.core.kappa * (2.0 * np.pi * v) ** (-d / 2.0)) ** params.mu
@@ -190,8 +189,7 @@ def weighted_square_mass(
     def radial(r):
         density = amp * np.exp(-params.mu * r * r / (2.0 * v))
         w = (1.0 + r * r) ** (weight.alpha / 2.0)
-        speed = (1.0 + r) if include_speed else 1.0
-        return r ** (d - 1) * speed * w * density**2
+        return r ** (d - 1) * (1.0 + r) * w * density**2
 
     return sphere_area(d) * stabilized_radial_quad(radial, rtol=rtol)
 

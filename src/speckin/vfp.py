@@ -685,14 +685,10 @@ def drift_from_density(field, grid: PhaseGrid, model: KineticModel) -> np.ndarra
 
 
 def trace_functionals(traces, grid: PhaseGrid) -> dict:
-    """Per wall, the speed-weighted mass int |u| gamma du and the plain mass
-    int gamma du of a (..., 2, n_u) stack of wall traces, such as
-    `SpecularResult.traces` or one slice of it; each has the shape of the
-    stack less its velocity axis."""
-    return {
-        "speed_mass": (traces * np.abs(grid.u)).sum(axis=-1) * grid.du,
-        "mass": traces.sum(axis=-1) * grid.du,
-    }
+    """Per wall, the speed-weighted mass int |u| gamma du of a (..., 2, n_u)
+    stack of wall traces, such as `SpecularResult.traces` or one slice of
+    it, as "speed_mass", in the shape of the stack less its velocity axis."""
+    return {"speed_mass": (traces * np.abs(grid.u)).sum(axis=-1) * grid.du}
 
 
 # ------------------------------------------------------ Picard solve

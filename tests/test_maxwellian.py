@@ -149,14 +149,14 @@ def test_mass_bounds_rate_scaling():
 
 
 def test_weighted_square_mass_against_direct_quadrature():
-    # independent full-line quadrature of omega * P(0,u)^2, no radial reduction
+    # independent quadrature of (1+|u|) omega * P(0,u)^2 over each half
+    # line, no radial reduction
     w = WeightParams(3, 1)
-    direct, _ = integrate.quad(
-        lambda u: (1 + u * u) ** 1.5 * maxwellian_eval(BASE, 0.0, u) ** 2,
-        -np.inf,
-        np.inf,
-    )
-    mine = weighted_square_mass(BASE, 0.0, w, include_speed=False)
+    direct = sum(integrate.quad(
+        lambda u: (1 + abs(u)) * (1 + u * u) ** 1.5 * maxwellian_eval(BASE, 0.0, u) ** 2,
+        lo, hi,
+    )[0] for lo, hi in ((-np.inf, 0.0), (0.0, np.inf)))
+    mine = weighted_square_mass(BASE, 0.0, w)
     assert mine == pytest.approx(direct, rel=1e-6)
 
 
