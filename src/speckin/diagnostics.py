@@ -32,10 +32,6 @@ __all__ = [
     "mc_grid_distance",
     "DiagnosticsReport",
     "ReportEntry",
-    "FluxBalance",
-    "ShellFlux",
-    "SemigroupCheck",
-    "SandwichCheck",
 ]
 
 
@@ -57,17 +53,10 @@ def no_permeability_residual(traces, grid: PhaseGrid) -> float:
     return float((num / den).max())
 
 
-@dataclass
-class FluxBalance:
-    """Exact reflection-algebra checks over a hit log."""
-
-    antisymmetry_residual: float
-    count: int
-
-
-def flux_balance_particles(hits, domain: Domain) -> FluxBalance:
-    """Per-contact check over a langevin.HitLog that the post-hit normal
-    velocity is the exact negation of the pre-hit one.
+def flux_balance_particles(hits, domain: Domain) -> float:
+    """Largest |u_pre . n + u_post . n| over the contacts of a
+    langevin.HitLog: the post-hit normal velocity must be the exact
+    negation of the pre-hit one.
 
     The residual is zero by construction of the reflection; any nonzero
     value is a bug. An empty log is a caller error.
@@ -77,17 +66,7 @@ def flux_balance_particles(hits, domain: Domain) -> FluxBalance:
     normals = domain.outward_normal(hits.location)
     flux = (normal_velocity(hits.pre_velocity, normals)
             + normal_velocity(hits.post_velocity, normals))
-    return FluxBalance(antisymmetry_residual=float(np.abs(flux).max()), count=len(flux))
-
-
-@dataclass
-class ShellFlux:
-    """Monte Carlo mean of the outward velocity component near the wall."""
-
-    mean: float
-    stderr: float
-    count: int
-    skipped: bool = False
+    return float(np.abs(flux).max())
 
 
 def _wall_scale(domain: Domain) -> float:
@@ -97,40 +76,36 @@ def _wall_scale(domain: Domain) -> float:
     raise ValueError("pass an explicit shell width for this domain")
 
 
-def shell_flux_estimate(domain: Domain, X, U, shell: float | None = None) -> ShellFlux:
-    """Estimate of E[u . n] over the particles (X, U) within `shell` of the wall.
+def shell_flux_estimate(domain: Domain, X, U, shell: float | None = None) -> tuple:
+    """(mean, stderr, count): the Monte Carlo estimate of E[u . n] over the
+    particles (X, U) within `shell` of the wall.
 
-    An empty shell yields a skipped result, not a failure.
+    The standard error needs two states, so it is nan below that, and an
+    empty shell gives (nan, nan, 0), not a failure.
     """
     if shell is None:
         shell = 0.02 * _wall_scale(domain)
     X, U = np.asarray(X, dtype=float), np.asarray(U, dtype=float)
     near = domain.signed_distance(X) >= -shell
     if not near.any():
-        return ShellFlux(mean=float("nan"), stderr=float("nan"), count=0,
-                         skipped=True)
+        return math.nan, math.nan, 0
     arr = normal_velocity(U[near], domain.outward_normal(X[near]))
-    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else float("inf")
-    return ShellFlux(mean=float(arr.mean()), stderr=stderr, count=arr.size)
+    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.nan
+    return float(arr.mean()), stderr, arr.size
 
 
-@dataclass
-class SemigroupCheck:
-    """L2 budget of the wall-respecting backward evolution started at psi."""
+def semigroup_l2_check(psi, grid: PhaseGrid, sigma: float) -> tuple:
+    """(margin, grad_energy, split_residual): the L2 budget of the
+    wall-respecting backward evolution started at psi.
 
-    margin: float  # ||psi||^2 - ||evolved(T)||^2
-    grad_energy: float  # sigma^2 * time-integrated gradient square
-    split_residual: float  # |margin - grad_energy| / ||psi||^2
-
-
-def semigroup_l2_check(psi, grid: PhaseGrid, sigma: float) -> SemigroupCheck:
-    """Propagate psi by the backward evolution and account for its L2 drop.
-
-    With no drift the backward flow is the forward specular solve applied to
-    the velocity-reflected data (an exact index reversal on this grid), so
-    the drop must equal the dissipated gradient energy, whose ledger the
-    march keeps in unit weight (no weight). Only the last slice and the
-    per-step gradient terms are kept, not the field history.
+    The margin is ||psi||^2 - ||evolved(T)||^2, grad_energy sigma^2 times
+    the time-integrated gradient square, and the split residual
+    |margin - grad_energy| / ||psi||^2. With no drift the backward flow is
+    the forward specular solve applied to the velocity-reflected data (an
+    exact index reversal on this grid), so the drop must equal the
+    dissipated gradient energy, whose ledger the march keeps in unit
+    weight (no weight). Only the last slice and the per-step gradient
+    terms are kept, not the field history.
     """
     psi = np.asarray(psi, dtype=float)
     flipped = psi[:, ::-1].copy()
@@ -144,40 +119,25 @@ def semigroup_l2_check(psi, grid: PhaseGrid, sigma: float) -> SemigroupCheck:
     margin = e0 - eT
     grad = sigma**2 * float(res.grad_sq_weighted.sum())
     split = abs(margin - grad) / e0 if e0 > 0 else 0.0
-    return SemigroupCheck(margin=margin, grad_energy=grad, split_residual=split)
-
-
-@dataclass
-class SandwichCheck:
-    """Worst envelope violation over a field history, absolute and relative."""
-
-    absolute: float
-    relative: float
-    envelope_peak: float
-
-    @classmethod
-    def from_excursions(cls, below: float, above: float, peak: float,
-                        fields) -> SandwichCheck:
-        """The check of a history `fields` from its (below, above, peak), as
-        `vfp.envelope_excursions` returns them or a `PicardReport` holds
-        them. The relative figure divides by the upper envelope's peak, or
-        by the field's own when there is no upper envelope."""
-        if peak == 0.0:
-            peak = float(np.abs(fields).max()) or 1.0
-        worst = max(below, above)
-        return cls(absolute=worst, relative=worst / peak, envelope_peak=peak)
+    return margin, grad, split
 
 
 def sandwich_check(solution: SpecularResult,
                    lower: MaxwellianParams | None,
-                   upper: MaxwellianParams | None) -> SandwichCheck:
-    """max(P_lower - rho, rho - P_upper, 0) over all nodes and times of a solve.
+                   upper: MaxwellianParams | None) -> tuple:
+    """(worst, peak): max(P_lower - rho, rho - P_upper, 0) over all nodes
+    and times of a solve, and the scale it is measured against.
 
-    The figures are `vfp.envelope_excursions` of the solution's history,
-    read by `SandwichCheck.from_excursions`.
+    The excursions and the upper envelope's peak are
+    `vfp.envelope_excursions` of the solution's history. Without an upper
+    envelope the peak is the field's own largest |rho|, or 1 for a zero
+    field, so that worst / peak is always defined.
     """
-    return SandwichCheck.from_excursions(
-        *envelope_excursions(solution.fields, solution.grid, lower, upper), solution.fields)
+    fields = solution.fields
+    below, above, peak = envelope_excursions(fields, solution.grid, lower, upper)
+    if peak == 0.0:
+        peak = max(float(fields.max()), -float(fields.min())) or 1.0
+    return max(below, above), peak
 
 
 def mc_grid_distance(X, U, rho, grid: PhaseGrid, block: tuple = (1, 1)) -> tuple:

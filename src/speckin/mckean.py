@@ -197,39 +197,32 @@ def conditional_drift(
     """Kernel regression estimate of E[b(U) | X = x] on the ensemble.
 
     x may be a single point or a batch along the first axis; the output
-    matches. Wherever the summed kernel mass falls below
-    min_mass * N * peak, the zero vector is returned.
+    keeps its shape. Wherever the summed kernel mass falls below
+    min_mass * N * peak, the zero vector is returned. A 1-d cloud is read
+    as (N, 1) columns, so one formula serves every dimension.
     """
-    X = ensemble.positions
-    BU = model.drift(ensemble.velocities)
     n = len(ensemble)
-    bw = _resolve_bandwidth(cfg, X)
+    bw = _resolve_bandwidth(cfg, ensemble.positions)
+    X = ensemble.positions.reshape(n, -1)
+    BU = model.drift(ensemble.velocities).reshape(n, -1)
     pts = np.asarray(x, dtype=float)
-    single = pts.ndim < X.ndim
-    probes = pts[None] if single else pts
+    probes = pts.reshape(-1, X.shape[1])
 
     out = np.zeros(probes.shape, dtype=float)
     threshold = cfg.min_mass * n
     chunk = max(1, (1 << 22) // max(n, 1))
     for lo in range(0, probes.shape[0], chunk):
         block = probes[lo : lo + chunk]
-        if X.ndim == 1:
-            q = ((block[:, None] - X[None, :]) / bw) ** 2
-        else:
-            diff = (block[:, None, :] - X[None, :, :]) / bw
-            q = np.einsum("mnd,mnd->mn", diff, diff)
+        diff = (block[:, None, :] - X[None, :, :]) / bw
+        q = np.einsum("mnd,mnd->mn", diff, diff)
         w = _kernel_of_sq(cfg.kernel, q)
         denom = w.sum(axis=1)
         ok = denom >= threshold
         safe = np.where(ok, denom, 1.0)
         # row-wise reductions keep results independent of the chunking
-        if X.ndim == 1:
-            numer = (w * BU[None, :]).sum(axis=1)
-            out[lo : lo + chunk] = np.where(ok, numer / safe, 0.0)
-        else:
-            numer = (w[:, :, None] * BU[None, :, :]).sum(axis=1)
-            out[lo : lo + chunk] = np.where(ok[:, None], numer / safe[:, None], 0.0)
-    return out[0] if single else out
+        numer = (w[:, :, None] * BU[None, :, :]).sum(axis=1)
+        out[lo : lo + chunk] = np.where(ok[:, None], numer / safe[:, None], 0.0)
+    return out.reshape(pts.shape)[()]
 
 
 def _binned_field(ensemble, model, cfg, length):

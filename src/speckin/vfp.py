@@ -697,22 +697,23 @@ def trace_functionals(traces, grid: PhaseGrid) -> dict:
 @dataclass
 class PicardReport:
     """Record of the nonlinear solve: one pass, converged, its largest
-    envelope excursions below `lower` and above `upper`, one entry per pass,
-    and the upper envelope's peak over the grid times (0 without one), which
-    `to_dict` leaves out."""
+    envelope excursions below `lower` and above `upper`, and the upper
+    envelope's peak over the grid times (0 without one). `to_dict` writes
+    each excursion as a one-entry list, one entry per pass, and leaves the
+    peak out."""
 
     iterates: int
     converged: bool
-    lower_violation: list
-    upper_violation: list
+    lower_violation: float
+    upper_violation: float
     envelope_peak: float
 
     def to_dict(self) -> dict:
         return {
             "iterates": self.iterates,
             "converged": bool(self.converged),
-            "lower_violation": [float(v) for v in self.lower_violation],
-            "upper_violation": [float(v) for v in self.upper_violation],
+            "lower_violation": [float(self.lower_violation)],
+            "upper_violation": [float(self.upper_violation)],
         }
 
 
@@ -790,6 +791,6 @@ def picard_nonlinear(
         if k < grid.n_steps:
             drifts[k] = drift_from_density(f, grid, model)
     below, above, peak = envelope_excursions(result.fields, grid, lower, upper)
-    report = PicardReport(iterates=1, converged=True, lower_violation=[below],
-                          upper_violation=[above], envelope_peak=peak)
+    report = PicardReport(iterates=1, converged=True, lower_violation=below,
+                          upper_violation=above, envelope_peak=peak)
     return PicardResult(solution=result, report=report, drift_history=drifts)

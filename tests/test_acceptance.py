@@ -339,7 +339,7 @@ def test_08_picard_convergence():
         float(maxwellian_eval(upper, t, grid.u).max())
         for t in np.linspace(0.0, grid.horizon, 9)
     )
-    viol = max(max(rep.lower_violation), max(rep.upper_violation))
+    viol = max(rep.lower_violation, rep.upper_violation)
     ok = rep.converged and rep.iterates == 1 and fixed and viol <= tol_rel * peak
     _verdict(8, "picard convergence", ok,
              f"{rep.iterates} pass, drift rows of their own slices: {fixed}, "
@@ -356,10 +356,10 @@ def test_09_semigroup_contraction():
         g = PhaseGrid(length=1.0, n_x=n, v_max=v, n_u=2 * n, dt=T / steps, horizon=T)
         hump = 0.5 * (heat_kernel(0.5, g.u - 0.6) + heat_kernel(0.5, g.u + 0.6))
         psi = np.outer(1.0 + 0.4 * np.cos(2 * np.pi * g.x), hump)
-        chk = semigroup_l2_check(psi, g, sigma=sigma)
-        margins.append(chk.margin)
+        margin, _, split = semigroup_l2_check(psi, g, sigma=sigma)
+        margins.append(margin)
         tols.append(10.0 * (g.dx + g.du + g.dt) * float(np.abs(psi).max()))
-        splits.append(chk.split_residual)
+        splits.append(split)
     ok = (all(m >= -tol for m, tol in zip(margins, tols))
           and tols[0] > tols[1] > tols[2] and splits[2] <= 1e-2)
     _verdict(9, "semigroup contraction", ok,
@@ -385,13 +385,13 @@ def test_11_wall_flux_statistics():
     st = _particle_state()  # built by check 10; only post-processing is timed
     t0 = perf_counter()
     X, U, _, hits = st["mckean"]
-    fb = flux_balance_particles(hits, st["domain"])
-    sf = shell_flux_estimate(st["domain"], X, U)
-    z = abs(sf.mean) / sf.stderr if sf.count > 1 else float("inf")
-    ok = fb.antisymmetry_residual == 0.0 and z <= 4.0
+    antisymmetry = flux_balance_particles(hits, st["domain"])
+    mean, stderr, count = shell_flux_estimate(st["domain"], X, U)
+    z = abs(mean) / stderr if count > 1 else float("inf")
+    ok = antisymmetry == 0.0 and z <= 4.0
     _verdict(11, "wall flux statistics", ok,
-             f"antisymmetry {fb.antisymmetry_residual:.1e} over {fb.count} hits, "
-             f"shell mean {sf.mean:.4f} = {z:.2f} SE ({sf.count} in shell)",
+             f"antisymmetry {antisymmetry:.1e} over {len(hits)} hits, "
+             f"shell mean {mean:.4f} = {z:.2f} SE ({count} in shell)",
              perf_counter() - t0, 10.0)
 
 

@@ -518,6 +518,44 @@ class TestBundles:
         z = float(re.search(r"z=(-?[0-9.]+)$", entry["detail"]).group(1))
         assert z < -speckin.cli.WALL_FLUX_SIGMAS
 
+    def test_validate_shell_gate_catches_outgoing_states(self, tmp_path, monkeypatch, capsys):
+        # every state within the shell turned to leave through its wall:
+        # the hit log is untouched, so only the near-wall flux can notice
+        real = speckin.cli.run_mckean
+        cfg = self._validate_scenario(tmp_path)
+        length = cfg.domain.length
+
+        def outgoing(*args, **kwargs):
+            X, U, snapshots, hits = real(*args, **kwargs)
+            near = np.minimum(X, length - X) <= 0.02 * length
+            return X, np.where(near, np.copysign(U, X - 0.5 * length), U), snapshots, hits
+
+        monkeypatch.setattr(speckin.cli, "run_mckean", outgoing)
+        entry = self._hit_entry(run_scenario(cfg, "validate", out_dir=tmp_path / "b"))
+        assert not entry["passed"]
+        assert "antisymmetry 0.000e+00" in entry["detail"]
+        z = float(re.search(r"near-wall flux z=([0-9.]+)", entry["detail"]).group(1))
+        assert z > speckin.cli.SHELL_FLUX_SIGMAS
+
+    def test_validate_reports_no_shell_z_for_one_state(self, tmp_path, monkeypatch, capsys):
+        # one near-wall state, leaving at speed 3, has no standard error; it
+        # must not read as z = 0 and pass the shell gate
+        real = speckin.cli.run_mckean
+        cfg = self._validate_scenario(tmp_path)
+        length = cfg.domain.length
+
+        def lone(*args, **kwargs):
+            X, U, snapshots, hits = real(*args, **kwargs)
+            X, U = np.full_like(X, 0.5 * length), np.zeros_like(U)
+            X[0], U[0] = 0.995 * length, 3.0
+            return X, U, snapshots, hits
+
+        monkeypatch.setattr(speckin.cli, "run_mckean", lone)
+        entry = self._hit_entry(run_scenario(cfg, "validate", out_dir=tmp_path / "b"))
+        assert "antisymmetry 0.000e+00" in entry["detail"]
+        assert "near-wall flux" not in entry["detail"]
+        assert "grid flux predicts" in entry["detail"]
+
     def test_validate_sandwich_gate_catches_absorbing_walls(self, tmp_path, monkeypatch, capsys):
         # both specular ghosts set to 0: the walls absorb, the density falls
         # below the lower envelope, and the sandwich entry must fail on that

@@ -182,6 +182,24 @@ def test_vector_valued_drift_in_two_dimensions():
     assert np.all(np.abs(got) <= 1.0)
 
 
+@pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("bandwidth", [None, 0.08])
+def test_one_dimension_is_one_column(kernel, bandwidth):
+    # a 1-d cloud and the same cloud as (N, 1) columns give one field
+    r = np.random.default_rng(6)
+    X, U = r.uniform(0, 1, 500), r.normal(size=500)
+    model = KineticModel(sigma=1.0, b="tanh(1)")
+    cfg = DriftEstimatorConfig(bandwidth=bandwidth, kernel=kernel)
+    flat, column = Ensemble(X, U), Ensemble(X[:, None], U[:, None])
+    probes = np.linspace(0.0, 1.0, 9)
+    batch = conditional_drift(flat, model, cfg, probes)
+    assert batch.shape == probes.shape
+    assert np.array_equal(batch, conditional_drift(column, model, cfg, probes[:, None])[:, 0])
+    point = conditional_drift(flat, model, cfg, 0.3)
+    assert np.shape(point) == ()
+    assert np.array_equal(point, conditional_drift(column, model, cfg, np.array([0.3]))[0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**20),

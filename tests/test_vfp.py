@@ -850,8 +850,8 @@ class TestPicard:
         peak = max(float(maxwellian_eval(upper, t, 0.0))
                    for t in np.linspace(0, grid.horizon, 33))
         tol_grid = 10.0 * (grid.dx + grid.du + grid.dt) * peak
-        assert max(rep.lower_violation) <= tol_grid
-        assert max(rep.upper_violation) <= tol_grid
+        assert rep.lower_violation <= tol_grid
+        assert rep.upper_violation <= tol_grid
         assert np.abs(res.drift_history).max() <= model.b_norm * (1 + 1e-12)
         mass = res.solution.mass
         assert np.abs(np.diff(mass)).max() / mass[0] < 1e-10
@@ -960,8 +960,8 @@ class TestOnePassSweep:
         self.check_replay(grid, rho0, model, weight, res)
         lo_v, up_v, _ = ref.envelope_excursions(res.solution.fields, grid.times, grid,
                                                 lower, upper)
-        assert res.report.lower_violation == [lo_v]
-        assert res.report.upper_violation == [up_v]
+        assert res.report.lower_violation == lo_v
+        assert res.report.upper_violation == up_v
 
     def test_swapped_envelopes_on_a_short_last_step(self):
         # swapped envelopes, so that both excursions are positive, and a
@@ -972,8 +972,8 @@ class TestOnePassSweep:
         self.check_replay(grid, rho0, model, weight, res)
         lo_v, up_v, _ = ref.envelope_excursions(res.solution.fields, grid.times, grid,
                                                 lower, upper)
-        assert res.report.lower_violation == [lo_v] and lo_v > 0
-        assert res.report.upper_violation == [up_v] and up_v > 0
+        assert res.report.lower_violation == lo_v and lo_v > 0
+        assert res.report.upper_violation == up_v and up_v > 0
         assert up_v == float((rho0 - maxwellian_eval(upper, 0.0, grid.u)).max())
 
 
@@ -1107,10 +1107,10 @@ class TestPicardOracle:
         assert _v1_distance(solution.fields, res.solution.fields, grid, weight) <= 10 * ORACLE_TOL
         if envelopes:
             peak = envelope_excursions(solution.fields, grid, None, upper)[2]
-            assert abs(res.report.lower_violation[0] - lows[-1]) <= 1e-6 * peak
-            assert abs(res.report.upper_violation[0] - ups[-1]) <= 1e-6 * peak
+            assert abs(res.report.lower_violation - lows[-1]) <= 1e-6 * peak
+            assert abs(res.report.upper_violation - ups[-1]) <= 1e-6 * peak
         else:
-            assert res.report.lower_violation == res.report.upper_violation == [0.0]
+            assert res.report.lower_violation == res.report.upper_violation == 0.0
 
     def test_a_pass_reading_the_previous_drift_row_disagrees(self, oracle, monkeypatch):
         grid, rho0, model, weight, lower, upper, run = oracle
